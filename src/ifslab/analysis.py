@@ -32,12 +32,20 @@ from .maps import REVERSE, SystemSpec, Word
 from .seeding import rng_from, spawn_rngs
 
 _EVAL_BUDGET = 10**7
+_VOLUME_WINDOW = (0.05, 0.95)  # candidate volumes the ergodicity probe scores
 
 EPS_DENSE = "eps-dense"
 NOT_EPS_DENSE = "not-eps-dense"
 
 CANDIDATE_FOUND = "candidate invariant set found"
 NO_CANDIDATE = "no intermediate invariant set found at this resolution"
+
+
+def _require_positive(**counts: int) -> None:
+    # a probe that examined nothing must not report a verdict
+    for name, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,7 @@ def minimality_test(
         raise ResolutionError("epsilon must be at least 2 cell widths")
     if max_word_len < 1:
         raise ValidationError("max_word_len must be >= 1")
+    _require_positive(samples=samples)
     if region.is_empty():
         raise EmptySetError("minimality region is empty")
     rng = rng_from(seed)
@@ -307,6 +316,7 @@ def empirical_distortion(
     from the attractor set) are pushed through every word, accumulating
     log|det D| along the reverse orbit.
     """
+    _require_positive(word_count=word_count, pair_count=pair_count)
     rng = rng_from(seed)
     xs = geometry.sample_cells(delta_set, pair_count, rng)
     ys = geometry.sample_cells(delta_set, pair_count, rng)
@@ -400,6 +410,7 @@ def distortion_report(
     seed: int = 0,
 ) -> DistortionReport:
     """Full pipeline: estimate C and xi, form the bound, check it empirically."""
+    _require_positive(word_count=word_count, pair_count=pair_count)
     c = max(holder_constant(m, alpha, delta_set, holder_pairs, seed) for m in sys.maps())
     xi = contraction_factor(sys, delta_set, holder_pairs, seed)
     diam = geometry.diameter(delta_set)
@@ -448,9 +459,7 @@ def shrink_time(
         raise ValidationError("shrink time is defined for reverse words")
     if max_r < 0:
         raise ValidationError("max_r must be >= 0")
-    cx, cy = u.center
-    half = u.radius * (1.0 + 8.0 / resolution)
-    dom = Domain.planar((cx - half, cx + half, cy - half, cy + half), resolution)
+    dom = geometry.ball_domain(u, resolution)
     base = geometry.rasterize_disk(dom, u)
     pts0 = base.included_points()
 
@@ -544,13 +553,12 @@ def ergodicity_probe(
     refine_steps: int = 24,
     seed: int = 0,
     domain: Domain | None = None,
-    volume_window: tuple[float, float] = (0.05, 0.95),
 ) -> ErgodicityReport:
     """Search for an intermediate-volume set invariant under all preimages.
 
     Candidate sets are refined toward consensus by replacing B with the
     cellwise majority of {B, g1^-1(B), ..., gs^-1(B)}.  An iterate is
-    scored when its volume lies inside ``volume_window`` and it is
+    scored when its volume lies inside (0.05, 0.95) and it is
     *resolved* at this resolution: its one-cell boundary ring occupies at
     most 1/16 of min(vol, 1 - vol), since a set whose boundary ring rivals
     its bulk is indistinguishable from rasterization noise.  A resolved
@@ -560,6 +568,7 @@ def ergodicity_probe(
     absence of any qualifier is reported as consistency with ergodicity at
     this resolution, not as a proof.
     """
+    _require_positive(seed_sets=seed_sets)
     for m in sys.maps():
         if not m.invertible:
             raise InvertibilityError("ergodicity probe needs invertible generators")
@@ -587,12 +596,12 @@ def ergodicity_probe(
         return out.reshape(domain.shape)
 
     majority_needed = (len(maps) + 1) // 2 + 1
-    lo_vol, hi_vol = volume_window
+    lo_vol, hi_vol = _VOLUME_WINDOW
 
     best_resolved = None  # (defect, |vol-1/2|), vol, ring, bits
     best_qualifying = None
 
-    rngs = spawn_rngs(seed, max(seed_sets, 1))
+    rngs = spawn_rngs(seed, seed_sets)
     for bits in _seed_bitmaps(domain, seed_sets, rngs):
         current = bits.copy()
         for _ in range(refine_steps + 1):

@@ -92,7 +92,7 @@ def _cmd_construct(args, out_dir: Path) -> int:
     absorbing = construction.check_absorbing(
         result.system, result.absorbing_ball, args.resolution
     )
-    cell = 2 * result.absorbing_ball.radius * (1 + 8 / args.resolution) / args.resolution
+    cell = geometry.ball_domain(result.absorbing_ball, args.resolution).cell_sizes[0]
     attr = construction.attractor(
         result.system,
         result.absorbing_ball,
@@ -178,8 +178,11 @@ def _cmd_ergodicity(args, out_dir: Path) -> int:
 def _cmd_circle(args, out_dir: Path) -> int:
     rational = None
     if args.rational:
-        p, q = args.rational.split("/")
-        rational = (int(p), int(q))
+        try:
+            p, q = (int(v) for v in args.rational.split("/"))
+        except ValueError:
+            raise ValidationError(f"--rational needs p/q, got {args.rational!r}") from None
+        rational = (p, q)
     params = circle.CircleExampleParams(
         multiplier=args.multiplier,
         rotation_angle=args.angle,
@@ -233,7 +236,10 @@ def _cmd_packing(args, out_dir: Path) -> int:
     if args.bounds:
         domain = Domain.planar(args.bounds, args.resolution)
     target = geometry.read_pgm(args.target_pgm, domain)
-    cx, cy, r = (float(v) for v in args.ambient.split(","))
+    try:
+        cx, cy, r = (float(v) for v in args.ambient.split(","))
+    except ValueError:
+        raise ValidationError(f"--ambient needs cx,cy,r, got {args.ambient!r}") from None
     inst, rep = packing.greedy_pack(
         target, Disk((cx, cy), r), args.min_radius, args.max_disks
     )

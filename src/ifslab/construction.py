@@ -197,7 +197,7 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     """
     if sys.kind != "planar":
         raise DimensionError("absorbing-ball checks apply to planar systems")
-    dom = _ball_domain(u, resolution)
+    dom = geometry.ball_domain(u, resolution)
     cells = geometry.rasterize_disk(dom, u)
     pts = cells.included_points()
     cx, cy = u.center
@@ -208,12 +208,6 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
         worst = max(worst, float(d.max()) - u.radius)
     worst = max(worst, 0.0)
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
-
-
-def _ball_domain(u: Disk, resolution: int) -> Domain:
-    cx, cy = u.center
-    half = u.radius * (1.0 + 8.0 / resolution)
-    return Domain.planar((cx - half, cx + half, cy - half, cy + half), resolution)
 
 
 def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
@@ -270,7 +264,7 @@ def attractor(
             raise ValidationError(
                 f"ball is not absorbing (escape distance {chk.escape_distance:.4g})"
             )
-    dom = _ball_domain(u, resolution)
+    dom = geometry.ball_domain(u, resolution)
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
     for it in range(1, max_iter + 1):

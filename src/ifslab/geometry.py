@@ -254,6 +254,32 @@ def empty_set(domain: Domain) -> GridSet:
     return GridSet(domain, np.zeros(domain.shape, dtype=bool))
 
 
+def ball_domain(u: Disk, resolution: int) -> Domain:
+    """Square planar chart around a ball, with a margin of about 4 cells per side."""
+    cx, cy = u.center
+    half = u.radius * (1.0 + 8.0 / resolution)
+    return Domain.planar((cx - half, cx + half, cy - half, cy + half), resolution)
+
+
+def disk_cells(domain: Domain, d: Disk) -> tuple[tuple[slice, slice], np.ndarray]:
+    """Cells of a planar disk by the cell-center rule, inside its bounding box.
+
+    Returns ``(window, bits)``: ``window`` slices the domain's bitmap to the
+    disk's bounding box padded by one cell against rounding, and ``bits``
+    marks the window cells whose center lies within the closed disk.
+    """
+    if domain.kind == CIRCLE or d.is_circle:
+        raise ValidationError("disk cells need a planar disk on a planar domain")
+    xs, ys = domain.axis_centers()
+    (cx, cy), r = d.center, d.radius
+    wx, wy = (
+        slice(max(np.searchsorted(a, c - r) - 1, 0), np.searchsorted(a, c + r, "right") + 1)
+        for a, c in ((xs, cx), (ys, cy))
+    )
+    sq = (xs[wx] - cx)[:, None] ** 2 + (ys[wy] - cy)[None, :] ** 2
+    return (wx, wy), sq <= r**2
+
+
 def rasterize_disk(domain: Domain, d: Disk) -> GridSet:
     """Cells whose center lies within the disk (closed)."""
     if domain.kind == CIRCLE:
@@ -263,12 +289,10 @@ def rasterize_disk(domain: Domain, d: Disk) -> GridSet:
         diff = np.abs(xs - (float(d.center) % 1.0))
         dist = np.minimum(diff, 1.0 - diff)
         return GridSet(domain, dist <= d.radius)
-    if d.is_circle:
-        raise ValidationError("circle arc on a planar domain")
-    xs, ys = domain.axis_centers()
-    cx, cy = d.center
-    sq = (xs - cx)[:, None] ** 2 + (ys - cy)[None, :] ** 2
-    return GridSet(domain, sq <= d.radius**2)
+    window, bits = disk_cells(domain, d)
+    bitmap = np.zeros(domain.shape, dtype=bool)
+    bitmap[window] = bits
+    return GridSet(domain, bitmap)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +570,12 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
     if maxval < 1:
         raise ValidationError("PGM maxval must be >= 1")
     if magic == b"P5":
-        body = data[pos + 1 : pos + 1 + w * h]
-        img = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
+        pixels = np.frombuffer(data[pos + 1 : pos + 1 + w * h], dtype=np.uint8)
     else:
-        vals = np.array(data[pos:].split(), dtype=int)
-        img = vals[: w * h].reshape(h, w)
-    bits = img > 0
+        pixels = np.array(data[pos:].split(), dtype=int)[: w * h]
+    if pixels.size != w * h:
+        raise ValidationError(f"PGM body holds {pixels.size} of {w * h} pixels")
+    bits = pixels.reshape(h, w) > 0
     if domain is None:
         if h == 1:
             domain = Domain.circle(resolution=w)

@@ -28,6 +28,8 @@ DENSITY_PREMISE_THRESHOLD = 0.75  # target density above which packing must fail
 COVER_FRACTION = 2.0 / 3.0  # condition (3) threshold
 COMPLEMENT_FRACTION = 0.5  # condition (4) threshold
 DP_THRESHOLD = 0.75  # local density defining approximate density points
+DP_RADIUS_CELLS = 4.0  # density-point radius, in cell widths
+CANDIDATES_PER_ROUND = 64  # highest-density cells tried per greedy round
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,22 @@ def _ring_volume(domain: Domain, d: Disk) -> float:
     return (2.0 * np.pi * d.radius / dx + 8.0) * domain.cell_volume
 
 
-def verify_conditions(inst: PackingInstance, dp_radius_cells: float = 4.0) -> PackingReport:
+def _rasterize(inst: PackingInstance):
+    """(ambient cells, its volume, disk sets, union, complement, target density)."""
+    dom = inst.target.domain
+    amb = geometry.rasterize_disk(dom, inst.ambient)
+    vol_amb = geometry.volume(amb)
+    if vol_amb == 0:
+        raise ValidationError("ambient disk rasterizes to nothing")
+    disks = [geometry.rasterize_disk(dom, d) for d in inst.family]
+    union = np.zeros(dom.shape, dtype=bool)
+    for d in disks:
+        union |= d.bitmap
+    density_ratio = geometry.volume(inst.target.intersection(amb)) / vol_amb
+    return amb, vol_amb, disks, GridSet(dom, union), inst.target.complement(), density_ratio
+
+
+def verify_conditions(inst: PackingInstance) -> PackingReport:
     """Check the four packing conditions on the grid, with signed margins.
 
     Margins are (lhs - rhs) / vol(ambient) per condition, minimized over
@@ -90,13 +107,8 @@ def verify_conditions(inst: PackingInstance, dp_radius_cells: float = 4.0) -> Pa
     condition.
     """
     dom = inst.target.domain
-    amb = geometry.rasterize_disk(dom, inst.ambient)
-    vol_amb = geometry.volume(amb)
-    if vol_amb == 0:
-        raise ValidationError("ambient disk rasterizes to nothing")
-    disks = [geometry.rasterize_disk(dom, d) for d in inst.family]
+    amb, vol_amb, disks, union, comp, density_ratio = _rasterize(inst)
     rings = [_ring_volume(dom, d) for d in inst.family]
-    comp = inst.target.complement()
 
     # (1) each disk inside the ambient ball
     m1 = 0.0
@@ -118,10 +130,7 @@ def verify_conditions(inst: PackingInstance, dp_radius_cells: float = 4.0) -> Pa
                 c2 = False
 
     # (3) union volume above 2/3 of the ambient volume
-    union = np.zeros(dom.shape, dtype=bool)
-    for d in disks:
-        union |= d.bitmap
-    vol_union = float(union.mean())
+    vol_union = geometry.volume(union)
     m3 = (vol_union - COVER_FRACTION * vol_amb) / vol_amb
     c3 = vol_union > COVER_FRACTION * vol_amb - sum(rings)
 
@@ -139,21 +148,20 @@ def verify_conditions(inst: PackingInstance, dp_radius_cells: float = 4.0) -> Pa
             c4 = False
 
     if inst.family:
-        dp_radius = dp_radius_cells * dom.max_cell_size
+        dp_radius = DP_RADIUS_CELLS * dom.max_cell_size
         dp = geometry.density_points(comp, [dp_radius], DP_THRESHOLD)
         centers = np.array([d.center for d in inst.family])
         centers_ok = bool(dp.lookup(centers).all())
     else:
         centers_ok = True
 
-    density_premise = geometry.volume(inst.target.intersection(amb)) / vol_amb
     return PackingReport(
         cond1=c1,
         cond2=c2,
         cond3=c3,
         cond4=c4,
         margins=(m1, m2, m3, m4),
-        density_premise=density_premise,
+        density_premise=density_ratio,
         feasible=c1 and c2 and c3 and c4,
         centers_in_complement_density_points=centers_ok,
         covered_fraction=vol_union / vol_amb,
@@ -169,23 +177,16 @@ def contradiction_bound(inst: PackingInstance) -> dict:
     of the ambient ball the complement is below 1/4 < 1/3, so no family
     can satisfy all four conditions; ``forced_infeasible`` flags that case.
     """
-    dom = inst.target.domain
-    amb = geometry.rasterize_disk(dom, inst.ambient)
-    vol_amb = geometry.volume(amb)
-    union = np.zeros(dom.shape, dtype=bool)
-    for d in inst.family:
-        union |= geometry.rasterize_disk(dom, d).bitmap
-    comp = inst.target.complement()
-    vol_union = float(union.mean())
+    amb, vol_amb, _, union, comp, density_ratio = _rasterize(inst)
+    vol_union = geometry.volume(union)
     lower_bound = 0.5 * vol_union
     actual = geometry.volume(comp.intersection(amb))
-    density_ratio = geometry.volume(inst.target.intersection(amb)) / vol_amb
     return {
         "lower_bound": lower_bound,
         "actual_complement_in_ambient": actual,
         "lower_bound_fraction": lower_bound / vol_amb,
         "actual_fraction": actual / vol_amb,
-        "complement_in_union": geometry.volume(comp.intersection(GridSet(dom, union))),
+        "complement_in_union": geometry.volume(comp.intersection(union)),
         "union_volume": vol_union,
         "density_ratio": density_ratio,
         "premise_holds": density_ratio > DENSITY_PREMISE_THRESHOLD,
@@ -203,7 +204,6 @@ def greedy_pack(
     ambient: Disk,
     min_radius: float,
     max_disks: int,
-    candidates_per_round: int = 64,
 ) -> tuple[PackingInstance, PackingReport]:
     """Best-effort greedy construction of a family meeting the conditions.
 
@@ -217,8 +217,7 @@ def greedy_pack(
     dom = target.domain
     if dom.kind != "planar":
         raise ValidationError("greedy packing is planar")
-    dx, dy = dom.cell_sizes
-    if min_radius < 4.0 * max(dx, dy):
+    if min_radius < 4.0 * dom.max_cell_size:
         raise ValidationError("min_radius must be at least 4 cell widths")
     comp = target.complement()
     comp_density = geometry.local_density(comp, min_radius)
@@ -226,61 +225,47 @@ def greedy_pack(
     px = np.broadcast_to(xs[:, None], dom.shape)
     py = np.broadcast_to(ys[None, :], dom.shape)
     acx, acy = ambient.center
-    dist_to_center = np.sqrt((px - acx) ** 2 + (py - acy) ** 2)
     # largest radius at each cell honoring (1) and (2)
-    avail = ambient.radius - dist_to_center
+    avail = ambient.radius - np.sqrt((px - acx) ** 2 + (py - acy) ** 2)
     amb_vol = geometry.volume(geometry.rasterize_disk(dom, ambient))
 
     placed: list[Disk] = []
     union = np.zeros(dom.shape, dtype=bool)
     blocked = np.zeros(dom.shape, dtype=bool)
 
-    def complement_fraction(cx, cy, r) -> tuple[float, float]:
-        ix0 = max(int((cx - r - dom.bounds[0]) / dx) - 1, 0)
-        ix1 = min(int((cx + r - dom.bounds[0]) / dx) + 2, dom.resolution)
-        iy0 = max(int((cy - r - dom.bounds[2]) / dy) - 1, 0)
-        iy1 = min(int((cy + r - dom.bounds[2]) / dy) + 2, dom.resolution)
-        sub = (px[ix0:ix1, iy0:iy1] - cx) ** 2 + (py[ix0:ix1, iy0:iy1] - cy) ** 2 <= r * r
-        total = int(sub.sum())
-        if total == 0:
-            return 0.0, 0.0
-        inside = int((sub & comp.bitmap[ix0:ix1, iy0:iy1]).sum())
-        ring = (2.0 * np.pi * r / dx + 8.0) * dom.cell_volume
-        return inside / total, ring / (total * dom.cell_volume)
-
     while len(placed) < max_disks:
-        covered = float(union.mean())
-        if covered > COVER_FRACTION * amb_vol:
+        if union.mean() > COVER_FRACTION * amb_vol:
             break
         mask = (avail >= min_radius) & ~blocked
         if not mask.any():
             break
         flat_density = np.where(mask, comp_density, -1.0)
-        order = np.argsort(flat_density, axis=None)[::-1][:candidates_per_round]
-        placed_one = False
+        order = np.argsort(flat_density, axis=None)[::-1][:CANDIDATES_PER_ROUND]
         for flat_idx in order:
             ix, iy = np.unravel_index(flat_idx, dom.shape)
             if not mask[ix, iy]:
                 continue
             cx, cy = px[ix, iy], py[ix, iy]
             r = float(avail[ix, iy])
-            # shrink until the half-complement condition holds
+            # shrink until the half-complement condition holds; total >= 1 (center cell)
             while r >= min_radius:
-                frac, rel_ring = complement_fraction(cx, cy, r)
-                if frac > COMPLEMENT_FRACTION - rel_ring:
+                disk = Disk((float(cx), float(cy)), r)
+                window, bits = geometry.disk_cells(dom, disk)
+                total = int(bits.sum())
+                inside = int((bits & comp.bitmap[window]).sum())
+                slack = _ring_volume(dom, disk) / (total * dom.cell_volume)
+                if inside / total > COMPLEMENT_FRACTION - slack:
                     break
                 r *= 0.8
             if r < min_radius:
                 blocked[ix, iy] = True
                 continue
-            disk = Disk((float(cx), float(cy)), r)
             placed.append(disk)
-            union |= geometry.rasterize_disk(dom, disk).bitmap
+            union[window] |= bits
             d_new = np.sqrt((px - cx) ** 2 + (py - cy) ** 2) - r
             avail = np.minimum(avail, d_new)
-            placed_one = True
             break
-        if not placed_one:
+        else:
             break
 
     inst = PackingInstance(ambient=ambient, target=target, family=tuple(placed))

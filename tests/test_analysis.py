@@ -361,3 +361,25 @@ def test_ergodicity_planar_probe_runs(reference):
     )
     assert rep.verdict in (CANDIDATE_FOUND, NO_CANDIDATE)
     assert 0.0 <= rep.best_defect <= 1.0
+
+
+# -- vacuous verdicts ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda sys, region: minimality_test(sys, region, 0.2, 10, 0),
+        lambda sys, region: ergodicity_probe(sys, 64, seed_sets=0, domain=region.domain),
+        lambda sys, region: distortion_report(sys, region, 1.0, 10, 0, 8),
+        lambda sys, region: distortion_report(sys, region, 1.0, 10, 8, 0),
+        lambda sys, region: empirical_distortion(sys, region, 10, 0, 8),
+    ],
+    ids=["samples", "seed_sets", "word_count", "pair_count", "empirical_word_count"],
+)
+def test_probe_rejects_empty_sample(probe):
+    # a probe that examined nothing must not return a verdict
+    dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
+    sys = SystemSpec((AffineSimilarity(0.5, 30.0, (0.0, 0.0)),))
+    with pytest.raises(ValidationError):
+        probe(sys, rasterize_disk(dom, Disk((0.0, 0.0), 0.5)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ifslab
 from ifslab.cli import main
 from ifslab.geometry import Domain, empty_set, read_pgm, write_pgm
 
@@ -227,3 +232,31 @@ def test_shrink_horizon_exit_two(tmp_path):
          "--shrink-delta", "0.001", "--shrink-max-r", "2", "--out", out]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, pgm_bytes",
+    [
+        (["packing", "greedy", "--ambient", "1,2"], None),
+        (["circle", "--rational", "abc"], None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], 1000),  # P5 body cut short
+    ],
+    ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm"],
+)
+def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes):
+    target = tmp_path / "target.pgm"
+    write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
+    if pgm_bytes is not None:
+        target.write_bytes(target.read_bytes()[:pgm_bytes])
+    if args[0] == "packing":
+        args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
+    src = str(Path(ifslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ifslab.cli", *map(str, args), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

@@ -111,9 +111,9 @@ def test_hutchinson_fixed_point_of_single_map():
 
 
 def _ball_dom(reference, res):
-    from ifslab.construction import _ball_domain
+    from ifslab.geometry import ball_domain
 
-    return _ball_domain(reference.absorbing_ball, res)
+    return ball_domain(reference.absorbing_ball, res)
 
 
 def test_hutchinson_absorbing_subset(reference):

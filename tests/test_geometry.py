@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifslab.errors import (
     DomainError,
@@ -246,3 +248,37 @@ def test_disks_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "cx,cy,r"
     back = read_disks_csv(path)
     assert back == disks
+
+
+# Centers are placed in chart units (u, v in [0, 1] is inside the chart) and
+# the radius is a fraction of the chart width, so the draws cover disks
+# hanging off every edge, sub-cell disks and disks wholly outside the chart.
+@settings(deadline=None)
+@given(
+    res=st.integers(16, 48),
+    x0=st.floats(-2.0, 2.0),
+    y0=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 4.0),
+    height=st.floats(0.1, 4.0),
+    u=st.floats(-1.0, 2.0),
+    v=st.floats(-1.0, 2.0),
+    r=st.floats(1e-3, 1.5),
+)
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.0, v=0.5, r=0.3)  # left edge
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=1.0, v=0.5, r=0.3)  # right edge
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.5, v=0.0, r=0.3)  # bottom edge
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.5, v=1.0, r=0.3)  # top edge
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.03125, v=0.03125, r=0.01)  # sub-cell
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.5, v=0.5, r=0.01)  # between centers
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=-0.5, v=0.5, r=0.3)  # outside left
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=1.5, v=1.5, r=0.3)  # outside top right
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.5, v=0.5, r=1.5)  # covers the chart
+# cell centers lying exactly on the circle
+@example(res=16, x0=0.0, y0=0.0, width=1.0, height=1.0, u=0.53125, v=0.53125, r=0.125)
+def test_rasterize_disk_matches_full_grid_rule(res, x0, y0, width, height, u, v, r):
+    dom = Domain.planar((x0, x0 + width, y0, y0 + height), res)
+    d = Disk((x0 + u * width, y0 + v * height), r * width)
+    xs, ys = dom.axis_centers()
+    cx, cy = d.center
+    expected = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 <= d.radius**2
+    assert np.array_equal(rasterize_disk(dom, d).bitmap, expected)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
+    density_points,
     empty_set,
     full_set,
     rasterize_disk,
     volume,
 )
 from ifslab.packing import (
+    COVER_FRACTION,
     PackingInstance,
     contradiction_bound,
     greedy_pack,
@@ -226,3 +230,158 @@ def test_instance_roundtrip(tmp_path, dom, ambient):
     assert back.ambient == inst.ambient
     assert back.family == inst.family
     assert back.target.equals(inst.target)
+
+
+# -- full-grid reference ------------------------------------------------------
+
+
+def full_grid_disk(dom, d):
+    xs, ys = dom.axis_centers()
+    cx, cy = d.center
+    return (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 <= d.radius**2
+
+
+def reference_packing(inst):
+    """verify_conditions' report and contradiction_bound, every disk tested
+    on the full grid of cell centers."""
+    dom = inst.target.domain
+    amb = full_grid_disk(dom, inst.ambient)
+    vol_amb = float(amb.mean())
+    disks = [full_grid_disk(dom, d) for d in inst.family]
+    rings = [
+        (2.0 * np.pi * d.radius / dom.cell_sizes[0] + 8.0) * dom.cell_volume
+        for d in inst.family
+    ]
+    target = inst.target.bitmap
+    union = np.zeros(dom.shape, dtype=bool)
+    for d in disks:
+        union |= d
+    vol_union = float(union.mean())
+    outside = [float((d & ~amb).mean()) for d in disks]
+    pairs = list(itertools.combinations(range(len(disks)), 2))
+    overlaps = [float((disks[i] & disks[j]).mean()) for i, j in pairs]
+    filled = [(float((d & ~target).mean()), float(d.mean())) for d in disks]
+    density = float((target & amb).mean()) / vol_amb
+    if inst.family:
+        dp = density_points(inst.target.complement(), [4.0 * dom.max_cell_size], 0.75)
+        centers_ok = bool(dp.lookup(np.array([d.center for d in inst.family])).all())
+    else:
+        centers_ok = True
+    conds = [
+        all(o <= ring for o, ring in zip(outside, rings)),
+        all(ov <= rings[i] + rings[j] for ov, (i, j) in zip(overlaps, pairs)),
+        vol_union > COVER_FRACTION * vol_amb - sum(rings),
+        all(w > 0.5 * vd - ring for (w, vd), ring in zip(filled, rings)),
+    ]
+    report = {
+        "cond1": conds[0],
+        "cond2": conds[1],
+        "cond3": conds[2],
+        "cond4": conds[3],
+        "margins": [
+            min([0.0] + [-o / vol_amb for o in outside]),
+            min([0.0] + [-ov / vol_amb for ov in overlaps]),
+            (vol_union - COVER_FRACTION * vol_amb) / vol_amb,
+            min([(w - 0.5 * vd) / vol_amb for w, vd in filled], default=0.0),
+        ],
+        "density_premise": density,
+        "feasible": all(conds),
+        "centers_in_complement_density_points": centers_ok,
+        "covered_fraction": vol_union / vol_amb,
+    }
+    actual = float((~target & amb).mean())
+    bound = {
+        "lower_bound": 0.5 * vol_union,
+        "actual_complement_in_ambient": actual,
+        "lower_bound_fraction": 0.5 * vol_union / vol_amb,
+        "actual_fraction": actual / vol_amb,
+        "complement_in_union": float((~target & union).mean()),
+        "union_volume": vol_union,
+        "density_ratio": density,
+        "premise_holds": density > 0.75,
+        "forced_infeasible": density > 0.75,
+    }
+    return report, bound
+
+
+def reference_families(ambient):
+    hexf = hex_family(ambient)
+    return {
+        "hex": hexf,
+        "overlapping": (Disk((0.45, 0.5), 0.1), Disk((0.55, 0.5), 0.1), Disk((0.5, 0.58), 0.07)),
+        "protruding": (Disk((0.5, 0.85), 0.1), Disk((0.3, 0.3), 0.12)),
+        "edge_clipped": (Disk((0.02, 0.5), 0.1), Disk((0.5, 0.99), 0.05), Disk((0.97, 0.03), 0.08)),
+        "empty": (),
+        "hex_and_subcell": hexf + (Disk((0.5 + 0.3 / RES, 0.5), 0.2 / RES),),
+    }
+
+
+@pytest.mark.parametrize(
+    "family", ["hex", "overlapping", "protruding", "edge_clipped", "empty", "hex_and_subcell"]
+)
+@pytest.mark.parametrize("target_kind", ["empty", "checkerboard", "half"])
+def test_packing_matches_full_grid_reference(dom, ambient, family, target_kind):
+    xs = dom.axis_centers()[0]
+    target = {
+        "empty": empty_set(dom),
+        "checkerboard": checkerboard(dom),
+        "half": GridSet(dom, np.broadcast_to((xs >= 0.55)[:, None], dom.shape)),
+    }[target_kind]
+    inst = PackingInstance(ambient, target, reference_families(ambient)[family])
+    report, bound = reference_packing(inst)
+    assert verify_conditions(inst).to_json_dict() == report
+    assert contradiction_bound(inst) == bound
+
+
+def test_contradiction_bound_subcell_ambient_rejected(dom):
+    # centered on a cell corner, a quarter-cell ambient holds no cell center
+    inst = PackingInstance(Disk((0.5, 0.5), 0.25 / RES), empty_set(dom), ())
+    with pytest.raises(ValidationError):
+        contradiction_bound(inst)
+    with pytest.raises(ValidationError):
+        verify_conditions(inst)
+
+
+def test_greedy_family_pinned():
+    # a target with three holes and a sine lattice, on which the search must
+    # shrink disks to meet the half-complement condition; any change to how
+    # it measures candidate disks must leave this family exactly as it is
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 256)
+    xs, ys = dom.axis_centers()
+    x, y = xs[:, None], ys[None, :]
+    holes = (
+        ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.01)
+        | ((x - 0.3) ** 2 + (y - 0.7) ** 2 < 0.005)
+        | ((x - 0.72) ** 2 + (y - 0.3) ** 2 < 0.008)
+        | (np.sin(31 * x) * np.sin(29 * y) > 0.5)
+    )
+    inst, _ = greedy_pack(GridSet(dom, ~holes), Disk((0.5, 0.5), 0.4), 8 / 256, 12)
+    assert inst.family == (
+        Disk((0.267578125, 0.720703125), 0.07948510586357888),
+        Disk((0.521484375, 0.466796875), 0.14315138890635),
+        Disk((0.732421875, 0.283203125), 0.08216228513865564),
+        Disk((0.251953125, 0.271484375), 0.0501892300843052),
+        Disk((0.759765625, 0.591796875), 0.05099178335480886),
+        Disk((0.255859375, 0.486328125), 0.050458912279836066),
+        Disk((0.353515625, 0.810546875), 0.0448416946273551),
+        Disk((0.556640625, 0.162109375), 0.057394928725097216),
+        Disk((0.353515625, 0.599609375), 0.055203026613813225),
+        Disk((0.455078125, 0.271484375), 0.050513212956306154),
+        Disk((0.353515625, 0.380859375), 0.04552493415198314),
+        Disk((0.455078125, 0.708984375), 0.048155943071898834),
+    )
+
+
+def test_greedy_stops_once_cover_passes():
+    # the search adds each placed disk to its running union and stops as soon
+    # as that union covers 2/3 of the ambient ball; 26 disks is the pinned count
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 256)
+    xs, ys = dom.axis_centers()
+    x, y = xs[:, None], ys[None, :]
+    target = GridSet(dom, np.broadcast_to(np.sin(23 * x + 5 * y) * np.cos(17 * y) > 0.7, dom.shape))
+    ambient = Disk((0.5, 0.5), 0.4)
+    inst, rep = greedy_pack(target, ambient, 8 / 256, 40)
+    assert len(inst.family) == 26
+    assert rep.covered_fraction > COVER_FRACTION
+    short = verify_conditions(PackingInstance(ambient, target, inst.family[:-1]))
+    assert short.covered_fraction <= COVER_FRACTION
