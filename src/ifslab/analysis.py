@@ -209,6 +209,8 @@ def invariance_defect(sys: SystemSpec, a: GridSet, direction: str = "image") -> 
         raise ValidationError(f"direction must be image or preimage, got {direction!r}")
     centers = a.domain.cell_centers()
     if direction == "image":
+        # a cell is in m(A) iff its center pulls back into A; exact for
+        # expanding members too, unlike a forward push of cell centers
         union = np.zeros(a.domain.shape, dtype=bool)
         for m in sys.maps():
             union |= a.lookup(m.inverse().eval(centers))
@@ -237,6 +239,7 @@ def holder_constant(m, alpha: float, domain_set: GridSet, pair_samples: int,
     """
     if not 0 < alpha <= 1:
         raise ValidationError("alpha must lie in (0, 1]")
+    _require_positive(pair_samples=pair_samples)
     rng = rng_from(seed)
     xs = geometry.sample_cells(domain_set, pair_samples, rng)
     ys = geometry.sample_cells(domain_set, pair_samples, rng)
@@ -266,6 +269,7 @@ def contraction_factor(sys: SystemSpec, region: GridSet, samples: int,
     Raises :class:`NotAContractionError` when the factor reaches 1 (e.g.
     any isometry).
     """
+    _require_positive(samples=samples)
     rng = rng_from(seed)
     pts = geometry.sample_cells(region, samples, rng)
     xi = 0.0
@@ -410,7 +414,7 @@ def distortion_report(
     seed: int = 0,
 ) -> DistortionReport:
     """Full pipeline: estimate C and xi, form the bound, check it empirically."""
-    _require_positive(word_count=word_count, pair_count=pair_count)
+    _require_positive(word_count=word_count, pair_count=pair_count, holder_pairs=holder_pairs)
     c = max(holder_constant(m, alpha, delta_set, holder_pairs, seed) for m in sys.maps())
     xi = contraction_factor(sys, delta_set, holder_pairs, seed)
     diam = geometry.diameter(delta_set)
@@ -581,20 +585,8 @@ def ergodicity_probe(
 
     maps = sys.maps()
     centers = domain.cell_centers()
-    flat_count = int(np.prod(domain.shape))
-    pre_idx = []
-    pre_valid = []
-    for m in maps:
-        idx, valid = domain.point_cells(m.eval(centers))
-        pre_idx.append(idx.ravel())
-        pre_valid.append(np.asarray(valid).ravel())
-
-    def preimage(bits: np.ndarray, i: int) -> np.ndarray:
-        out = np.zeros(flat_count, dtype=bool)
-        v = pre_valid[i]
-        out[v] = bits.ravel()[pre_idx[i][v]]
-        return out.reshape(domain.shape)
-
+    # g^-1(B) holds a cell iff B holds the cell of g(cell center)
+    pre_cells = [domain.point_cells(m.eval(centers)) for m in maps]
     majority_needed = (len(maps) + 1) // 2 + 1
     lo_vol, hi_vol = _VOLUME_WINDOW
 
@@ -605,10 +597,11 @@ def ergodicity_probe(
     for bits in _seed_bitmaps(domain, seed_sets, rngs):
         current = bits.copy()
         for _ in range(refine_steps + 1):
-            pres = [preimage(current, i) for i in range(len(maps))]
+            current_set = GridSet(domain, current)
+            pres = [current_set.pull(cells) for cells in pre_cells]
             vol = float(current.mean())
             if lo_vol < vol < hi_vol:
-                ring = geometry.one_cell_ring_volume(GridSet(domain, current))
+                ring = geometry.one_cell_ring_volume(current_set)
                 if ring <= min(vol, 1.0 - vol) / 16.0:
                     defect = max(float(np.mean(current ^ p)) for p in pres)
                     key = (defect, abs(vol - 0.5))

@@ -228,11 +228,7 @@ def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
         else:
             if fwd_pts is None:
                 fwd_pts = a.included_points()
-            img = m.eval(fwd_pts)
-            idx, valid = a.domain.point_cells(img)
-            flat = out.ravel()
-            flat[idx[valid]] = True
-            out = flat.reshape(a.domain.shape)
+            out |= geometry.points_to_gridset(a.domain, m.eval(fwd_pts)).bitmap
     return GridSet(a.domain, out)
 
 

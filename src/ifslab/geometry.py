@@ -13,6 +13,7 @@ unambiguous and bounds the rasterization error by one cell diagonal.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,27 +129,33 @@ class Domain:
         return (cx - r >= xmin and cx + r <= xmax
                 and cy - r >= ymin and cy + r <= ymax)
 
-    def point_cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map points to flat cell indices.
+    def point_cells(self, points: np.ndarray) -> np.ndarray:
+        """Flat (row-major for planar) bitmap index of the cell holding each point.
 
-        Returns (indices, valid): indices are flat positions into the bitmap
-        (row-major for planar), valid marks points inside the domain.
-        Circle points are wrapped, so they are always valid.
+        The planar chart is [xmin, xmax) x [ymin, ymax) and a cell is found
+        by flooring (x - xmin) / dx.  A point off the chart gets -1, which
+        :meth:`GridSet.pull` and :func:`points_to_gridset` read as "no cell";
+        circle points wrap, so they always land on a cell.
         """
         n = self.resolution
         if self.kind == CIRCLE:
             pos = np.asarray(points, dtype=float) % 1.0
-            idx = np.minimum((pos * n).astype(np.int64), n - 1)
-            return idx, np.ones(idx.shape, dtype=bool)
+            return np.minimum((pos * n).astype(np.int64), n - 1)
         pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         xmin, xmax, ymin, ymax = self.bounds
         dx, dy = self.cell_sizes
-        ix = np.floor((pts[..., 0] - xmin) / dx).astype(np.int64)
-        iy = np.floor((pts[..., 1] - ymin) / dy).astype(np.int64)
-        valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-        ix = np.clip(ix, 0, n - 1)
-        iy = np.clip(iy, 0, n - 1)
-        return ix * n + iy, valid
+        on_chart = (x >= xmin) & (x < xmax) & (y >= ymin) & (y < ymax)
+        ix = np.asarray(np.floor((x - xmin) / dx), dtype=np.int64)
+        iy = np.asarray(np.floor((y - ymin) / dy), dtype=np.int64)
+        # (x - xmin) / dx can round up to n for a point just below xmax; the
+        # updates are in place, as each int64 copy costs 8 bytes a point
+        np.minimum(ix, n - 1, out=ix)
+        np.minimum(iy, n - 1, out=iy)
+        ix *= n
+        ix += iy
+        ix[~on_chart] = -1
+        return ix
 
 
 @dataclass(frozen=True)
@@ -235,11 +242,11 @@ class GridSet:
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Membership of arbitrary points, via the cell containing each point."""
-        idx, valid = self.domain.point_cells(points)
-        out = np.zeros(idx.shape, dtype=bool)
-        flat = self.bitmap.ravel()
-        out[valid] = flat[idx[valid]]
-        return out
+        return self.pull(self.domain.point_cells(points))
+
+    def pull(self, cells: np.ndarray) -> np.ndarray:
+        """Membership of :meth:`Domain.point_cells` indices; -1 reads as outside."""
+        return np.append(self.bitmap.ravel(), False)[cells]
 
     def included_points(self) -> np.ndarray:
         """Centers of included cells: (m, 2) planar, (m,) circle."""
@@ -433,11 +440,11 @@ def nearest_point_distances(region: GridSet, points: np.ndarray) -> np.ndarray:
 
 
 def points_to_gridset(domain: Domain, points: np.ndarray) -> GridSet:
-    """Mark the cells containing the given points."""
-    idx, valid = domain.point_cells(points)
-    flat = np.zeros(int(np.prod(domain.shape)), dtype=bool)
-    flat[idx[np.asarray(valid)]] = True
-    return GridSet(domain, flat.reshape(domain.shape))
+    """Mark the cells containing the given points; points off the chart mark nothing."""
+    # the spare last slot takes the -1 of every point off the chart
+    flat = np.zeros(int(np.prod(domain.shape)) + 1, dtype=bool)
+    flat[domain.point_cells(points)] = True
+    return GridSet(domain, flat[:-1].reshape(domain.shape))
 
 
 def diameter(s: GridSet) -> float:
@@ -540,6 +547,11 @@ def write_pgm(s: GridSet, path, binary: bool = True) -> None:
                 f.write((" ".join(str(v) for v in row) + "\n").encode())
 
 
+# one header field: whitespace and whole comment lines, then a number that
+# whitespace ends
+_PGM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)(?=\s)")
+
+
 def read_pgm(path, domain: Domain | None = None) -> GridSet:
     """Read a maxval-1 PGM written by :func:`write_pgm`.
 
@@ -548,31 +560,24 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
     """
     with open(path, "rb") as f:
         raw = f.read()
-    magic, rest = raw.split(None, 1)
+    magic = raw[:2]
     if magic not in (b"P2", b"P5"):
         raise ValidationError(f"unsupported PGM magic {magic!r}")
     fields = []
-    pos = 0
-    data = rest
-    while len(fields) < 3:
-        # strip comments and whitespace field by field
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            eol = data.index(b"\n", pos)
-            pos = eol + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
+    pos = len(magic)
+    for name in ("width", "height", "maxval"):
+        field = _PGM_FIELD.match(raw, pos)
+        if field is None:
+            raise ValidationError(f"PGM header has no {name}: cut short or not a number")
+        fields.append(int(field[1]))
+        pos = field.end()
     w, h, maxval = fields
     if maxval < 1:
         raise ValidationError("PGM maxval must be >= 1")
     if magic == b"P5":
-        pixels = np.frombuffer(data[pos + 1 : pos + 1 + w * h], dtype=np.uint8)
+        pixels = np.frombuffer(raw[pos + 1 : pos + 1 + w * h], dtype=np.uint8)
     else:
-        pixels = np.array(data[pos:].split(), dtype=int)[: w * h]
+        pixels = np.array(raw[pos:].split(), dtype=int)[: w * h]
     if pixels.size != w * h:
         raise ValidationError(f"PGM body holds {pixels.size} of {w * h} pixels")
     bits = pixels.reshape(h, w) > 0

@@ -151,6 +151,20 @@ def test_invariance_defect_half_positive(reference):
     assert invariance_defect(reference.system, half, "image") > 0.01
 
 
+@pytest.mark.parametrize("domain, member", [
+    # derivative 1/0.2 = 5 near the antipode
+    (Domain.circle(4096), Perturbed(CircleNorthSouth(0.2), 0.02, seed=1)),
+    # scale 1.5 about an anchor on the chart
+    (Domain.planar((-2.0, 2.0, -2.0, 2.0), 256),
+     Perturbed(AffineSimilarity(1.5, 30.0, (0.1, -0.2)), 0.02, seed=1)),
+], ids=["circle", "planar"])
+def test_invariance_image_defect_exact_for_expanding_members(domain, member):
+    # the member has no closed-form inverse and expands; the image of the
+    # full set covers the chart, so every cell center pulls back into it
+    full = full_set(domain)
+    assert invariance_defect(SystemSpec((member,)), full, "image") == 0.0
+
+
 def test_invariance_defect_validation(reference, reference_attractor):
     with pytest.raises(ValidationError):
         invariance_defect(reference.system, reference_attractor, "sideways")
@@ -374,8 +388,12 @@ def test_ergodicity_planar_probe_runs(reference):
         lambda sys, region: distortion_report(sys, region, 1.0, 10, 0, 8),
         lambda sys, region: distortion_report(sys, region, 1.0, 10, 8, 0),
         lambda sys, region: empirical_distortion(sys, region, 10, 0, 8),
+        lambda sys, region: distortion_report(sys, region, 1.0, 10, 8, 8, holder_pairs=0),
+        lambda sys, region: holder_constant(sys.maps()[0], 1.0, region, 0),
+        lambda sys, region: contraction_factor(sys, region, 0),
     ],
-    ids=["samples", "seed_sets", "word_count", "pair_count", "empirical_word_count"],
+    ids=["samples", "seed_sets", "word_count", "pair_count", "empirical_word_count",
+         "holder_pairs", "holder_pair_samples", "contraction_samples"],
 )
 def test_probe_rejects_empty_sample(probe):
     # a probe that examined nothing must not return a verdict

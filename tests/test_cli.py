@@ -240,14 +240,23 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["packing", "greedy", "--ambient", "1,2"], None),
         (["circle", "--rational", "abc"], None),
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], 1000),  # P5 body cut short
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64"),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b""),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n# no newline"),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64 sixty-four\n1\n"),
     ],
-    ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm"],
+    ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
+         "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
+         "pgm-field-not-a-number"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes):
+    # pgm_bytes keeps that many bytes of a valid target, or replaces it
     target = tmp_path / "target.pgm"
     write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
-    if pgm_bytes is not None:
+    if isinstance(pgm_bytes, int):
         target.write_bytes(target.read_bytes()[:pgm_bytes])
+    elif pgm_bytes is not None:
+        target.write_bytes(pgm_bytes)
     if args[0] == "packing":
         args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
     src = str(Path(ifslab.__file__).resolve().parents[1])

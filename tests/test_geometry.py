@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -21,6 +23,7 @@ from ifslab.geometry import (
     full_set,
     hausdorff_distance,
     one_cell_ring_volume,
+    points_to_gridset,
     rasterize_disk,
     read_disks_csv,
     read_pgm,
@@ -282,3 +285,98 @@ def test_rasterize_disk_matches_full_grid_rule(res, x0, y0, width, height, u, v,
     cx, cy = d.center
     expected = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 <= d.radius**2
     assert np.array_equal(rasterize_disk(dom, d).bitmap, expected)
+
+
+def _reference_cell(dom, p):
+    """The floor rule on the half-open chart, one point at a time: a cell or None."""
+    n = dom.resolution
+    if dom.kind == "circle":
+        return (min(math.floor((p % 1.0) * n), n - 1),)
+    xmin, xmax, ymin, ymax = dom.bounds
+    x, y = p
+    if not (xmin <= x < xmax and ymin <= y < ymax):
+        return None
+    dx, dy = dom.cell_sizes
+    return (min(math.floor((x - xmin) / dx), n - 1), min(math.floor((y - ymin) / dy), n - 1))
+
+
+def _check_cell_index(dom, points, bits):
+    """lookup, pull and points_to_gridset against the reference, point by point."""
+    cells = [_reference_cell(dom, p) for p in points]
+    expected = np.array([c is not None and bool(bits[c]) for c in cells])
+    marked = np.zeros(dom.shape, bool)
+    for c in cells:
+        if c is not None:
+            marked[c] = True
+    a = GridSet(dom, bits)
+    idx = dom.point_cells(points)
+    assert idx.shape == expected.shape
+    assert np.array_equal(a.pull(idx), expected)
+    assert np.array_equal(a.lookup(points), expected)
+    assert np.array_equal(points_to_gridset(dom, points).bitmap, marked)
+
+
+# Points are drawn in chart units (u, v in [0, 1) is on the chart), so they
+# fall off every side; cell-edge points sit at xmin + i * dx for i in [-1, res + 1].
+@settings(deadline=None)
+@given(
+    res=st.integers(16, 40),
+    x0=st.floats(-2.0, 2.0),
+    y0=st.floats(-2.0, 2.0),
+    width=st.floats(0.1, 4.0),
+    height=st.floats(0.1, 4.0),
+    uv=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=40),
+    edges=st.lists(st.tuples(st.integers(-1, 41), st.integers(-1, 41)), max_size=40),
+    seed=st.integers(0, 2**16),
+)
+# x / dx rounds x == xmax down into the last cell
+@example(res=22, x0=0.0, y0=0.0, width=0.1, height=0.1, uv=[], edges=[], seed=0)
+# x / dx rounds a point just below xmax up past the last cell
+@example(res=24, x0=0.0, y0=0.0, width=0.1, height=0.1, uv=[], edges=[], seed=0)
+def test_planar_cell_index_matches_floor_rule(res, x0, y0, width, height, uv, edges, seed):
+    dom = Domain.planar((x0, x0 + width, y0, y0 + height), res)
+    xmin, xmax, ymin, ymax = dom.bounds
+    dx, dy = dom.cell_sizes
+    below_x, below_y = np.nextafter(xmax, -np.inf), np.nextafter(ymax, -np.inf)
+    corners = [(xmin, ymin), (below_x, below_y), (xmax, ymin), (xmin, ymax), (xmax, ymax)]
+    # the chart is [xmin, xmax) x [ymin, ymax): xmax and ymax are off it
+    assert dom.point_cells(np.array(corners)).tolist() == [0, res * res - 1, -1, -1, -1]
+    points = np.array(
+        corners
+        + [(xmin + u * (xmax - xmin), ymin + v * (ymax - ymin)) for u, v in uv]
+        + [(xmin + min(i, res + 1) * dx, ymin + min(j, res + 1) * dy) for i, j in edges]
+    )
+    _check_cell_index(dom, points, rng_from(seed).random(dom.shape) < 0.5)
+
+
+def test_cell_edge_belongs_to_the_cell_above():
+    # dyadic chart: every edge i * dx is exact, so no rounding hides the rule
+    dom = Domain.planar((0.0, 1.0, -1.0, 1.0), 16)
+    i = np.arange(17)
+    edges = np.stack([i / 16, -1.0 + i / 8], axis=-1)
+    assert dom.point_cells(edges).tolist() == [k * 16 + k for k in range(16)] + [-1]
+
+
+def test_lookup_single_point():
+    # one planar point has shape (2,), so its cell index is a 0-d array
+    s = GridSet(Domain.planar((0.0, 1.0, 0.0, 1.0), 16), np.eye(16, dtype=bool))
+    assert s.lookup(np.array([0.5, 0.5])) and not s.lookup(np.array([0.5, 0.1]))
+    assert not s.lookup(np.array([1.5, 1.5]))
+    assert full_set(Domain.circle(16)).lookup(np.float64(1.3))
+
+@settings(deadline=None)
+@given(
+    res=st.integers(16, 64),
+    ps=st.lists(st.floats(-3.0, 3.0), max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_circle_cell_index_wraps(res, ps, seed):
+    dom = Domain.circle(res)
+    # whole turns and points just below 0 and 1
+    turns = [-1.0, 0.0, 1.0, 2.0, -1e-18, np.nextafter(1.0, 0.0), -0.25, 1.25]
+    points = np.array(turns + ps)
+    assert dom.point_cells(points[:4]).tolist() == [0, 0, 0, 0]
+    assert dom.point_cells(points[4:6]).tolist() == [res - 1, res - 1]
+    wrapped = dom.point_cells(np.array([0.75, 0.25]))
+    assert dom.point_cells(points[6:8]).tolist() == wrapped.tolist()
+    _check_cell_index(dom, points, rng_from(seed).random(dom.shape) < 0.5)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ifslab import maps
 from ifslab.errors import (
     AlphabetError,
+    ConvergenceError,
     DimensionError,
     ValidationError,
 )
@@ -272,6 +274,21 @@ def test_newton_inverse_jacobian_matches_finite_differences():
             fd = fd_jacobian(inv, w)
             scale = max(float(np.max(np.abs(j))), 1e-6)
             assert np.max(np.abs(j - fd)) <= 1e-4 * scale
+
+
+@pytest.mark.parametrize(
+    "m, w",
+    [
+        (Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3), [[0.3, -0.4]]),
+        (Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4), [0.3]),
+    ],
+    ids=["planar", "circle"],
+)
+def test_newton_inverse_raises_when_not_converged(monkeypatch, m, w):
+    # one Newton step from the base inverse leaves a residual far above 1e-13
+    monkeypatch.setattr(maps, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        m.inverse().eval(np.array(w))
 
 
 def test_word_det_matches_composed_log_det():
