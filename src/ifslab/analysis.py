@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CIRCLE, Disk, Domain, GridSet
-from .maps import REVERSE, SystemSpec, Word
+from .maps import REVERSE, AffineSimilarity, SystemSpec, Word
 from .seeding import rng_from, spawn_rngs
 
 _EVAL_BUDGET = 10**7
@@ -163,34 +163,29 @@ def minimality_test(
         raise EmptySetError("minimality region is empty")
     rng = rng_from(seed)
     starts = geometry.sample_cells(region, samples, rng)
-    region_cells = region.count()
     worst = 0
+
+    def report(done: int) -> MinimalityReport:
+        return MinimalityReport(
+            epsilon=epsilon,
+            max_word_len=max_word_len,
+            samples=done,
+            uncovered_fraction=worst / region.count(),
+            verdict=NOT_EPS_DENSE if worst else EPS_DENSE,
+        )
+
     for i in range(samples):
-        start = starts[i]
         try:
-            orbit = _orbit_points(sys, start, max_word_len, epsilon)
+            orbit = _orbit_points(sys, starts[i], max_word_len, epsilon)
         except _BudgetSignal as sig:
             worst = max(worst, _uncovered_count(region, sig.partial_orbit, epsilon))
-            partial = MinimalityReport(
-                epsilon=epsilon,
-                max_word_len=max_word_len,
-                samples=i + 1,
-                uncovered_fraction=worst / region_cells,
-                verdict=NOT_EPS_DENSE if worst else EPS_DENSE,
-            )
             raise BudgetExceededError(
                 f"word budget of {_EVAL_BUDGET} evaluations exhausted "
                 f"after {i + 1} of {samples} samples",
-                partial=partial,
+                partial=report(i + 1),
             ) from None
         worst = max(worst, _uncovered_count(region, orbit, epsilon))
-    return MinimalityReport(
-        epsilon=epsilon,
-        max_word_len=max_word_len,
-        samples=samples,
-        uncovered_fraction=worst / region_cells,
-        verdict=EPS_DENSE if worst == 0 else NOT_EPS_DENSE,
-    )
+    return report(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +238,12 @@ def holder_constant(m, alpha: float, domain_set: GridSet, pair_samples: int,
     rng = rng_from(seed)
     xs = geometry.sample_cells(domain_set, pair_samples, rng)
     ys = geometry.sample_cells(domain_set, pair_samples, rng)
-    jx = m.jacobian(xs)
-    jy = m.jacobian(ys)
+    dx = np.abs(m.jacobian_det(xs))
+    dy_ = np.abs(m.jacobian_det(ys))
     if m.kind == CIRCLE:
-        dx, dy_ = np.abs(jx), np.abs(jy)
         diff = np.abs(xs - ys)
         dist = np.minimum(diff, 1.0 - diff)
     else:
-        dx = np.abs(jx[..., 0, 0] * jx[..., 1, 1] - jx[..., 0, 1] * jx[..., 1, 0])
-        dy_ = np.abs(jy[..., 0, 0] * jy[..., 1, 1] - jy[..., 0, 1] * jy[..., 1, 0])
         dist = np.sqrt(((xs - ys) ** 2).sum(-1))
     if dx.min() < 1e-14 or dy_.min() < 1e-14:
         raise DegeneracyError("Jacobian determinant vanishes on the sample")
@@ -346,21 +338,11 @@ def empirical_distortion(
 
 def _distortion_step(m):
     """One orbit step that also accumulates log|det D| in place."""
-    from .maps import AffineSimilarity
-
-    if isinstance(m, AffineSimilarity):
-        mt = m._matrix.T.copy()
-        off = m._offset
-        const = 2.0 * math.log(m.scale)
-
-        def step(pts, logdet):
-            logdet += const
-            return pts @ mt + off
-
-        return step
+    # a similarity's determinant is constant: skip the per-point log
+    const = 2.0 * math.log(m.scale) if isinstance(m, AffineSimilarity) else None
 
     def step(pts, logdet):
-        logdet += m.log_abs_det(pts)
+        logdet += m.log_abs_det(pts) if const is None else const
         return m.eval(pts)
 
     return step
@@ -620,31 +602,15 @@ def ergodicity_probe(
                 break
             current = new
 
-    if best_qualifying is not None:
-        key, vol, ring, bits = best_qualifying
-        return ErgodicityReport(
-            resolution=resolution,
-            best_defect=key[0],
-            best_volume=vol,
-            verdict=CANDIDATE_FOUND,
-            candidate=GridSet(domain, bits),
-            candidate_ring_volume=ring,
-        )
-    if best_resolved is not None:
-        key, vol, ring, bits = best_resolved
-        return ErgodicityReport(
-            resolution=resolution,
-            best_defect=key[0],
-            best_volume=vol,
-            verdict=NO_CANDIDATE,
-            candidate=None,
-            candidate_ring_volume=ring,
-        )
+    best = best_qualifying or best_resolved
+    found = best is not None and best is best_qualifying
+    # with no resolved iterate at all, report the worst possible defect
+    (defect, _), vol, ring, bits = best or ((1.0, 0.0), 0.0, 0.0, None)
     return ErgodicityReport(
         resolution=resolution,
-        best_defect=1.0,
-        best_volume=0.0,
-        verdict=NO_CANDIDATE,
-        candidate=None,
-        candidate_ring_volume=0.0,
+        best_defect=defect,
+        best_volume=vol,
+        verdict=CANDIDATE_FOUND if found else NO_CANDIDATE,
+        candidate=GridSet(domain, bits) if found else None,
+        candidate_ring_volume=ring,
     )

@@ -10,7 +10,7 @@ fastest at small word lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import EPS_DENSE, NO_CANDIDATE, ergodicity_probe, minimality_test
 from .errors import MultiplierError, ValidationError
@@ -170,25 +170,11 @@ def robustness_sweep(
         seed_sets=seed_sets,
         refine_steps=refine_steps,
     )
-    base_params = CircleExampleParams(
-        multiplier=p.multiplier,
-        rotation_angle=p.rotation_angle,
-        perturb_amplitude=0.0,
-        seed=p.seed,
-    )
-    baseline = _probe_system(build_circle_example(base_params), **kwargs)
+    baseline = _probe_system(build_circle_example(replace(p, perturb_amplitude=0.0)), **kwargs)
     rows = []
     largest_unchanged = None
     for amp in amplitudes:
-        sys_a = build_circle_example(
-            CircleExampleParams(
-                multiplier=p.multiplier,
-                rotation_angle=p.rotation_angle,
-                perturb_amplitude=amp,
-                seed=p.seed,
-            )
-        )
-        probe = _probe_system(sys_a, **kwargs)
+        probe = _probe_system(build_circle_example(replace(p, perturb_amplitude=amp)), **kwargs)
         unchanged = (
             probe["minimal"] == baseline["minimal"]
             and probe["ergodic_consistent"] == baseline["ergodic_consistent"]

@@ -199,7 +199,10 @@ def _cmd_circle(args, out_dir: Path) -> int:
             resolution=args.resolution,
         )
     if args.amplitudes:
-        amps = [float(a) for a in args.amplitudes.split(",")]
+        try:
+            amps = [float(a) for a in args.amplitudes.split(",")]
+        except ValueError:
+            raise ValidationError(f"--amplitudes needs numbers, got {args.amplitudes!r}") from None
         sweep = circle.robustness_sweep(
             params,
             amps,

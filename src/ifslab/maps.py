@@ -41,6 +41,11 @@ def _planar_points(x) -> np.ndarray:
     return a
 
 
+def _det(j):
+    """Determinants of a field of 2x2 matrices with shape (..., 2, 2)."""
+    return j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
+
+
 class Map:
     """Base class: a differentiable self-map of a chart or the circle."""
 
@@ -54,13 +59,14 @@ class Map:
         """2x2 matrices with shape (..., 2, 2), or scalar derivatives."""
         raise NotImplementedError
 
+    def jacobian_det(self, x):
+        """det D at each point; on the circle, the derivative itself."""
+        j = self.jacobian(np.asarray(x, dtype=float))
+        return j if self.kind == "circle" else _det(j)
+
     def log_abs_det(self, x):
         """log |det D| at each point; default goes through the Jacobian."""
-        j = self.jacobian(np.asarray(x, dtype=float))
-        if self.kind == "circle":
-            return np.log(np.abs(j))
-        det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
-        return np.log(np.abs(det))
+        return np.log(np.abs(self.jacobian_det(x)))
 
     def inverse(self) -> "Map":
         raise NotImplementedError
@@ -73,7 +79,7 @@ class Map:
         a, b = j[..., 0, 0], j[..., 0, 1]
         c, d = j[..., 1, 0], j[..., 1, 1]
         frob = a * a + b * b + c * c + d * d
-        det = a * d - b * c
+        det = _det(j)
         gap = np.sqrt(np.maximum(frob * frob - 4.0 * det * det, 0.0))
         return np.sqrt((frob + gap) / 2.0)
 
@@ -97,16 +103,18 @@ class AffineSimilarity(Map):
         c, s = np.cos(th), np.sin(th)
         m = self.scale * np.array([[c, -s], [s, c]])
         anchor = np.array(self.anchor)
-        object.__setattr__(self, "_matrix", m)
+        # the linear part, stored once for row vectors (x @ rows == (m @ x.T).T)
+        # and contiguous: a lone point then rounds as it would inside a batch
+        object.__setattr__(self, "_rows", np.ascontiguousarray(m.T))
         object.__setattr__(self, "_offset", anchor - m @ anchor)
 
     def eval(self, x):
         pts = _planar_points(x)
-        return pts @ self._matrix.T + self._offset
+        return pts @ self._rows + self._offset
 
     def jacobian(self, x):
         pts = _planar_points(x)
-        return np.broadcast_to(self._matrix, pts.shape[:-1] + (2, 2))
+        return np.broadcast_to(self._rows.T, pts.shape[:-1] + (2, 2))
 
     def log_abs_det(self, x):
         pts = _planar_points(x)
@@ -129,9 +137,6 @@ class CircleRotation(Map):
 
     def jacobian(self, x):
         return np.ones(np.asarray(x, dtype=float).shape)
-
-    def log_abs_det(self, x):
-        return np.zeros(np.asarray(x, dtype=float).shape)
 
     def inverse(self) -> "CircleRotation":
         return CircleRotation(-self.angle % 1.0)
@@ -169,9 +174,6 @@ class CircleNorthSouth(Map):
         psi = np.pi * s
         m = self.multiplier
         return m / (m * m * np.sin(psi) ** 2 + np.cos(psi) ** 2)
-
-    def log_abs_det(self, x):
-        return np.log(self.jacobian(x))
 
     def inverse(self) -> "CircleNorthSouth":
         return CircleNorthSouth(1.0 / self.multiplier, self.pole)
@@ -344,7 +346,7 @@ class _NewtonInverse(Map):
             if circle:
                 z = z - r / j
             else:
-                det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
+                det = _det(j)
                 dz0 = (j[..., 1, 1] * r[..., 0] - j[..., 0, 1] * r[..., 1]) / det
                 dz1 = (-j[..., 1, 0] * r[..., 0] + j[..., 0, 0] * r[..., 1]) / det
                 z = z - np.stack([dz0, dz1], axis=-1)
@@ -354,7 +356,7 @@ class _NewtonInverse(Map):
         j = self.target.jacobian(z)
         if self.kind == "circle":
             return 1.0 / j
-        det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
+        det = _det(j)
         inv = np.empty_like(j)
         inv[..., 0, 0] = j[..., 1, 1] / det
         inv[..., 0, 1] = -j[..., 0, 1] / det
@@ -466,11 +468,7 @@ def word_jacobian_det(sys: SystemSpec, word: Word, x) -> float:
     det = np.ones(pts.shape if sys.kind == "circle" else pts.shape[:-1])
     for sym in _application_order(word):
         m = sys.map_for(sym)
-        j = m.jacobian(pts)
-        if sys.kind == "circle":
-            det = det * j
-        else:
-            det = det * (j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0])
+        det = det * m.jacobian_det(pts)
         pts = m.eval(pts)
     return float(det) if det.shape == () else det
 
@@ -489,8 +487,7 @@ def complex_eigenvalue_check(m: Map, x) -> bool:
         raise DimensionError("eigenvalue check applies to planar maps only")
     j = m.jacobian(np.asarray(x, dtype=float))
     tr = j[..., 0, 0] + j[..., 1, 1]
-    det = j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
-    disc = tr * tr - 4.0 * det
+    disc = tr * tr - 4.0 * _det(j)
     return bool(np.all(disc < -1e-12))
 
 
@@ -511,11 +508,11 @@ def complex_eigenvalue_check(m: Map, x) -> bool:
 # generator of the parsed system.
 
 
-def _parse_kv(tokens, line_no):
+def _parse_kv(tokens):
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise ValidationError(f"line {line_no}: expected key=value, got {tok!r}")
+            raise ValidationError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -530,40 +527,45 @@ def parse_system(text: str) -> SystemSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.lower().startswith("inverses"):
-            kv = _parse_kv([line], line_no)
-            val = kv["inverses"].lower()
-            if val not in ("true", "false"):
-                raise ValidationError(f"line {line_no}: inverses must be true or false")
-            include_inverses = val == "true"
-            continue
         head, *rest = line.split()
-        kv = _parse_kv(rest, line_no)
-        if head == "affine":
-            kappa = float(kv["kappa"])
-            if not 0 < kappa < 1:
-                raise ValidationError(f"line {line_no}: affine kappa must be in (0, 1)")
-            ax, ay = (float(v) for v in kv.get("anchor", "0,0").split(","))
-            entries.append(AffineSimilarity(kappa, float(kv["theta"]), (ax, ay)))
-        elif head == "rotation":
-            entries.append(CircleRotation(float(kv["angle"]) % 1.0))
-        elif head == "moebius":
-            lam = float(kv["lambda"])
-            if not 0.5 < lam < 1:
-                raise ValidationError(f"line {line_no}: moebius lambda must be in (1/2, 1)")
-            entries.append(CircleNorthSouth(lam, float(kv.get("pole", "0.0")) % 1.0))
-        elif head == "perturb":
-            base_idx = int(kv["base"])
-            if not 1 <= base_idx <= len(entries):
-                raise ValidationError(
-                    f"line {line_no}: perturb base={base_idx} must reference an earlier map line"
+        try:
+            if line.lower().startswith("inverses"):
+                val = _parse_kv([line])["inverses"].lower()
+                if val not in ("true", "false"):
+                    raise ValidationError("inverses must be true or false")
+                include_inverses = val == "true"
+                continue
+            kv = _parse_kv(rest)
+            if head == "affine":
+                kappa = float(kv["kappa"])
+                if not 0 < kappa < 1:
+                    raise ValidationError("affine kappa must be in (0, 1)")
+                ax, ay = (float(v) for v in kv.get("anchor", "0,0").split(","))
+                entries.append(AffineSimilarity(kappa, float(kv["theta"]), (ax, ay)))
+            elif head == "rotation":
+                entries.append(CircleRotation(float(kv["angle"]) % 1.0))
+            elif head == "moebius":
+                lam = float(kv["lambda"])
+                if not 0.5 < lam < 1:
+                    raise ValidationError("moebius lambda must be in (1/2, 1)")
+                entries.append(CircleNorthSouth(lam, float(kv.get("pole", "0.0")) % 1.0))
+            elif head == "perturb":
+                base_idx = int(kv["base"])
+                if not 1 <= base_idx <= len(entries):
+                    raise ValidationError(
+                        f"perturb base={base_idx} must reference an earlier map line"
+                    )
+                consumed.add(base_idx - 1)
+                entries.append(
+                    Perturbed(entries[base_idx - 1], float(kv["amp"]), int(kv.get("seed", "0")))
                 )
-            consumed.add(base_idx - 1)
-            entries.append(
-                Perturbed(entries[base_idx - 1], float(kv["amp"]), int(kv.get("seed", "0")))
-            )
-        else:
-            raise ValidationError(f"line {line_no}: unknown map kind {head!r}")
+            else:
+                raise ValidationError(f"unknown map kind {head!r}")
+        except KeyError as exc:
+            raise ValidationError(f"line {line_no}: {head} needs {exc.args[0]}=<value>") from None
+        except ValueError as exc:
+            # a non-number, a wrong count of anchor values or a value out of range
+            raise ValidationError(f"line {line_no}: {exc}") from None
     generators = tuple(m for i, m in enumerate(entries) if i not in consumed)
     if not generators:
         raise ValidationError("system text defines no generators")

@@ -299,11 +299,15 @@ def write_instance(inst: PackingInstance, path, target_pgm_path) -> None:
 def read_instance(path, domain: Domain | None = None) -> PackingInstance:
     with open(path) as f:
         doc = json.load(f)
-    target = geometry.read_pgm(doc["target"], domain)
-    amb = doc["ambient"]
-    family = tuple(Disk((d["cx"], d["cy"]), d["r"]) for d in doc["family"])
+    try:
+        target_path, amb = doc["target"], doc["ambient"]
+        ambient = Disk((amb["cx"], amb["cy"]), amb["r"])
+        family = tuple(Disk((d["cx"], d["cy"]), d["r"]) for d in doc["family"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing key, a list where an object belongs, or a bad number
+        raise ValidationError(f"instance {path} is malformed: {exc!r}") from None
     return PackingInstance(
-        ambient=Disk((amb["cx"], amb["cy"]), amb["r"]),
-        target=target,
+        ambient=ambient,
+        target=geometry.read_pgm(target_path, domain),
         family=family,
     )

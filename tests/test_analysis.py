@@ -338,6 +338,16 @@ def test_ergodicity_golden_rotation_no_candidate():
     assert rep.best_defect > 3 * rep.candidate_ring_volume
 
 
+def test_ergodicity_unresolved_grid_reports_worst_defect():
+    # at 16 cells every one-cell ring outweighs 1/16 of the volume, so no
+    # iterate is resolved and the probe reports the worst possible defect
+    sys = SystemSpec((CircleRotation(1.0 / 3.0),))
+    rep = ergodicity_probe(sys, 16, seed_sets=4, refine_steps=3)
+    assert rep.verdict == NO_CANDIDATE
+    assert rep.candidate is None
+    assert (rep.best_defect, rep.best_volume, rep.candidate_ring_volume) == (1.0, 0.0, 0.0)
+
+
 def test_ergodicity_pair_no_candidate():
     sys = SystemSpec((CircleNorthSouth(0.7, 0.0), CircleRotation(GOLD)))
     rep = ergodicity_probe(sys, 2048, seed_sets=16, refine_steps=16, seed=7)
@@ -375,6 +385,45 @@ def test_ergodicity_planar_probe_runs(reference):
     )
     assert rep.verdict in (CANDIDATE_FOUND, NO_CANDIDATE)
     assert 0.0 <= rep.best_defect <= 1.0
+
+
+# -- distortion statistics, pinned bit for bit -------------------------------
+#
+# Recorded with repr() before the determinant rule moved into maps; the
+# perturbed planar system reaches the per-point log|det| step and, with
+# inverses, the Newton inverses, and its unperturbed member the affine step.
+
+
+def test_planar_distortion_statistics_pinned():
+    gens = (
+        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
+        Perturbed(AffineSimilarity(0.76, 179.0, (-0.2, 0.3)), 0.03, seed=8),
+        AffineSimilarity(0.7, 30.0, (0.4, 0.0)),
+    )
+    region = rasterize_disk(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64), Disk((0.0, 0.0), 0.8))
+    sys = SystemSpec(gens)
+    assert [holder_constant(m, 0.5, region, 64, seed=1) for m in gens] == [
+        0.007862312008325042, 0.017406736882235114, 0.0,
+    ]
+    assert contraction_factor(sys, region, 64, seed=1) == 0.8024956362925075
+    e = empirical_distortion(sys, region, 6, 5, 8, seed=2)
+    assert (e.emp_min, e.emp_max) == (0.9671385205214623, 1.0291580090948738)
+    e = empirical_distortion(SystemSpec(gens, include_inverses=True), region, 6, 5, 8, seed=2)
+    assert (e.emp_min, e.emp_max) == (0.9536549241744752, 1.0406260247766204)
+
+
+def test_circle_distortion_statistics_pinned():
+    gens = (
+        CircleNorthSouth(0.7),
+        CircleRotation(GOLD),
+        Perturbed(CircleNorthSouth(0.6, 0.3), 0.01, seed=6),
+    )
+    region = full_set(Domain.circle(256))
+    assert [holder_constant(m, 1.0, region, 64, seed=1) for m in gens] == [
+        2.2292695776870617, 0.0, 3.343267014690635,
+    ]
+    e = empirical_distortion(SystemSpec(gens), region, 6, 5, 8, seed=2)
+    assert (e.emp_min, e.emp_max) == (0.06123275451023092, 16.576958797505085)
 
 
 # -- vacuous verdicts ----------------------------------------------------------

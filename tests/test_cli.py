@@ -235,30 +235,44 @@ def test_shrink_horizon_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args, pgm_bytes",
+    "args, pgm_bytes, text",
     [
-        (["packing", "greedy", "--ambient", "1,2"], None),
-        (["circle", "--rational", "abc"], None),
-        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], 1000),  # P5 body cut short
-        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64"),
-        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b""),
-        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n# no newline"),
-        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64 sixty-four\n1\n"),
+        (["packing", "greedy", "--ambient", "1,2"], None, None),
+        (["circle", "--rational", "abc"], None, None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], 1000, None),  # P5 body cut short
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64", None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"", None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n# no newline", None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64 sixty-four\n1\n", None),
+        (["distortion", "--system", "{file}"], None, "affine kappa=0.5\n"),
+        (["distortion", "--system", "{file}"], None, "affine kappa=abc theta=0\n"),
+        (["distortion", "--system", "{file}"], None,
+         "affine kappa=0.5 theta=0\nperturb base=x amp=0.01\n"),
+        (["packing", "verify", "--instance", "{file}"], None,
+         '{"ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4}, "family": []}'),
+        (["packing", "verify", "--instance", "{file}"], None, "[]"),
+        (["circle", "--amplitudes", "0.01,abc"], None, None),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
-         "pgm-field-not-a-number"],
+         "pgm-field-not-a-number", "system-missing-key", "system-value-not-a-number",
+         "system-perturb-base-not-a-number", "instance-without-target", "instance-is-a-list",
+         "amplitude-not-a-number"],
 )
-def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes):
-    # pgm_bytes keeps that many bytes of a valid target, or replaces it
+def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
+    # pgm_bytes keeps that many bytes of a valid target, or replaces it;
+    # text fills the system or instance file that "{file}" names
     target = tmp_path / "target.pgm"
     write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
     if isinstance(pgm_bytes, int):
         target.write_bytes(target.read_bytes()[:pgm_bytes])
     elif pgm_bytes is not None:
         target.write_bytes(pgm_bytes)
-    if args[0] == "packing":
+    if args[:2] == ["packing", "greedy"]:
         args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
+    if text is not None:
+        (tmp_path / "input.txt").write_text(text)
+        args = [tmp_path / "input.txt" if a == "{file}" else a for a in args]
     src = str(Path(ifslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

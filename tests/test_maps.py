@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifslab import maps
 from ifslab.errors import (
@@ -350,3 +354,99 @@ def test_parse_validation_errors():
         parse_system("waffle size=9\n")
     with pytest.raises(ValidationError):
         parse_system("rotation angle=0.1\nmoebius lambda=0.7\ninverses=maybe\n")
+
+
+# -- Jacobian arithmetic, pinned bit for bit ------------------------------------
+#
+# The values below were recorded with repr() before the determinant rule moved
+# into maps._det and Map.jacobian_det; they must stay equal, not just close.
+
+GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+PINNED_PLANAR = Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3)
+PINNED_POINTS = np.array([[0.3, -0.4], [1.2, 0.5], [-0.7, 0.05]])
+PINNED_ARCS = np.array([0.1, 0.45, 0.9])
+
+
+def test_word_jacobian_det_pinned():
+    affine = SystemSpec(
+        (AffineSimilarity(0.76, 179.0), AffineSimilarity(0.9, 45.0, (0.3, -0.2)))
+    )
+    circle = SystemSpec(
+        (
+            Perturbed(CircleNorthSouth(0.7), 0.01, seed=4),
+            Perturbed(CircleRotation(GOLD), 0.01, seed=5),
+        )
+    )
+    w = Word((1, 2, 2, 1, 2), "reverse")
+    assert word_jacobian_det(affine, w, PINNED_POINTS).tolist() == [0.17730028175616006] * 3
+    w = Word((1, 2, 1, 1, 2), "forward")
+    assert word_jacobian_det(circle, w, PINNED_ARCS).tolist() == [
+        0.7591901106352215, 0.7151796742470781, 1.394209460023535,
+    ]
+    assert word_jacobian_det(circle, Word((2, 1), "reverse"), 0.3) == 1.0611540639366583
+
+
+@pytest.mark.parametrize(
+    "m, x, expected",
+    [
+        (CircleRotation(0.3), PINNED_ARCS, [0.0, 0.0, 0.0]),
+        (CircleNorthSouth(0.7, 0.2), PINNED_ARCS,
+         [-0.3067484346175277, -0.062303883336154865, 0.04948940893249696]),
+        (PINNED_PLANAR, PINNED_POINTS,
+         [-0.45951109466954976, -0.4504250559486428, -0.45507228621098333]),
+        (Composed((PINNED_PLANAR, AffineSimilarity(0.76, 179.0))), PINNED_POINTS,
+         [-1.0083847860730704, -0.9992987473521634, -1.0039459776145039]),
+        (PINNED_PLANAR.inverse(), PINNED_POINTS,
+         [0.45526416349413185, 0.45399081470006236, 0.4489426698061546]),
+        (Perturbed(CircleNorthSouth(0.7), 0.01, seed=4).inverse(), PINNED_ARCS,
+         [0.25194026707680417, -0.33773339096628596, 0.25998365788700567]),
+    ],
+    ids=["rotation", "north-south", "perturbed", "composed", "newton", "newton-circle"],
+)
+def test_log_abs_det_pinned(m, x, expected):
+    assert m.log_abs_det(x).tolist() == expected
+
+
+def test_newton_inverse_and_operator_norm_pinned():
+    inv = PINNED_PLANAR.inverse()
+    assert PINNED_PLANAR.operator_norm(PINNED_POINTS).tolist() == [
+        0.7964846469606869, 0.8046774999624418, 0.7978903968384342,
+    ]
+    assert inv.eval(PINNED_POINTS).tolist() == [
+        [-0.5733655015564999, 0.1995878836499549],
+        [-0.1462924280804435, -1.3447295988752672],
+        [0.5421756935671153, 1.0070809880924503],
+    ]
+    assert inv.jacobian(PINNED_POINTS).tolist() == [
+        [[-0.619113112125886, 1.0922288168543666], [-1.0948651723576752, -0.614986997085118]],
+        [[-0.6193535971780345, 1.0849515988710907], [-1.0929336918717418, -0.6277567123235134]],
+        [[-0.6261792953095153, 1.096440376386066], [-1.0735066854434534, -0.6222159797955069]],
+    ]
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.floats(1e-3, 10.0),
+    angle=st.floats(-720.0, 720.0),
+    anchor=st.tuples(_coord, _coord),
+    shape=st.sampled_from([(2,), (5, 2), (4, 4, 2)]),
+    seed=st.integers(0, 2**16),
+)
+@example(scale=1.0, angle=1.0, anchor=(0.0, 0.0), shape=(2,), seed=1)
+def test_affine_eval_matches_column_vector_reference(scale, angle, anchor, shape, seed):
+    th = np.deg2rad(angle)
+    c, s = np.cos(th), np.sin(th)
+    m = scale * np.array([[c, -s], [s, c]])
+    offset = np.array(anchor) - m @ np.array(anchor)
+    pts = rng_from(seed).uniform(-100.0, 100.0, size=shape)
+    # the reference maps a batch of at least two rows: a lone point through a
+    # transposed view takes BLAS's matrix-vector kernel, which can round the
+    # last bit differently from the same point inside a batch
+    flat = pts.reshape(-1, 2)
+    ref = (np.concatenate([flat, flat]) @ m.T + offset)[: len(flat)].reshape(shape)
+    t = AffineSimilarity(scale, angle, anchor)
+    assert np.array_equal(t.eval(pts), ref)
+    assert np.array_equal(t.jacobian(pts), np.broadcast_to(m, shape[:-1] + (2, 2)))
