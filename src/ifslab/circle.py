@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .analysis import EPS_DENSE, NO_CANDIDATE, ergodicity_probe, minimality_test
 from .errors import MultiplierError, ValidationError
 from .geometry import Domain, full_set
-from .maps import CircleNorthSouth, CircleRotation, Perturbed, SystemSpec
+from .maps import CircleNorthSouth, CircleRotation, Perturbed, SystemSpec, circle_position
 from .seeding import spawn_rngs
 
 GOLDEN_ANGLE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -56,7 +56,7 @@ class CircleExampleParams:
 def build_circle_example(p: CircleExampleParams) -> SystemSpec:
     """The pair {north-south, rotation}, optionally C1-perturbed."""
     f1 = CircleNorthSouth(p.multiplier, pole=0.0)
-    rot = CircleRotation(p.rotation_angle % 1.0)
+    rot = CircleRotation(circle_position(p.rotation_angle))
     if p.perturb_amplitude > 0:
         rngs = spawn_rngs(p.seed, 2)
         seeds = [int(r.integers(0, 2**31)) for r in rngs]
@@ -110,7 +110,7 @@ def rational_substitution_experiment(
     if p.rational_approx is None:
         raise ValidationError("substitution experiment needs rational_approx")
     num, den = p.rational_approx
-    gamma = (num / den) % 1.0
+    gamma = circle_position(num / den)
     f1 = CircleNorthSouth(p.multiplier, pole=0.0)
     rot = CircleRotation(gamma)
     kwargs = dict(

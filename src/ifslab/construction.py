@@ -210,24 +210,37 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
+def hutchinson_step(sys: SystemSpec, a: GridSet, within: GridSet | None = None) -> GridSet:
     """One application of the set operator A -> union of member images.
 
     Members with closed-form inverses are rasterized exactly by the
     cell-center rule (a cell is in the image iff its center pulls back into
-    A).  Other members are contractions here, so pushing every included
-    cell center forward marks the image to within one cell.
+    A).  Every other member is pushed forward: its images of the included
+    cell centers are marked, which draws the image to within one cell when
+    the member contracts, as the families iterated here do.
+
+    ``within``, when given, must contain the image: only its cells are
+    pulled back, and every other cell reads as outside.
     """
+    if within is not None and within.domain != a.domain:
+        raise ValidationError("within lives on another domain than the set it bounds")
+    maps = sys.maps()
+    pulled = [m for m in maps if has_closed_form_inverse(m)]
+    pushed = [m for m in maps if not has_closed_form_inverse(m)]
     out = np.zeros(a.domain.shape, dtype=bool)
-    centers = a.domain.cell_centers()
-    fwd_pts = None
-    for m in sys.maps():
-        if has_closed_form_inverse(m):
-            pre = m.inverse().eval(centers)
-            out |= a.lookup(pre)
+    if pulled:
+        if within is None:
+            centers, hits = a.domain.cell_centers(), out
         else:
-            if fwd_pts is None:
-                fwd_pts = a.included_points()
+            centers = within.included_points()
+            hits = np.zeros(len(centers), dtype=bool)
+        for m in pulled:
+            hits |= a.lookup(m.inverse().eval(centers))
+        if within is not None:
+            out[within.bitmap] = hits
+    if pushed:
+        fwd_pts = a.included_points()
+        for m in pushed:
             out |= geometry.points_to_gridset(a.domain, m.eval(fwd_pts)).bitmap
     return GridSet(a.domain, out)
 
@@ -263,8 +276,13 @@ def attractor(
     dom = geometry.ball_domain(u, resolution)
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
+    # The cell-center operator is monotone, so once an iterate lies inside
+    # the one before it, every later iterate does too: from then on the
+    # current iterate bounds the next one's image.
+    nested = False
     for it in range(1, max_iter + 1):
-        stepped = hutchinson_step(sys, current)
+        stepped = hutchinson_step(sys, current, within=current if nested else None)
+        nested = nested or stepped.minus(current).is_empty()
         last = geometry.hausdorff_distance(stepped, current)
         current = stepped
         if last <= tol:

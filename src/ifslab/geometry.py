@@ -250,7 +250,9 @@ class GridSet:
 
     def included_points(self) -> np.ndarray:
         """Centers of included cells: (m, 2) planar, (m,) circle."""
-        return self.domain.cell_centers()[self.bitmap]
+        # read off the axes, so a sparse set never builds the whole grid
+        coords = [xs[i] for xs, i in zip(self.domain.axis_centers(), np.nonzero(self.bitmap))]
+        return coords[0] if self.domain.kind == CIRCLE else np.stack(coords, axis=-1)
 
 
 def full_set(domain: Domain) -> GridSet:
@@ -388,15 +390,24 @@ def density_points(a: GridSet, radii, threshold: float) -> GridSet:
 # ---------------------------------------------------------------------------
 
 
-def _distance_to_set(target: GridSet) -> np.ndarray:
-    """Distance from every cell center to the nearest included cell center."""
+def _farthest_cell(cells: GridSet, target: GridSet) -> float:
+    """Largest distance from an included cell center of ``cells`` to the
+    nearest included cell center of ``target``."""
     dx, dy = target.domain.cell_sizes
     if target.domain.kind == CIRCLE:
-        tiled = np.concatenate([target.bitmap] * 3)
-        d = distance_transform_edt(~tiled, sampling=dx)
         n = target.domain.resolution
-        return d[n : 2 * n]
-    return distance_transform_edt(~target.bitmap, sampling=(dx, dy))
+        tiled = np.concatenate([target.bitmap] * 3)
+        dist = distance_transform_edt(~tiled, sampling=dx)[n : 2 * n]
+        return float(dist[cells.bitmap].max())
+    # the transform only looks at differences of cell indices, and every
+    # target cell lies in the bounding box of both sets, so the box gives
+    # the same distances as the whole chart
+    both = cells.bitmap | target.bitmap
+    rows = np.flatnonzero(both.any(axis=1))
+    cols = np.flatnonzero(both.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    dist = distance_transform_edt(~target.bitmap[box], sampling=(dx, dy))
+    return float(dist[cells.bitmap[box]].max())
 
 
 def hausdorff_distance(a: GridSet, b: GridSet) -> float:
@@ -404,16 +415,17 @@ def hausdorff_distance(a: GridSet, b: GridSet) -> float:
 
     Computed between cell centers, so it is a pseudo-metric: exact 0 iff
     the bitmaps are equal, and the triangle inequality holds up to one cell
-    diagonal.
+    diagonal.  When one set contains the other, the inner set's cells are
+    at distance 0 from the outer one, so one distance transform suffices.
     """
     a._check_same_domain(b)
     if a.is_empty() or b.is_empty():
         raise EmptySetError("hausdorff distance needs nonempty sets")
-    if np.array_equal(a.bitmap, b.bitmap):
-        return 0.0
-    to_b = _distance_to_set(b)
-    to_a = _distance_to_set(a)
-    return float(max(to_b[a.bitmap].max(), to_a[b.bitmap].max()))
+    if a.minus(b).is_empty():
+        return _farthest_cell(b, a)
+    if b.minus(a).is_empty():
+        return _farthest_cell(a, b)
+    return max(_farthest_cell(a, b), _farthest_cell(b, a))
 
 
 def nearest_point_distances(region: GridSet, points: np.ndarray) -> np.ndarray:

@@ -41,6 +41,16 @@ def _planar_points(x) -> np.ndarray:
     return a
 
 
+def circle_position(x: float) -> float:
+    """x mod 1 as a float in [0, 1).
+
+    For a tiny negative x, ``x % 1.0`` rounds up to 1.0, which names the
+    same circle point as 0.0 but is not the canonical coordinate.
+    """
+    w = float(x) % 1.0
+    return w if w < 1.0 else 0.0
+
+
 def _det(j):
     """Determinants of a field of 2x2 matrices with shape (..., 2, 2)."""
     return j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
@@ -139,7 +149,7 @@ class CircleRotation(Map):
         return np.ones(np.asarray(x, dtype=float).shape)
 
     def inverse(self) -> "CircleRotation":
-        return CircleRotation(-self.angle % 1.0)
+        return CircleRotation(circle_position(-self.angle))
 
 
 @dataclass(frozen=True)
@@ -543,12 +553,12 @@ def parse_system(text: str) -> SystemSpec:
                 ax, ay = (float(v) for v in kv.get("anchor", "0,0").split(","))
                 entries.append(AffineSimilarity(kappa, float(kv["theta"]), (ax, ay)))
             elif head == "rotation":
-                entries.append(CircleRotation(float(kv["angle"]) % 1.0))
+                entries.append(CircleRotation(circle_position(float(kv["angle"]))))
             elif head == "moebius":
                 lam = float(kv["lambda"])
                 if not 0.5 < lam < 1:
                     raise ValidationError("moebius lambda must be in (1/2, 1)")
-                entries.append(CircleNorthSouth(lam, float(kv.get("pole", "0.0")) % 1.0))
+                entries.append(CircleNorthSouth(lam, circle_position(float(kv.get("pole", "0.0")))))
             elif head == "perturb":
                 base_idx = int(kv["base"])
                 if not 1 <= base_idx <= len(entries):

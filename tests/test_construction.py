@@ -207,3 +207,85 @@ def test_construction_report_fields(reference, reference_attractor):
     }
     assert report["k"] == 8
     assert report["cover_verified"] and report["absorbing_verified"]
+
+
+# -- the restricted step: pulling back only the cells of a set that holds the image
+
+
+def _blob(dom, rng, density):
+    return GridSet(dom, rng.random(dom.shape) < density)
+
+
+def _check_restricted_step(sys, a, rng):
+    """hutchinson_step with any ``within`` holding the image equals the full step."""
+    full = hutchinson_step(sys, a)
+    for within in (full, full.union(_blob(a.domain, rng, 0.3)), full.union(a)):
+        assert hutchinson_step(sys, a, within).equals(full)
+
+
+def test_restricted_step_planar_affine(reference):
+    dom = _ball_dom(reference, 128)
+    rng = rng_from(41)
+    u = rasterize_disk(dom, reference.absorbing_ball)
+    stepped = hutchinson_step(reference.system, u)
+    for a in (u, stepped, _blob(dom, rng, 0.5), GridSet(dom, np.zeros(dom.shape, bool))):
+        _check_restricted_step(reference.system, a, rng)
+
+
+def test_restricted_step_mixed_affine_and_perturbed(reference):
+    from ifslab.maps import Perturbed
+
+    gens = reference.system.generators
+    mixed = SystemSpec(gens[:3] + tuple(Perturbed(g, 0.01, 50 + i) for i, g in enumerate(gens[3:])))
+    dom = _ball_dom(reference, 128)
+    rng = rng_from(43)
+    u = rasterize_disk(dom, reference.absorbing_ball)
+    for a in (u, hutchinson_step(mixed, u), _blob(dom, rng, 0.5)):
+        _check_restricted_step(mixed, a, rng)
+
+
+def test_restricted_step_circle_north_south_and_rotation():
+    from ifslab.geometry import Domain
+    from ifslab.maps import CircleNorthSouth, CircleRotation
+
+    sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
+    dom = Domain.circle(4096)
+    rng = rng_from(47)
+    for a in (rasterize_disk(dom, Disk(0.95, 0.2)), _blob(dom, rng, 0.5)):
+        _check_restricted_step(sys, a, rng)
+
+
+def test_restricted_step_rejects_another_domain(reference):
+    u = rasterize_disk(_ball_dom(reference, 128), reference.absorbing_ball)
+    other = rasterize_disk(_ball_dom(reference, 64), reference.absorbing_ball)
+    with pytest.raises(ValidationError):
+        hutchinson_step(reference.system, u, other)
+
+
+# Recorded at the commit before attractor restricted its steps to the current
+# iterate: SHA-256 of the bitmap bytes, iterations and repr(final_hausdorff).
+@pytest.mark.parametrize(
+    "family, digest, iterations",
+    [
+        ("reference", "8e702a2a80b1c6940b6a5bc8304ecf37219d3d04879775c2b67e78dbc7f94105", 19),
+        ("mixed", "3d4f638e1fd608d3e818697f41b3ab61de5184c208cb89e1b3e7326ccb2b87d1", 17),
+    ],
+)
+def test_attractor_pinned(family, digest, iterations):
+    import hashlib
+
+    from ifslab.geometry import ball_domain
+    from ifslab.maps import Perturbed
+
+    res = 256
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    sys = built.system
+    if family == "mixed":
+        gens = sys.generators
+        sys = SystemSpec(gens[:4] + tuple(Perturbed(g, 0.01, 7 + i) for i, g in enumerate(gens[4:])))
+    ball = built.absorbing_ball
+    cell = ball_domain(ball, res).cell_sizes[0]
+    result = attractor(sys, ball, tol=cell, resolution=res)
+    assert hashlib.sha256(result.attractor.bitmap.tobytes()).hexdigest() == digest
+    assert result.iterations == iterations
+    assert repr(result.final_hausdorff) == "0.12890625"

@@ -314,6 +314,7 @@ def _check_cell_index(dom, points, bits):
     assert np.array_equal(a.pull(idx), expected)
     assert np.array_equal(a.lookup(points), expected)
     assert np.array_equal(points_to_gridset(dom, points).bitmap, marked)
+    assert np.array_equal(a.included_points(), dom.cell_centers()[bits])
 
 
 # Points are drawn in chart units (u, v in [0, 1) is on the chart), so they
@@ -380,3 +381,126 @@ def test_circle_cell_index_wraps(res, ps, seed):
     wrapped = dom.point_cells(np.array([0.75, 0.25]))
     assert dom.point_cells(points[6:8]).tolist() == wrapped.tolist()
     _check_cell_index(dom, points, rng_from(seed).random(dom.shape) < 0.5)
+
+
+# -- Hausdorff distance against two whole-chart distance transforms
+
+
+def _two_transform_hausdorff(a, b):
+    """The distance as two full transforms give it, one to each set."""
+    if np.array_equal(a.bitmap, b.bitmap):
+        return 0.0
+    dx, dy = a.domain.cell_sizes
+    if a.domain.kind == "circle":
+        n = a.domain.resolution
+
+        def to(s):
+            return ndi.distance_transform_edt(~np.tile(s.bitmap, 3), sampling=dx)[n : 2 * n]
+
+    else:
+
+        def to(s):
+            return ndi.distance_transform_edt(~s.bitmap, sampling=(dx, dy))
+
+    return float(max(to(b)[a.bitmap].max(), to(a)[b.bitmap].max()))
+
+
+def _random_patch(dom, rng, start, size, density):
+    """Random cells inside a box of the chart (an arc on the circle) holding at least one."""
+    n = dom.resolution
+    bits = np.zeros(dom.shape, bool)
+    if dom.kind == "circle":
+        idx = (start[0] + np.arange(size[0])) % n  # the arc may wrap across 0
+        bits[idx] = rng.random(len(idx)) < density
+        bits[idx[0]] = True
+    else:
+        x0, y0 = (min(s, n - 1) for s in start)
+        box = (slice(x0, min(x0 + size[0], n)), slice(y0, min(y0 + size[1], n)))
+        bits[box] = rng.random(bits[box].shape) < density
+        bits[x0, y0] = True
+    return GridSet(dom, bits)
+
+
+# Patches start at a cell index (clipped to the chart), so index 0 and sizes
+# reaching past the last cell give sets that touch the chart edge.
+@settings(deadline=None)
+@given(
+    circle=st.booleans(),
+    res=st.integers(16, 40),
+    width=st.floats(0.1, 4.0),
+    height=st.floats(0.1, 4.0),
+    start=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    other=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+# square cells and a 1:2 aspect ratio, where many cells tie for nearest
+@example(circle=False, res=16, width=1.0, height=1.0, start=(0, 0), size=(40, 40),
+         other=(15, 15), density=0.1, seed=0)
+@example(circle=False, res=16, width=1.0, height=2.0, start=(3, 0), size=(9, 40),
+         other=(0, 15), density=0.2, seed=1)
+# an arc across 0 on the circle
+@example(circle=True, res=32, width=1.0, height=1.0, start=(28, 0), size=(9, 1),
+         other=(10, 0), density=0.5, seed=2)
+def test_hausdorff_matches_two_transform_reference(
+    circle, res, width, height, start, size, other, density, seed
+):
+    dom = Domain.circle(res) if circle else Domain.planar((-1.0, width - 1.0, 0.0, height), res)
+    rng = rng_from(seed)
+    outer = _random_patch(dom, rng, start, size, density)
+    # a random part of outer, holding at least the patch's first cell
+    inner = outer.intersection(GridSet(dom, rng.random(dom.shape) < 0.5))
+    inner = inner.union(_random_patch(dom, rng, start, (1, 1), 1.0))
+    apart = _random_patch(dom, rng, other, size, density)
+    for a, b in ((inner, outer), (outer, apart), (inner, apart)):
+        d = hausdorff_distance(a, b)
+        assert d == hausdorff_distance(b, a) == _two_transform_hausdorff(a, b)
+        assert (d == 0.0) == a.equals(b)
+    assert hausdorff_distance(outer, outer) == 0.0
+
+
+# -- PGM round trip
+
+
+@settings(deadline=None)
+@given(
+    circle=st.booleans(),
+    res=st.integers(16, 80),
+    binary=st.booleans(),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_pgm_roundtrip_property(tmp_path_factory, circle, res, binary, density, seed):
+    dom = Domain.circle(res) if circle else Domain.planar((0.0, 1.0, 0.0, 1.0), res)
+    s = GridSet(dom, rng_from(seed).random(dom.shape) < density)
+    path = tmp_path_factory.mktemp("pgm") / "s.pgm"
+    write_pgm(s, path, binary=binary)
+    assert read_pgm(path).equals(s)
+    assert read_pgm(path, dom).equals(s)
+    # the same pixels on another chart of the same size
+    if not circle:
+        other = Domain.planar((-2.0, 3.0, 1.0, 1.5), res)
+        assert np.array_equal(read_pgm(path, other).bitmap, s.bitmap)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_pgm_size_errors(tmp_path, binary):
+    path = tmp_path / "s.pgm"
+    # a non-square image with no domain to place it on
+    if binary:
+        path.write_bytes(b"P5\n20 18\n1\n" + bytes(20 * 18))
+    else:
+        path.write_bytes(b"P2\n20 18\n1\n" + b"0 " * (20 * 18))
+    for domain in (None, Domain.planar((0.0, 1.0, 0.0, 1.0), 20)):
+        with pytest.raises(ValidationError):
+            read_pgm(path, domain)
+    square = Domain.planar((0.0, 1.0, 0.0, 1.0), 32)
+    write_pgm(full_set(square), path, binary=binary)
+    for wrong in (Domain.planar((0.0, 1.0, 0.0, 1.0), 33), Domain.circle(32), Domain.circle(32 * 32)):
+        with pytest.raises(ValidationError):
+            read_pgm(path, wrong)
+    write_pgm(full_set(Domain.circle(40)), path, binary=binary)
+    for wrong in (Domain.circle(41), Domain.planar((0.0, 1.0, 0.0, 1.0), 40)):
+        with pytest.raises(ValidationError):
+            read_pgm(path, wrong)

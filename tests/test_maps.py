@@ -329,6 +329,60 @@ def test_parse_and_format_roundtrip():
     assert again == sys
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# kappa stays above 1e-300: with inverses=true the inverse scale 1/kappa must be finite
+_affine_line = st.builds(
+    "affine kappa={!r} theta={!r} anchor={!r},{!r}".format,
+    st.floats(1e-300, 1.0, exclude_max=True), st.floats(-1e4, 1e4),
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+)
+_circle_line = st.one_of(
+    st.builds("rotation angle={!r}".format, _finite),
+    st.builds(
+        "moebius lambda={!r} pole={!r}".format,
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), _finite,
+    ),
+)
+
+
+@st.composite
+def _system_texts(draw):
+    """System text in the line format: map lines, perturb lines wrapping
+    some of them, and an inverses line."""
+    maps_ = draw(st.lists(draw(st.sampled_from([_affine_line, _circle_line])), min_size=1, max_size=4))
+    wrapped = draw(st.lists(st.booleans(), min_size=len(maps_), max_size=len(maps_)))
+    lines = list(maps_)
+    for i, wrap in enumerate(wrapped, start=1):
+        if wrap:
+            amp, seed = draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**31 - 1))
+            lines.append(f"perturb base={i} amp={amp!r} seed={seed}")
+    lines.append(f"inverses={draw(st.sampled_from(['true', 'false']))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(text=_system_texts())
+# -1e-17 % 1.0 rounds up to 1.0, which would be written as 1.0 and read back as 0.0
+@example(text="rotation angle=-1e-17\n")
+@example(text="moebius lambda=0.7 pole=-1e-17\n")
+def test_parse_format_roundtrip_property(text):
+    sys = parse_system(text)
+    again = parse_system(format_system(sys))
+    assert again == sys
+    assert format_system(again) == format_system(sys)
+
+
+def test_circle_coordinates_wrap_into_unit_interval():
+    assert maps.circle_position(-1e-17) == 0.0
+    assert maps.circle_position(-0.25) == 0.75
+    assert maps.circle_position(1.0) == 0.0
+    assert CircleRotation(1e-17).inverse() == CircleRotation(0.0)
+    assert CircleRotation(0.0).inverse() == CircleRotation(0.0)
+    assert CircleRotation(0.25).inverse() == CircleRotation(0.75)
+    assert parse_system("rotation angle=-1e-17\n").generators == (CircleRotation(0.0),)
+    assert parse_system("moebius lambda=0.7 pole=-1e-17\n").generators[0].pole == 0.0
+
+
 def test_parse_perturb_consumes_base():
     text = (
         "moebius lambda=0.7 pole=0.0\n"
