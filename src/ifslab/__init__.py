@@ -9,7 +9,6 @@ from .maps import (
     AffineSimilarity,
     CircleNorthSouth,
     CircleRotation,
-    Composed,
     Map,
     Perturbed,
     SystemSpec,
@@ -26,7 +25,6 @@ __all__ = [
     "AffineSimilarity",
     "CircleNorthSouth",
     "CircleRotation",
-    "Composed",
     "Disk",
     "Domain",
     "GridSet",

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CIRCLE, Disk, Domain, GridSet
-from .maps import REVERSE, AffineSimilarity, SystemSpec, Word
+from .maps import REVERSE, SystemSpec, Word, apply_word
 from .seeding import rng_from, spawn_rngs
 
 _EVAL_BUDGET = 10**7
@@ -318,15 +318,21 @@ def empirical_distortion(
     ys = geometry.sample_cells(delta_set, pair_count, rng)
     pts0 = np.concatenate([xs, ys], axis=0)
     maps = sys.maps()
-    steps = [_distortion_step(m) for m in maps]
+    consts = [m.constant_log_abs_det for m in maps]
     symbols = rng.integers(0, len(maps), size=(word_count, word_length))
     lo, hi = 1.0, 1.0
     for w in range(word_count):
-        pts = pts0.copy()
-        logdet = np.zeros(pts0.shape[0])
         # reverse iteration: last symbol acts first
-        for sym in symbols[w, ::-1]:
-            pts = steps[sym](pts, logdet)
+        order = symbols[w, ::-1]
+        # after the last map whose log-det varies, no step reads the points
+        live = max((i for i, s in enumerate(order) if consts[s] is None), default=-1)
+        pts = pts0
+        logdet = np.zeros(pts0.shape[0])
+        for i, sym in enumerate(order):
+            m, const = maps[sym], consts[sym]
+            logdet += m.log_abs_det(pts) if const is None else const
+            if i <= live:
+                pts = m.eval(pts)
         ratios = np.exp(logdet[:pair_count] - logdet[pair_count:])
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))
@@ -334,18 +340,6 @@ def empirical_distortion(
         emp_min=lo, emp_max=hi, words=word_count,
         word_length=word_length, pairs=pair_count,
     )
-
-
-def _distortion_step(m):
-    """One orbit step that also accumulates log|det D| in place."""
-    # a similarity's determinant is constant: skip the per-point log
-    const = 2.0 * math.log(m.scale) if isinstance(m, AffineSimilarity) else None
-
-    def step(pts, logdet):
-        logdet += m.log_abs_det(pts) if const is None else const
-        return m.eval(pts)
-
-    return step
 
 
 _CONSISTENCY_SLACK = 0.05
@@ -457,11 +451,7 @@ def shrink_time(
         return ShrinkTimeResult(r0=0, diam_at_r0=prev, diam_before=None)
     horizon = min(max_r, len(word.symbols))
     for r in range(1, horizon + 1):
-        pts = pts0
-        # compose the first r symbols, innermost last
-        for sym in reversed(word.symbols[:r]):
-            pts = sys.map_for(sym).eval(pts)
-        d = rasterized_diameter(pts)
+        d = rasterized_diameter(apply_word(sys, Word(word.symbols[:r], REVERSE), pts0))
         if d < delta:
             return ShrinkTimeResult(r0=r, diam_at_r0=d, diam_before=prev)
         prev = d

@@ -22,7 +22,6 @@ from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
-    DomainError,
     EmptySetError,
     ResolutionError,
     ValidationError,
@@ -221,10 +220,6 @@ class GridSet:
         self._check_same_domain(other)
         return GridSet(self.domain, self.bitmap & ~other.bitmap)
 
-    def symmetric_difference(self, other: "GridSet") -> "GridSet":
-        self._check_same_domain(other)
-        return GridSet(self.domain, self.bitmap ^ other.bitmap)
-
     def equals(self, other: "GridSet") -> bool:
         return self.domain == other.domain and np.array_equal(self.bitmap, other.bitmap)
 
@@ -314,21 +309,6 @@ def volume(s: GridSet) -> float:
     return float(s.bitmap.mean())
 
 
-def volume_ratio(a: GridSet, d: Disk) -> float:
-    """vol(a ∩ d) / vol(d) computed on the grid.
-
-    The disk must lie inside the domain; a disk below the grid scale (no
-    cell centers inside) raises :class:`ResolutionError`.
-    """
-    if not a.domain.contains_disk(d):
-        raise DomainError(f"disk {d} does not fit inside the domain")
-    dm = rasterize_disk(a.domain, d)
-    denom = dm.count()
-    if denom == 0:
-        raise ResolutionError("disk radius is below the grid scale")
-    return float(np.count_nonzero(a.bitmap & dm.bitmap)) / denom
-
-
 def _disk_kernel(domain: Domain, radius: float) -> np.ndarray:
     dx, dy = domain.cell_sizes
     if domain.kind == CIRCLE:
@@ -362,24 +342,19 @@ def local_density(a: GridSet, radius: float) -> np.ndarray:
     return counts / ksum
 
 
-def density_points(a: GridSet, radii, threshold: float) -> GridSet:
+def density_points(a: GridSet, radius: float, threshold: float) -> GridSet:
     """Approximate Lebesgue density points of ``a``.
 
-    ``radii`` must be a strictly decreasing list of lengths, the smallest at
-    least two cell widths; ``threshold`` lies in (0.5, 1].  A cell is kept
-    iff the local density of ``a`` at the smallest radius reaches the
-    threshold — the smallest radius is the proxy for the r -> 0 limit.
+    ``radius`` is at least two cell widths and ``threshold`` lies in
+    (0.5, 1].  A cell is kept iff the local density of ``a`` at ``radius``
+    reaches the threshold — the radius is the proxy for the r -> 0 limit.
     """
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValidationError("radii list is empty")
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValidationError("radii must be strictly decreasing")
-    if radii[-1] < 2 * a.domain.max_cell_size:
-        raise ResolutionError("smallest radius must be at least 2 cell widths")
+    radius = float(radius)
+    if radius < 2 * a.domain.max_cell_size:
+        raise ResolutionError("density radius must be at least 2 cell widths")
     if not 0.5 < threshold <= 1.0:
         raise ValidationError("threshold must lie in (0.5, 1]")
-    ratio = local_density(a, radii[-1])
+    ratio = local_density(a, radius)
     # counts are exact integers over the kernel, so a tiny slack only guards
     # against decimal-representation dust in threshold itself
     return GridSet(a.domain, ratio >= threshold - 1e-12)
@@ -607,33 +582,6 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
     if (h, w) != (domain.resolution, domain.resolution):
         raise ValidationError("PGM size does not match planar domain")
     return GridSet(domain, bits[::-1].T)
-
-
-def write_disks_csv(disks, path) -> None:
-    """Disk list as CSV with header cx,cy,r (circle arcs use cy=0)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cx", "cy", "r"])
-        for d in disks:
-            if d.is_circle:
-                writer.writerow([repr(float(d.center)), "0.0", repr(d.radius)])
-            else:
-                writer.writerow([repr(d.center[0]), repr(d.center[1]), repr(d.radius)])
-
-
-def read_disks_csv(path, circle: bool = False) -> list[Disk]:
-    disks = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if [h.strip() for h in header] != ["cx", "cy", "r"]:
-            raise ValidationError("disk CSV must start with header cx,cy,r")
-        for row in reader:
-            if not row:
-                continue
-            cx, cy, r = (float(v) for v in row[:3])
-            disks.append(Disk(cx if circle else (cx, cy), r))
-    return disks
 
 
 def write_points_csv(points: np.ndarray, path) -> None:

@@ -14,6 +14,7 @@ first symbol is outermost, so g_{wr} acts first and g_{w1} last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class Map:
 
     kind: str = "planar"  # or "circle"
     invertible: bool = True
+    # log |det D| when it is the same at every point, else None
+    constant_log_abs_det: float | None = None
 
     def eval(self, x):
         raise NotImplementedError
@@ -106,9 +109,12 @@ class AffineSimilarity(Map):
     kind = "planar"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValidationError(f"similarity scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValidationError(
+                f"similarity scale must be positive and finite, got {self.scale}"
+            )
         object.__setattr__(self, "anchor", tuple(float(a) for a in self.anchor))
+        object.__setattr__(self, "constant_log_abs_det", 2.0 * math.log(self.scale))
         th = np.deg2rad(self.angle_deg)
         c, s = np.cos(th), np.sin(th)
         m = self.scale * np.array([[c, -s], [s, c]])
@@ -128,7 +134,7 @@ class AffineSimilarity(Map):
 
     def log_abs_det(self, x):
         pts = _planar_points(x)
-        return np.full(pts.shape[:-1], 2.0 * np.log(self.scale))
+        return np.full(pts.shape[:-1], self.constant_log_abs_det)
 
     def inverse(self) -> "AffineSimilarity":
         return AffineSimilarity(1.0 / self.scale, -self.angle_deg, self.anchor)
@@ -141,6 +147,7 @@ class CircleRotation(Map):
     angle: float
 
     kind = "circle"
+    constant_log_abs_det = 0.0
 
     def eval(self, x):
         return (np.asarray(x, dtype=float) + self.angle) % 1.0
@@ -187,14 +194,6 @@ class CircleNorthSouth(Map):
 
     def inverse(self) -> "CircleNorthSouth":
         return CircleNorthSouth(1.0 / self.multiplier, self.pole)
-
-    @property
-    def attracting_point(self) -> float:
-        return self.pole % 1.0 if self.multiplier < 1 else (self.pole + 0.5) % 1.0
-
-    @property
-    def repelling_point(self) -> float:
-        return (self.pole + 0.5) % 1.0 if self.multiplier < 1 else self.pole % 1.0
 
 
 @dataclass(frozen=True)
@@ -263,54 +262,6 @@ class Perturbed(Map):
         if not self.invertible:
             raise InvertibilityError("base map is not invertible")
         return _NewtonInverse(self)
-
-
-@dataclass(frozen=True)
-class Composed(Map):
-    """Composition of maps; ``factors`` are applied first to last."""
-
-    factors: tuple[Map, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValidationError("composition needs at least one factor")
-        kinds = {m.kind for m in self.factors}
-        if len(kinds) > 1:
-            raise ValidationError("cannot compose planar and circle maps")
-        object.__setattr__(self, "kind", self.factors[0].kind)
-        object.__setattr__(self, "invertible", all(m.invertible for m in self.factors))
-
-    def eval(self, x):
-        pts = np.asarray(x, dtype=float)
-        for m in self.factors:
-            pts = m.eval(pts)
-        return pts
-
-    def jacobian(self, x):
-        pts = np.asarray(x, dtype=float)
-        total = None
-        for m in self.factors:
-            j = m.jacobian(pts)
-            if total is None:
-                total = j if self.kind == "circle" else np.array(j, copy=True)
-            elif self.kind == "circle":
-                total = j * total
-            else:
-                total = j @ total
-            pts = m.eval(pts)
-        return total
-
-    def log_abs_det(self, x):
-        pts = np.asarray(x, dtype=float)
-        acc = None
-        for m in self.factors:
-            term = m.log_abs_det(pts)
-            acc = term if acc is None else acc + term
-            pts = m.eval(pts)
-        return acc
-
-    def inverse(self) -> "Composed":
-        return Composed(tuple(m.inverse() for m in reversed(self.factors)))
 
 
 @dataclass(frozen=True)
@@ -383,9 +334,7 @@ class _NewtonInverse(Map):
 
 def has_closed_form_inverse(m: Map) -> bool:
     """True when inverse() is exact rather than a Newton iteration."""
-    return isinstance(m, (AffineSimilarity, CircleRotation, CircleNorthSouth)) or (
-        isinstance(m, Composed) and all(has_closed_form_inverse(f) for f in m.factors)
-    )
+    return isinstance(m, (AffineSimilarity, CircleRotation, CircleNorthSouth))
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +430,6 @@ def word_jacobian_det(sys: SystemSpec, word: Word, x) -> float:
         det = det * m.jacobian_det(pts)
         pts = m.eval(pts)
     return float(det) if det.shape == () else det
-
-
-def word_map(sys: SystemSpec, word: Word) -> Map:
-    """The word's composition as a single map object."""
-    order = _application_order(word)
-    if not order:
-        raise ValidationError("empty word has no map object; use apply_word")
-    return Composed(tuple(sys.map_for(s) for s in order))
 
 
 def complex_eigenvalue_check(m: Map, x) -> bool:

@@ -149,7 +149,7 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
 
     if inst.family:
         dp_radius = DP_RADIUS_CELLS * dom.max_cell_size
-        dp = geometry.density_points(comp, [dp_radius], DP_THRESHOLD)
+        dp = geometry.density_points(comp, dp_radius, DP_THRESHOLD)
         centers = np.array([d.center for d in inst.family])
         centers_ok = bool(dp.lookup(centers).all())
     else:

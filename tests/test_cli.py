@@ -248,6 +248,8 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["distortion", "--system", "{file}"], None, "affine kappa=abc theta=0\n"),
         (["distortion", "--system", "{file}"], None,
          "affine kappa=0.5 theta=0\nperturb base=x amp=0.01\n"),
+        (["distortion", "--system", "{file}"], None,
+         "affine kappa=5e-324 theta=1\ninverses=true\n"),
         (["packing", "verify", "--instance", "{file}"], None,
          '{"ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4}, "family": []}'),
         (["packing", "verify", "--instance", "{file}"], None, "[]"),
@@ -256,7 +258,8 @@ def test_shrink_horizon_exit_two(tmp_path):
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
          "pgm-field-not-a-number", "system-missing-key", "system-value-not-a-number",
-         "system-perturb-base-not-a-number", "instance-without-target", "instance-is-a-list",
+         "system-perturb-base-not-a-number", "system-inverse-scale-infinite",
+         "instance-without-target", "instance-is-a-list",
          "amplitude-not-a-number"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifslab.errors import (
-    DomainError,
     EmptySetError,
     ResolutionError,
     ValidationError,
@@ -25,11 +24,8 @@ from ifslab.geometry import (
     one_cell_ring_volume,
     points_to_gridset,
     rasterize_disk,
-    read_disks_csv,
     read_pgm,
     volume,
-    volume_ratio,
-    write_disks_csv,
     write_pgm,
 )
 from ifslab.seeding import rng_from
@@ -81,33 +77,10 @@ def test_volume_additive_on_disjoint(square):
     assert volume(a.union(b)) == pytest.approx(volume(a) + volume(b), abs=0)
 
 
-def test_volume_ratio_containment(square):
-    d = Disk((0.5, 0.5), 0.2)
-    assert volume_ratio(full_set(square), d) == 1.0
-    assert volume_ratio(empty_set(square), d) == 0.0
-
-
-def test_volume_ratio_half_plane(square):
-    d = Disk((0.5, 0.5), 0.2)
-    assert volume_ratio(half_plane(square), d) == pytest.approx(0.5, abs=0.02)
-
-
-def test_volume_ratio_complement_sums_to_one(square):
-    rng = rng_from(7)
-    a = GridSet(square, rng.random(square.shape) < 0.37)
-    d = Disk((0.4, 0.6), 0.15)
-    assert volume_ratio(a, d) + volume_ratio(a.complement(), d) == 1.0
-
-
-def test_volume_ratio_outside_domain(square):
-    with pytest.raises(DomainError):
-        volume_ratio(full_set(square), Disk((0.95, 0.5), 0.2))
-
-
 def test_density_points_half_plane_interior_and_boundary(square):
     a = half_plane(square)
     h = square.max_cell_size
-    dp = density_points(a, [16 * h, 8 * h, 4 * h], 0.9)
+    dp = density_points(a, 4 * h, 0.9)
     # interior point: ratio 1
     assert dp.lookup(np.array([[0.8, 0.5]]))[0]
     # boundary point: ratio about 0.5 < 0.9
@@ -119,7 +92,7 @@ def test_density_points_random_half_density(square):
     rng = rng_from(2024)
     a = GridSet(square, rng.random(square.shape) < 0.5)
     h = square.max_cell_size
-    dp = density_points(a, [8 * h, 4 * h, 2 * h], 0.9)
+    dp = density_points(a, 2 * h, 0.9)
     frac = float(dp.bitmap.mean())
     assert frac == pytest.approx(0.00128173828125, abs=0)
     assert frac < 0.01
@@ -132,7 +105,7 @@ def test_density_points_inside_disk_union(square):
     union = empty_set(square)
     for d in disks:
         union = union.union(rasterize_disk(square, d))
-    dp = density_points(union, [16 * h, r_min], 0.95)
+    dp = density_points(union, r_min, 0.95)
     # every cell at depth >= r_min inside a disk is a density point
     for d in disks:
         inner = rasterize_disk(square, Disk(d.center, d.radius - r_min))
@@ -143,11 +116,9 @@ def test_density_points_preconditions(square):
     a = half_plane(square)
     h = square.max_cell_size
     with pytest.raises(ResolutionError):
-        density_points(a, [0.5 * h], 0.9)
+        density_points(a, 0.5 * h, 0.9)
     with pytest.raises(ValidationError):
-        density_points(a, [4 * h, 8 * h], 0.9)
-    with pytest.raises(ValidationError):
-        density_points(a, [4 * h], 0.4)
+        density_points(a, 4 * h, 0.4)
 
 
 def test_hausdorff_identity(square):
@@ -242,15 +213,6 @@ def test_pgm_header(tmp_path, square):
     write_pgm(rasterize_disk(square, Disk((0.5, 0.5), 0.1)), path)
     head = path.read_bytes()[:20]
     assert head.startswith(b"P5\n256 256\n1\n")
-
-
-def test_disks_csv_roundtrip(tmp_path):
-    disks = [Disk((0.25, 0.75), 0.1), Disk((0.5, 0.5), 0.03)]
-    path = tmp_path / "d.csv"
-    write_disks_csv(disks, path)
-    assert path.read_text().splitlines()[0] == "cx,cy,r"
-    back = read_disks_csv(path)
-    assert back == disks
 
 
 # Centers are placed in chart units (u, v in [0, 1] is inside the chart) and

@@ -16,7 +16,6 @@ from ifslab.maps import (
     AffineSimilarity,
     CircleNorthSouth,
     CircleRotation,
-    Composed,
     Perturbed,
     SystemSpec,
     Word,
@@ -25,7 +24,6 @@ from ifslab.maps import (
     format_system,
     parse_system,
     word_jacobian_det,
-    word_map,
 )
 from ifslab.seeding import rng_from
 
@@ -99,6 +97,21 @@ def test_affine_jacobian_is_scaled_rotation():
     assert np.allclose(j, [[0.0, -0.5], [0.5, 0.0]], atol=1e-15)
     det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
     assert det == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, math.inf, math.nan])
+def test_affine_rejects_scale_outside_positive_reals(scale):
+    with pytest.raises(ValidationError):
+        AffineSimilarity(scale, 10.0)
+
+
+def test_constant_log_abs_det_declared_by_the_map():
+    t = AffineSimilarity(0.76, 179.0)
+    assert t.constant_log_abs_det == 2.0 * math.log(0.76)
+    assert t.log_abs_det(np.zeros((3, 2))).tolist() == [t.constant_log_abs_det] * 3
+    assert CircleRotation(0.3).constant_log_abs_det == 0.0
+    for m in (CircleNorthSouth(0.7), Perturbed(t, 0.01), Perturbed(t, 0.01).inverse()):
+        assert m.constant_log_abs_det is None
 
 
 def test_rotation_translation_mod_one():
@@ -249,20 +262,50 @@ def test_word_jacobian_det_chain_rule(two_gen):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_word_map_matches_apply(two_gen):
-    x = np.array([0.05, -0.3])
-    w = Word((2, 1, 1, 2), "reverse")
-    assert np.allclose(word_map(two_gen, w).eval(x), apply_word(two_gen, w, x))
-
-
 def test_composed_jacobian_chain():
     a = AffineSimilarity(0.76, 179.0)
     b = AffineSimilarity(0.9, 30.0, (0.5, 0.5))
-    comp = Composed((a, b))
+    sys = SystemSpec((a, b), include_inverses=True)
     x = np.array([0.3, 0.2])
     expected = b.jacobian(a.eval(x)) @ a.jacobian(x)
-    assert np.allclose(comp.jacobian(x), expected)
-    assert np.allclose(comp.inverse().eval(comp.eval(x)), x)
+    assert word_jacobian_det(sys, Word((1, 2)), x) == pytest.approx(np.linalg.det(expected))
+    # symbols 3 and 4 are the inverses of a and b: a^-1 b^-1 undoes b a
+    there = apply_word(sys, Word((1, 2)), x)
+    assert np.allclose(apply_word(sys, Word((4, 3)), there), x)
+
+
+_WORD_FAMILIES = {
+    "planar": SystemSpec(
+        (
+            Perturbed(AffineSimilarity(0.8, 150.0, (0.2, 0.0)), 0.05, seed=31),
+            AffineSimilarity(0.76, 179.0),
+        ),
+        include_inverses=True,
+    ),
+    "circle": SystemSpec(
+        (
+            CircleNorthSouth(0.7),
+            CircleRotation(0.6180339887498949),
+            Perturbed(CircleNorthSouth(0.6, 0.3), 0.01, seed=6),
+        ),
+        include_inverses=True,
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_WORD_FAMILIES)), data=st.data(), seed=st.integers(0, 2**16))
+def test_reverse_word_is_reversed_forward_word(family, data, seed):
+    sys = _WORD_FAMILIES[family]
+    symbols = st.lists(st.integers(1, sys.alphabet_size), max_size=6).map(tuple)
+    head, tail = data.draw(symbols), data.draw(symbols)
+    rng = rng_from(seed)
+    x = rng.uniform(-1, 1, size=(4, 2)) if family == "planar" else rng.uniform(0, 1, size=4)
+    s = head + tail
+    forward = apply_word(sys, Word(s, "forward"), x)
+    assert np.array_equal(apply_word(sys, Word(s, "reverse"), x),
+                          apply_word(sys, Word(s[::-1], "forward"), x))
+    assert np.array_equal(apply_word(sys, Word(tail), apply_word(sys, Word(head), x)), forward)
 
 
 def test_newton_inverse_jacobian_matches_finite_differences():
@@ -306,8 +349,14 @@ def test_word_det_matches_composed_log_det():
         w = Word(tuple(rng.integers(1, 3, size=9)), direction)
         x = rng.uniform(-1, 1, size=2)
         via_chain = word_jacobian_det(sys, w, x)
-        via_map = word_map(sys, w).log_abs_det(x)
-        assert np.log(abs(via_chain)) == pytest.approx(float(via_map), rel=1e-10)
+        # per-step log-dets along the orbit of the word's prefixes, in the
+        # order the symbols act
+        order = w.symbols if direction == "forward" else w.symbols[::-1]
+        via_steps = sum(
+            float(sys.map_for(sym).log_abs_det(apply_word(sys, Word(order[:k]), x)))
+            for k, sym in enumerate(order)
+        )
+        assert np.log(abs(via_chain)) == pytest.approx(via_steps, rel=1e-10)
 
 
 def test_system_include_inverses():
@@ -330,7 +379,8 @@ def test_parse_and_format_roundtrip():
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-# kappa stays above 1e-300: with inverses=true the inverse scale 1/kappa must be finite
+# kappa stays above 1e-300: a smaller one has an infinite inverse scale, which
+# parse_system rejects when inverses=true
 _affine_line = st.builds(
     "affine kappa={!r} theta={!r} anchor={!r},{!r}".format,
     st.floats(1e-300, 1.0, exclude_max=True), st.floats(-1e4, 1e4),
@@ -401,6 +451,9 @@ def test_parse_validation_errors():
     with pytest.raises(ValidationError):
         parse_system("affine kappa=1.2 theta=10\n")
     with pytest.raises(ValidationError):
+        # the inverse of a similarity this small has an infinite scale
+        parse_system("affine kappa=5e-324 theta=1\ninverses=true\n")
+    with pytest.raises(ValidationError):
         parse_system("moebius lambda=0.4\n")
     with pytest.raises(ValidationError):
         parse_system("perturb base=1 amp=0.01\n")
@@ -448,14 +501,12 @@ def test_word_jacobian_det_pinned():
          [-0.3067484346175277, -0.062303883336154865, 0.04948940893249696]),
         (PINNED_PLANAR, PINNED_POINTS,
          [-0.45951109466954976, -0.4504250559486428, -0.45507228621098333]),
-        (Composed((PINNED_PLANAR, AffineSimilarity(0.76, 179.0))), PINNED_POINTS,
-         [-1.0083847860730704, -0.9992987473521634, -1.0039459776145039]),
         (PINNED_PLANAR.inverse(), PINNED_POINTS,
          [0.45526416349413185, 0.45399081470006236, 0.4489426698061546]),
         (Perturbed(CircleNorthSouth(0.7), 0.01, seed=4).inverse(), PINNED_ARCS,
          [0.25194026707680417, -0.33773339096628596, 0.25998365788700567]),
     ],
-    ids=["rotation", "north-south", "perturbed", "composed", "newton", "newton-circle"],
+    ids=["rotation", "north-south", "perturbed", "newton", "newton-circle"],
 )
 def test_log_abs_det_pinned(m, x, expected):
     assert m.log_abs_det(x).tolist() == expected

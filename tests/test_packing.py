@@ -263,7 +263,7 @@ def reference_packing(inst):
     filled = [(float((d & ~target).mean()), float(d.mean())) for d in disks]
     density = float((target & amb).mean()) / vol_amb
     if inst.family:
-        dp = density_points(inst.target.complement(), [4.0 * dom.max_cell_size], 0.75)
+        dp = density_points(inst.target.complement(), 4.0 * dom.max_cell_size, 0.75)
         centers_ok = bool(dp.lookup(np.array([d.center for d in inst.family])).all())
     else:
         centers_ok = True
