@@ -11,7 +11,7 @@ the probed resolution, never as a theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,13 +62,7 @@ class MinimalityReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "max_word_len": self.max_word_len,
-            "samples": self.samples,
-            "uncovered_fraction": self.uncovered_fraction,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _quantize_key_planar(pts: np.ndarray, q: float) -> np.ndarray:

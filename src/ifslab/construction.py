@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Disk, Domain, GridSet
-from .maps import AffineSimilarity, SystemSpec, has_closed_form_inverse
+from .maps import AffineSimilarity, SystemSpec
 
 _COVER_PAD = 1.0625  # grid box half-width over V, as a multiple of delta
 _MAX_ANCHORS = 256
@@ -225,8 +225,8 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, within: GridSet | None = None) 
     if within is not None and within.domain != a.domain:
         raise ValidationError("within lives on another domain than the set it bounds")
     maps = sys.maps()
-    pulled = [m for m in maps if has_closed_form_inverse(m)]
-    pushed = [m for m in maps if not has_closed_form_inverse(m)]
+    pulled = [m for m in maps if m.closed_form_inverse]
+    pushed = [m for m in maps if not m.closed_form_inverse]
     out = np.zeros(a.domain.shape, dtype=bool)
     if pulled:
         if within is None:

@@ -64,6 +64,8 @@ class Map:
     invertible: bool = True
     # log |det D| when it is the same at every point, else None
     constant_log_abs_det: float | None = None
+    # True when inverse() is exact rather than a Newton iteration
+    closed_form_inverse: bool = False
 
     def eval(self, x):
         raise NotImplementedError
@@ -107,6 +109,7 @@ class AffineSimilarity(Map):
     anchor: tuple[float, float] = (0.0, 0.0)
 
     kind = "planar"
+    closed_form_inverse = True
 
     def __post_init__(self):
         if not 0 < self.scale < math.inf:
@@ -148,6 +151,7 @@ class CircleRotation(Map):
 
     kind = "circle"
     constant_log_abs_det = 0.0
+    closed_form_inverse = True
 
     def eval(self, x):
         return (np.asarray(x, dtype=float) + self.angle) % 1.0
@@ -173,6 +177,7 @@ class CircleNorthSouth(Map):
     pole: float = 0.0
 
     kind = "circle"
+    closed_form_inverse = True
 
     def __post_init__(self):
         if not (self.multiplier > 0 and self.multiplier != 1.0):
@@ -330,11 +335,6 @@ class _NewtonInverse(Map):
 
     def inverse(self) -> Map:
         return self.target
-
-
-def has_closed_form_inverse(m: Map) -> bool:
-    """True when inverse() is exact rather than a Newton iteration."""
-    return isinstance(m, (AffineSimilarity, CircleRotation, CircleNorthSouth))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ per disk, since rasterization makes exact strictness meaningless.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,17 +61,7 @@ class PackingReport:
     covered_fraction: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cond1": self.cond1,
-            "cond2": self.cond2,
-            "cond3": self.cond3,
-            "cond4": self.cond4,
-            "margins": list(self.margins),
-            "density_premise": self.density_premise,
-            "feasible": self.feasible,
-            "centers_in_complement_density_points": self.centers_in_complement_density_points,
-            "covered_fraction": self.covered_fraction,
-        }
+        return dict(asdict(self), margins=list(self.margins))
 
 
 def _ring_volume(domain: Domain, d: Disk) -> float:
@@ -80,19 +70,29 @@ def _ring_volume(domain: Domain, d: Disk) -> float:
     return (2.0 * np.pi * d.radius / dx + 8.0) * domain.cell_volume
 
 
+def _volume(bits: np.ndarray, cells: int) -> float:
+    # a correctly rounded count / N: the same float as the full bitmap's mean()
+    return int(np.count_nonzero(bits)) / cells
+
+
 def _rasterize(inst: PackingInstance):
-    """(ambient cells, its volume, disk sets, union, complement, target density)."""
+    """(ambient bitmap, its volume, each disk's ``disk_cells`` (window, bits),
+    their union, target density).
+
+    Only the ambient disk and the union span the whole grid; a family disk
+    is measured on its own window.
+    """
     dom = inst.target.domain
-    amb = geometry.rasterize_disk(dom, inst.ambient)
-    vol_amb = geometry.volume(amb)
+    amb = geometry.rasterize_disk(dom, inst.ambient).bitmap
+    vol_amb = _volume(amb, amb.size)
     if vol_amb == 0:
         raise ValidationError("ambient disk rasterizes to nothing")
-    disks = [geometry.rasterize_disk(dom, d) for d in inst.family]
+    disks = [geometry.disk_cells(dom, d) for d in inst.family]
     union = np.zeros(dom.shape, dtype=bool)
-    for d in disks:
-        union |= d.bitmap
-    density_ratio = geometry.volume(inst.target.intersection(amb)) / vol_amb
-    return amb, vol_amb, disks, GridSet(dom, union), inst.target.complement(), density_ratio
+    for window, bits in disks:
+        union[window] |= bits
+    density_ratio = _volume(inst.target.bitmap & amb, amb.size) / vol_amb
+    return amb, vol_amb, disks, union, density_ratio
 
 
 def verify_conditions(inst: PackingInstance) -> PackingReport:
@@ -107,49 +107,44 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     condition.
     """
     dom = inst.target.domain
-    amb, vol_amb, disks, union, comp, density_ratio = _rasterize(inst)
+    target = inst.target.bitmap
+    amb, vol_amb, disks, union, density_ratio = _rasterize(inst)
+    n = amb.size
     rings = [_ring_volume(dom, d) for d in inst.family]
 
     # (1) each disk inside the ambient ball
-    m1 = 0.0
-    c1 = True
-    for d, ring in zip(disks, rings):
-        outside = geometry.volume(d.minus(amb))
-        m1 = min(m1, -outside / vol_amb)
-        if outside > ring:
-            c1 = False
+    outside = [_volume(bits & ~amb[window], n) for window, bits in disks]
+    m1 = min([0.0] + [-o / vol_amb for o in outside])
+    c1 = all(o <= ring for o, ring in zip(outside, rings))
 
-    # (2) pairwise disjointness
+    # (2) pairwise disjointness: disk i painted once, every later disk read
+    # against it; 0.0 comes first, so a zero overlap (-0.0) never replaces it
     m2 = 0.0
     c2 = True
-    for i in range(len(disks)):
+    canvas = np.zeros(dom.shape, dtype=bool)
+    for i, (wi, bi) in enumerate(disks):
+        canvas[wi] = bi
         for j in range(i + 1, len(disks)):
-            overlap = geometry.volume(disks[i].intersection(disks[j]))
+            wj, bj = disks[j]
+            overlap = _volume(bj & canvas[wj], n)
             m2 = min(m2, -overlap / vol_amb)
             if overlap > rings[i] + rings[j]:
                 c2 = False
+        canvas[wi] = False
 
     # (3) union volume above 2/3 of the ambient volume
-    vol_union = geometry.volume(union)
+    vol_union = _volume(union, n)
     m3 = (vol_union - COVER_FRACTION * vol_amb) / vol_amb
     c3 = vol_union > COVER_FRACTION * vol_amb - sum(rings)
 
     # (4) each disk more than half filled by the complement of the target
-    m4 = 0.0
-    c4 = True
-    first = True
-    for d, ring in zip(disks, rings):
-        w = geometry.volume(d.intersection(comp))
-        vd = geometry.volume(d)
-        margin = (w - COMPLEMENT_FRACTION * vd) / vol_amb
-        m4 = margin if first else min(m4, margin)
-        first = False
-        if w <= COMPLEMENT_FRACTION * vd - ring:
-            c4 = False
+    filled = [(_volume(bits & ~target[window], n), _volume(bits, n)) for window, bits in disks]
+    m4 = min(((w - COMPLEMENT_FRACTION * vd) / vol_amb for w, vd in filled), default=0.0)
+    c4 = all(w > COMPLEMENT_FRACTION * vd - ring for (w, vd), ring in zip(filled, rings))
 
     if inst.family:
         dp_radius = DP_RADIUS_CELLS * dom.max_cell_size
-        dp = geometry.density_points(comp, dp_radius, DP_THRESHOLD)
+        dp = geometry.density_points(inst.target.complement(), dp_radius, DP_THRESHOLD)
         centers = np.array([d.center for d in inst.family])
         centers_ok = bool(dp.lookup(centers).all())
     else:
@@ -177,16 +172,18 @@ def contradiction_bound(inst: PackingInstance) -> dict:
     of the ambient ball the complement is below 1/4 < 1/3, so no family
     can satisfy all four conditions; ``forced_infeasible`` flags that case.
     """
-    amb, vol_amb, _, union, comp, density_ratio = _rasterize(inst)
-    vol_union = geometry.volume(union)
+    target = inst.target.bitmap
+    amb, vol_amb, _, union, density_ratio = _rasterize(inst)
+    n = amb.size
+    vol_union = _volume(union, n)
     lower_bound = 0.5 * vol_union
-    actual = geometry.volume(comp.intersection(amb))
+    actual = _volume(amb & ~target, n)
     return {
         "lower_bound": lower_bound,
         "actual_complement_in_ambient": actual,
         "lower_bound_fraction": lower_bound / vol_amb,
         "actual_fraction": actual / vol_amb,
-        "complement_in_union": geometry.volume(comp.intersection(union)),
+        "complement_in_union": _volume(union & ~target, n),
         "union_volume": vol_union,
         "density_ratio": density_ratio,
         "premise_holds": density_ratio > DENSITY_PREMISE_THRESHOLD,
@@ -306,6 +303,9 @@ def read_instance(path, domain: Domain | None = None) -> PackingInstance:
     except (KeyError, TypeError, ValueError) as exc:
         # a missing key, a list where an object belongs, or a bad number
         raise ValidationError(f"instance {path} is malformed: {exc!r}") from None
+    if not isinstance(target_path, str):
+        # open() takes an int as a file descriptor: 0 would read stdin
+        raise ValidationError(f"instance {path} target is not a path: {target_path!r}")
     return PackingInstance(
         ambient=ambient,
         target=geometry.read_pgm(target_path, domain),

@@ -253,6 +253,9 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["packing", "verify", "--instance", "{file}"], None,
          '{"ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4}, "family": []}'),
         (["packing", "verify", "--instance", "{file}"], None, "[]"),
+        *[(["packing", "verify", "--instance", "{file}"], None,
+           '{"ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4}, "family": [], "target": %s}' % t)
+          for t in ("null", "0", "true")],
         (["circle", "--amplitudes", "0.01,abc"], None, None),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
@@ -260,6 +263,7 @@ def test_shrink_horizon_exit_two(tmp_path):
          "pgm-field-not-a-number", "system-missing-key", "system-value-not-a-number",
          "system-perturb-base-not-a-number", "system-inverse-scale-infinite",
          "instance-without-target", "instance-is-a-list",
+         "instance-target-null", "instance-target-zero", "instance-target-true",
          "amplitude-not-a-number"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):

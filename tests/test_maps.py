@@ -114,6 +114,14 @@ def test_constant_log_abs_det_declared_by_the_map():
         assert m.constant_log_abs_det is None
 
 
+def test_closed_form_inverse_declared_by_the_map():
+    t = AffineSimilarity(0.76, 179.0)
+    for m in (t, t.inverse(), CircleRotation(0.3), CircleNorthSouth(0.7)):
+        assert m.closed_form_inverse
+    for m in (Perturbed(t, 0.01), Perturbed(t, 0.01).inverse()):
+        assert not m.closed_form_inverse
+
+
 def test_rotation_translation_mod_one():
     r = CircleRotation(0.25)
     assert r.eval(0.5) == pytest.approx(0.75)

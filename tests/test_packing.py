@@ -313,11 +313,18 @@ def reference_families(ambient):
         "edge_clipped": (Disk((0.02, 0.5), 0.1), Disk((0.5, 0.99), 0.05), Disk((0.97, 0.03), 0.08)),
         "empty": (),
         "hex_and_subcell": hexf + (Disk((0.5 + 0.3 / RES, 0.5), 0.2 / RES),),
+        # windows cut by the chart: a center off the chart (overlapping a disk
+        # on it), one past a corner, and one holding no cell at all
+        "off_chart": (Disk((1.05, 0.5), 0.1), Disk((0.97, 0.52), 0.05), Disk((1.5, 0.5), 0.1)),
+        "corner": (Disk((0.0, 1.0), 0.08), Disk((1.0 + 0.5 / RES, -0.5 / RES), 0.06), Disk((0.5, 0.5), 0.1)),
+        "nested": (Disk((0.5, 0.5), 0.2), Disk((0.52, 0.47), 0.05), Disk((0.5, 0.5), 0.2)),
     }
 
 
 @pytest.mark.parametrize(
-    "family", ["hex", "overlapping", "protruding", "edge_clipped", "empty", "hex_and_subcell"]
+    "family",
+    ["hex", "overlapping", "protruding", "edge_clipped", "empty", "hex_and_subcell",
+     "off_chart", "corner", "nested"],
 )
 @pytest.mark.parametrize("target_kind", ["empty", "checkerboard", "half"])
 def test_packing_matches_full_grid_reference(dom, ambient, family, target_kind):
