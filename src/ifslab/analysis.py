@@ -234,11 +234,7 @@ def holder_constant(m, alpha: float, domain_set: GridSet, pair_samples: int,
     ys = geometry.sample_cells(domain_set, pair_samples, rng)
     dx = np.abs(m.jacobian_det(xs))
     dy_ = np.abs(m.jacobian_det(ys))
-    if m.kind == CIRCLE:
-        diff = np.abs(xs - ys)
-        dist = np.minimum(diff, 1.0 - diff)
-    else:
-        dist = np.sqrt(((xs - ys) ** 2).sum(-1))
+    dist = geometry.point_distance(m.kind, xs, ys)
     if dx.min() < 1e-14 or dy_.min() < 1e-14:
         raise DegeneracyError("Jacobian determinant vanishes on the sample")
     keep = dist > 0

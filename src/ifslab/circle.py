@@ -21,6 +21,9 @@ from .seeding import spawn_rngs
 GOLDEN_ANGLE = (math.sqrt(5.0) - 1.0) / 2.0
 
 _MAX_SWEEP_AMPLITUDE = 0.1
+# ergodicity probe settings shared by every circle experiment
+_SEED_SETS = 16
+_REFINE_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -69,25 +72,21 @@ def build_circle_example(p: CircleExampleParams) -> SystemSpec:
     return SystemSpec((f1, rot))
 
 
-def _probe_system(
-    sys: SystemSpec,
-    epsilon: float,
-    max_word_len: int,
-    samples: int,
-    resolution: int,
-    seed: int,
-    seed_sets: int,
-    refine_steps: int,
-) -> dict:
+def _prober(seed: int, epsilon: float, max_word_len: int, samples: int, resolution: int):
+    """Both probes on a system at one set of settings, as a report entry."""
     region = full_set(Domain.circle(resolution))
-    minim = minimality_test(sys, region, epsilon, max_word_len, samples, seed)
-    ergo = ergodicity_probe(sys, resolution, seed_sets, refine_steps, seed)
-    return {
-        "minimality": minim.to_json_dict(),
-        "ergodicity": ergo.to_json_dict(),
-        "minimal": minim.verdict == EPS_DENSE,
-        "ergodic_consistent": ergo.verdict == NO_CANDIDATE,
-    }
+
+    def probe(sys: SystemSpec) -> dict:
+        minim = minimality_test(sys, region, epsilon, max_word_len, samples, seed)
+        ergo = ergodicity_probe(sys, resolution, _SEED_SETS, _REFINE_STEPS, seed)
+        return {
+            "minimality": minim.to_json_dict(),
+            "ergodicity": ergo.to_json_dict(),
+            "minimal": minim.verdict == EPS_DENSE,
+            "ergodic_consistent": ergo.verdict == NO_CANDIDATE,
+        }
+
+    return probe
 
 
 def rational_substitution_experiment(
@@ -96,8 +95,6 @@ def rational_substitution_experiment(
     max_word_len: int = 300,
     samples: int = 8,
     resolution: int = 4096,
-    seed_sets: int = 16,
-    refine_steps: int = 12,
 ) -> dict:
     """Swap the rotation for its rational approximation and probe everything.
 
@@ -110,27 +107,18 @@ def rational_substitution_experiment(
     if p.rational_approx is None:
         raise ValidationError("substitution experiment needs rational_approx")
     num, den = p.rational_approx
-    gamma = circle_position(num / den)
-    f1 = CircleNorthSouth(p.multiplier, pole=0.0)
-    rot = CircleRotation(gamma)
-    kwargs = dict(
-        epsilon=epsilon,
-        max_word_len=max_word_len,
-        samples=samples,
-        resolution=resolution,
-        seed=p.seed,
-        seed_sets=seed_sets,
-        refine_steps=refine_steps,
-    )
-    pair = _probe_system(SystemSpec((f1, rot)), **kwargs)
-    single_ns = _probe_system(SystemSpec((f1,)), **kwargs)
-    single_rot = _probe_system(SystemSpec((rot,)), **kwargs)
+    pair_sys = build_circle_example(replace(p, rotation_angle=num / den, perturb_amplitude=0.0))
+    f1, rot = pair_sys.generators
+    probe = _prober(p.seed, epsilon, max_word_len, samples, resolution)
+    pair = probe(pair_sys)
+    single_ns = probe(SystemSpec((f1,)))
+    single_rot = probe(SystemSpec((rot,)))
     singles_fail_both = all(
         not r["minimal"] and not r["ergodic_consistent"]
         for r in (single_ns, single_rot)
     )
     return {
-        "gamma": gamma,
+        "gamma": rot.angle,
         "rational": [num, den],
         "pair": pair,
         "single_north_south": single_ns,
@@ -147,8 +135,6 @@ def robustness_sweep(
     max_word_len: int = 300,
     samples: int = 8,
     resolution: int = 1024,
-    seed_sets: int = 16,
-    refine_steps: int = 12,
 ) -> dict:
     """Re-run both probes on C1-perturbations of both generators.
 
@@ -161,31 +147,23 @@ def robustness_sweep(
         raise ValidationError(
             f"amplitudes must lie in [0, {_MAX_SWEEP_AMPLITUDE})"
         )
-    kwargs = dict(
-        epsilon=epsilon,
-        max_word_len=max_word_len,
-        samples=samples,
-        resolution=resolution,
-        seed=p.seed,
-        seed_sets=seed_sets,
-        refine_steps=refine_steps,
-    )
-    baseline = _probe_system(build_circle_example(replace(p, perturb_amplitude=0.0)), **kwargs)
+    probe = _prober(p.seed, epsilon, max_word_len, samples, resolution)
+    baseline = probe(build_circle_example(replace(p, perturb_amplitude=0.0)))
     rows = []
     largest_unchanged = None
     for amp in amplitudes:
-        probe = _probe_system(build_circle_example(replace(p, perturb_amplitude=amp)), **kwargs)
+        row = probe(build_circle_example(replace(p, perturb_amplitude=amp)))
         unchanged = (
-            probe["minimal"] == baseline["minimal"]
-            and probe["ergodic_consistent"] == baseline["ergodic_consistent"]
+            row["minimal"] == baseline["minimal"]
+            and row["ergodic_consistent"] == baseline["ergodic_consistent"]
         )
         rows.append(
             {
                 "amplitude": amp,
-                "minimality_verdict": probe["minimality"]["verdict"],
-                "uncovered_fraction": probe["minimality"]["uncovered_fraction"],
-                "ergodicity_verdict": probe["ergodicity"]["verdict"],
-                "best_defect": probe["ergodicity"]["best_defect"],
+                "minimality_verdict": row["minimality"]["verdict"],
+                "uncovered_fraction": row["minimality"]["uncovered_fraction"],
+                "ergodicity_verdict": row["ergodicity"]["verdict"],
+                "best_defect": row["ergodicity"]["best_defect"],
                 "verdicts_unchanged": unchanged,
             }
         )

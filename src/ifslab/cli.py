@@ -337,7 +337,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Fold --config key=value entries in as defaults; flags still win."""
     if "--config" not in argv:
         return argv
@@ -354,18 +354,19 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValidationError(f"config line {line_no}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if flag not in rest:
-            extra.extend([flag, value])
-    # config-derived flags come after the subcommand, before explicit flags win
-    return rest + extra
+        # one token, so a value such as -2,2,-2,2 does not read as a flag
+        extra.append(f"--{key.replace('_', '-')}={value}")
+    # right after the subcommand name, so every explicit flag comes later and
+    # wins, however it is spelled (--flag=value, an abbreviation)
+    sub = next((k + 1 for k, tok in enumerate(rest) if not tok.startswith("-")), len(rest))
+    return rest[:sub] + extra + rest[sub:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
         if getattr(args, "packing_mode", None):
             if args.packing_mode == "verify" and not args.instance:

@@ -98,11 +98,10 @@ def _uncovered_fraction(params: ConstructionParams, anchors, resolution: int) ->
     delta = params.delta
     half = _COVER_PAD * delta
     dom = Domain.planar((-half, half, -half, half), resolution)
+    (wx, wy), target = geometry.disk_cells(dom, Disk((0.0, 0.0), delta))
     xs, ys = dom.axis_centers()
-    sq = (xs**2)[:, None] + (ys**2)[None, :]
-    target = sq <= delta * delta
-    px = np.broadcast_to(xs[:, None], target.shape)[target]
-    py = np.broadcast_to(ys[None, :], target.shape)[target]
+    px = np.broadcast_to(xs[wx, None], target.shape)[target]
+    py = np.broadcast_to(ys[None, wy], target.shape)[target]
     total = px.size
 
     image_r = params.kappa * delta
@@ -200,11 +199,9 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     dom = geometry.ball_domain(u, resolution)
     cells = geometry.rasterize_disk(dom, u)
     pts = cells.included_points()
-    cx, cy = u.center
     worst = 0.0
     for m in sys.maps():
-        img = m.eval(pts)
-        d = np.sqrt((img[:, 0] - cx) ** 2 + (img[:, 1] - cy) ** 2)
+        d = geometry.point_distance(sys.kind, m.eval(pts), u.center)
         worst = max(worst, float(d.max()) - u.radius)
     worst = max(worst, 0.0)
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)

@@ -12,7 +12,6 @@ unambiguous and bounds the rasterization error by one cell diagonal.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 
@@ -284,14 +283,27 @@ def disk_cells(domain: Domain, d: Disk) -> tuple[tuple[slice, slice], np.ndarray
     return (wx, wy), sq <= r**2
 
 
+def point_distance(kind: str, a, b) -> np.ndarray:
+    """Chart distance between paired or broadcast points.
+
+    The wraparound metric ``min(|x-y|, 1-|x-y|)`` between circle positions in
+    [0, 1), the Euclidean norm between planar points on a trailing axis of
+    size 2.  Every point distance in the package goes through here.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if kind == CIRCLE:
+        diff = np.abs(a - b)
+        return np.minimum(diff, 1.0 - diff)
+    return np.sqrt((a[..., 0] - b[..., 0]) ** 2 + (a[..., 1] - b[..., 1]) ** 2)
+
+
 def rasterize_disk(domain: Domain, d: Disk) -> GridSet:
     """Cells whose center lies within the disk (closed)."""
     if domain.kind == CIRCLE:
         if not d.is_circle:
             raise ValidationError("planar disk on a circle domain")
-        xs = domain.axis_centers()[0]
-        diff = np.abs(xs - (float(d.center) % 1.0))
-        dist = np.minimum(diff, 1.0 - diff)
+        dist = point_distance(CIRCLE, domain.axis_centers()[0], float(d.center) % 1.0)
         return GridSet(domain, dist <= d.radius)
     window, bits = disk_cells(domain, d)
     bitmap = np.zeros(domain.shape, dtype=bool)
@@ -411,15 +423,8 @@ def nearest_point_distances(region: GridSet, points: np.ndarray) -> np.ndarray:
         raise EmptySetError("no points given")
     cells = region.included_points()
     if region.domain.kind == CIRCLE:
-        pos = np.sort(pts % 1.0)
-        idx = np.searchsorted(pos, cells % 1.0)
-        best = np.full(cells.shape, np.inf)
-        n = len(pos)
-        for off in (-1, 0):
-            cand = pos[(idx + off) % n]
-            diff = np.abs(cand - cells % 1.0)
-            best = np.minimum(best, np.minimum(diff, 1.0 - diff))
-        return best
+        below, above = _circle_neighbours(np.sort(pts % 1.0), cells)
+        return np.minimum(point_distance(CIRCLE, below, cells), point_distance(CIRCLE, above, cells))
     from scipy.spatial import cKDTree
 
     dist, _ = cKDTree(pts).query(cells, k=1)
@@ -438,41 +443,29 @@ def diameter(s: GridSet) -> float:
     """Maximum pairwise distance between included cell centers."""
     if s.is_empty():
         raise EmptySetError("diameter of an empty set")
-    if s.domain.kind == CIRCLE:
-        return _circle_diameter(s.included_points())
     pts = s.included_points()
-    if len(pts) == 1:
-        return 0.0
-    if len(pts) <= 400:
-        d = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((d**2).sum(-1)).max())
-    try:
-        hull = pts[ConvexHull(pts).vertices]
-    except QhullError:
-        # collinear set: spread along the principal direction
-        c = pts - pts.mean(axis=0)
-        u = np.linalg.svd(c, full_matrices=False)[2][0]
-        proj = c @ u
-        return float(proj.max() - proj.min())
-    d = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((d**2).sum(-1)).max())
+    if s.domain.kind == CIRCLE:
+        pts = np.sort(pts)
+        # farthest partner of each point sits nearest to its antipode
+        partners = _circle_neighbours(pts, (pts + 0.5) % 1.0)
+        return max(float(point_distance(CIRCLE, p, pts).max()) for p in partners)
+    if len(pts) > 400:
+        try:
+            pts = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            # collinear set: spread along the principal direction
+            c = pts - pts.mean(axis=0)
+            u = np.linalg.svd(c, full_matrices=False)[2][0]
+            proj = c @ u
+            return float(proj.max() - proj.min())
+    return float(point_distance(PLANAR, pts[:, None], pts[None, :]).max())
 
 
-def _circle_diameter(pos: np.ndarray) -> float:
-    if len(pos) == 1:
-        return 0.0
-    pos = np.sort(pos)
-    # farthest partner of each point sits nearest to its antipode
-    targets = (pos + 0.5) % 1.0
-    idx = np.searchsorted(pos, targets)
-    best = 0.0
-    n = len(pos)
-    for off in (-1, 0):
-        cand = pos[(idx + off) % n]
-        diff = np.abs(cand - pos)
-        d = np.minimum(diff, 1.0 - diff)
-        best = max(best, float(d.max()))
-    return best
+def _circle_neighbours(pos: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the sorted circle positions ``pos`` on either side of
+    each query, wrapping past both ends."""
+    idx = np.searchsorted(pos, queries)
+    return pos[(idx - 1) % len(pos)], pos[idx % len(pos)]
 
 
 def boundary_cell_count(s: GridSet) -> int:
@@ -564,7 +557,11 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
     if magic == b"P5":
         pixels = np.frombuffer(raw[pos + 1 : pos + 1 + w * h], dtype=np.uint8)
     else:
-        pixels = np.array(raw[pos:].split(), dtype=int)[: w * h]
+        try:
+            pixels = np.array(raw[pos:].split(), dtype=int)[: w * h]
+        except (ValueError, OverflowError) as exc:
+            # a pixel that is not a whole number, or one too large for int64
+            raise ValidationError(f"PGM body holds a bad pixel: {exc}") from None
     if pixels.size != w * h:
         raise ValidationError(f"PGM body holds {pixels.size} of {w * h} pixels")
     bits = pixels.reshape(h, w) > 0
@@ -586,14 +583,11 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
 
 def write_points_csv(points: np.ndarray, path) -> None:
     """Point cloud as CSV: x,y for planar points, x for circle positions."""
-    pts = np.asarray(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 2:
+        lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in pts.tolist()]
+    else:
+        lines = ["x"] + [repr(x) for x in pts.tolist()]
+    # csv's line ending, closing the last row too
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        if pts.ndim == 2:
-            writer.writerow(["x", "y"])
-            for x, y in pts:
-                writer.writerow([repr(float(x)), repr(float(y))])
-        else:
-            writer.writerow(["x"])
-            for x in pts:
-                writer.writerow([repr(float(x))])
+        f.write("\r\n".join(lines) + "\r\n")

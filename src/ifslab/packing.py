@@ -216,14 +216,21 @@ def greedy_pack(
         raise ValidationError("greedy packing is planar")
     if min_radius < 4.0 * dom.max_cell_size:
         raise ValidationError("min_radius must be at least 4 cell widths")
+    family = _greedy_family(target, ambient, min_radius, max_disks)
+    # the search's full-grid fields are freed by now, before the check builds its own
+    inst = PackingInstance(ambient=ambient, target=target, family=family)
+    return inst, verify_conditions(inst)
+
+
+def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
+                   max_disks: int) -> tuple[Disk, ...]:
+    """The disks :func:`greedy_pack` places, in placement order."""
+    dom = target.domain
     comp = target.complement()
     comp_density = geometry.local_density(comp, min_radius)
-    xs, ys = dom.axis_centers()
-    px = np.broadcast_to(xs[:, None], dom.shape)
-    py = np.broadcast_to(ys[None, :], dom.shape)
-    acx, acy = ambient.center
+    centers = dom.cell_centers()
     # largest radius at each cell honoring (1) and (2)
-    avail = ambient.radius - np.sqrt((px - acx) ** 2 + (py - acy) ** 2)
+    avail = ambient.radius - geometry.point_distance(dom.kind, centers, ambient.center)
     amb_vol = geometry.volume(geometry.rasterize_disk(dom, ambient))
 
     placed: list[Disk] = []
@@ -242,11 +249,11 @@ def greedy_pack(
             ix, iy = np.unravel_index(flat_idx, dom.shape)
             if not mask[ix, iy]:
                 continue
-            cx, cy = px[ix, iy], py[ix, iy]
+            center = centers[ix, iy]
             r = float(avail[ix, iy])
             # shrink until the half-complement condition holds; total >= 1 (center cell)
             while r >= min_radius:
-                disk = Disk((float(cx), float(cy)), r)
+                disk = Disk(center, r)
                 window, bits = geometry.disk_cells(dom, disk)
                 total = int(bits.sum())
                 inside = int((bits & comp.bitmap[window]).sum())
@@ -259,14 +266,12 @@ def greedy_pack(
                 continue
             placed.append(disk)
             union[window] |= bits
-            d_new = np.sqrt((px - cx) ** 2 + (py - cy) ** 2) - r
+            d_new = geometry.point_distance(dom.kind, centers, center) - r
             avail = np.minimum(avail, d_new)
             break
         else:
             break
-
-    inst = PackingInstance(ambient=ambient, target=target, family=tuple(placed))
-    return inst, verify_conditions(inst)
+    return tuple(placed)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from ifslab.errors import (
     ResolutionError,
     ValidationError,
 )
-from ifslab.geometry import Disk, Domain, GridSet, full_set, rasterize_disk
+from ifslab.geometry import Disk, Domain, GridSet, full_set, rasterize_disk, sample_cells
 from ifslab.maps import (
     AffineSimilarity,
     CircleNorthSouth,
@@ -36,6 +36,7 @@ from ifslab.maps import (
     SystemSpec,
     Word,
 )
+from ifslab.seeding import rng_from
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RES = 512
@@ -417,6 +418,36 @@ def test_circle_distortion_statistics_pinned():
     ]
     e = empirical_distortion(SystemSpec(gens), region, 6, 5, 8, seed=2)
     assert (e.emp_min, e.emp_max) == (0.06123275451023092, 16.576958797505085)
+
+
+def reference_holder_constant(m, alpha, region, pair_samples, seed):
+    """holder_constant with the wraparound metric and the Euclidean norm
+    written out, as it computed them before geometry.point_distance."""
+    rng = rng_from(seed)
+    xs = sample_cells(region, pair_samples, rng)
+    ys = sample_cells(region, pair_samples, rng)
+    dx = np.abs(m.jacobian_det(xs))
+    dy = np.abs(m.jacobian_det(ys))
+    if m.kind == "circle":
+        diff = np.abs(xs - ys)
+        dist = np.minimum(diff, 1.0 - diff)
+    else:
+        dist = np.sqrt(((xs - ys) ** 2).sum(-1))
+    keep = dist > 0
+    num = np.abs(np.log(dx[keep]) - np.log(dy[keep]))
+    return float((num / dist[keep] ** alpha).max())
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_holder_constant_matches_written_out_metric(alpha):
+    circle_map = Perturbed(CircleNorthSouth(0.6, 0.3), 0.05, seed=6)
+    planar_map = Perturbed(AffineSimilarity(0.76, 179.0, (0.2, -0.1)), 0.05, seed=3)
+    circle_region = full_set(Domain.circle(512))
+    planar_region = rasterize_disk(
+        Domain.planar((-1.0, 1.0, -1.0, 1.0), 128), Disk((0.0, 0.0), 0.9))
+    for m, region in ((circle_map, circle_region), (planar_map, planar_region)):
+        got = holder_constant(m, alpha, region, 4096, seed=11)
+        assert got == reference_holder_constant(m, alpha, region, 4096, 11)
 
 
 def test_distortion_affine_tail_pinned():

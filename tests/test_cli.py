@@ -57,18 +57,34 @@ def test_minimality_report_and_determinism(tmp_path, gold_system_file):
     assert set(doc) >= {"epsilon", "max_word_len", "samples", "uncovered_fraction", "verdict"}
 
 
-def test_config_file_defaults_with_flag_override(tmp_path, gold_system_file):
+@pytest.mark.parametrize(
+    "flag", [["--epsilon", "0.02"], ["--epsilon=0.02"]], ids=["separate", "equals"]
+)
+def test_config_file_defaults_with_flag_override(tmp_path, gold_system_file, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epsilon=0.5\nmax-word-len=200\nsamples=4\nresolution=1024\n")
     out = tmp_path / "cfg_out"
     code = run(
-        ["--config", cfg, "minimality", "--system", gold_system_file,
-         "--epsilon", "0.02", "--out", out]
+        ["--config", cfg, "minimality", "--system", gold_system_file, *flag, "--out", out]
     )
     assert code == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["epsilon"] == 0.02  # flag beats config
     assert doc["max_word_len"] == 200  # config filled the gap
+
+
+def test_config_value_may_start_with_a_minus(tmp_path):
+    sys_file = tmp_path / "aff.txt"
+    sys_file.write_text("affine kappa=0.76 theta=179 anchor=0,0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bounds = -2,2,-2,2\nresolution = 64\n")
+    out = tmp_path / "cfg_out"
+    code = run(
+        ["--config", cfg, "minimality", "--system", sys_file,
+         "--epsilon", "0.5", "--max-word-len", "3", "--out", out]
+    )
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["epsilon"] == 0.5
 
 
 def test_construct_writes_artifacts(tmp_path):
@@ -244,6 +260,8 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"", None),
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n# no newline", None),
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4"], b"P5\n64 sixty-four\n1\n", None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4"],
+         b"P2\n16 16\n1\n" + b"0 " * 100 + b"x " + b"0 " * 155, None),
         (["distortion", "--system", "{file}"], None, "affine kappa=0.5\n"),
         (["distortion", "--system", "{file}"], None, "affine kappa=abc theta=0\n"),
         (["distortion", "--system", "{file}"], None,
@@ -260,7 +278,8 @@ def test_shrink_horizon_exit_two(tmp_path):
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
-         "pgm-field-not-a-number", "system-missing-key", "system-value-not-a-number",
+         "pgm-field-not-a-number", "pgm-pixel-not-a-number", "system-missing-key",
+         "system-value-not-a-number",
          "system-perturb-base-not-a-number", "system-inverse-scale-infinite",
          "instance-without-target", "instance-is-a-list",
          "instance-target-null", "instance-target-zero", "instance-target-true",

@@ -13,7 +13,9 @@ from ifslab.construction import (
 from ifslab.errors import ConstructionError, ValidationError
 from ifslab.geometry import (
     Disk,
+    Domain,
     GridSet,
+    ball_domain,
     diameter,
     rasterize_disk,
     sample_cells,
@@ -67,6 +69,43 @@ def test_scale_equivariance(reference):
     assert np.array_equal(np.array(doubled.anchors), 2.0 * anchors)
 
 
+def reference_uncovered_fraction(params, count, resolution):
+    """The cover check as written before V came from geometry.disk_cells:
+    V's cells are the grid centers with xs**2 + ys**2 <= delta * delta."""
+    delta = params.delta
+    half = 1.0625 * delta
+    xs, ys = Domain.planar((-half, half, -half, half), resolution).axis_centers()
+    target = (xs**2)[:, None] + (ys**2)[None, :] <= delta * delta
+    px = np.broadcast_to(xs[:, None], target.shape)[target]
+    py = np.broadcast_to(ys[None, :], target.shape)[target]
+    th = np.deg2rad(params.theta_deg)
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    ang = 2.0 * np.pi * np.arange(count) / count
+    anchors = [(0.75 * delta * float(np.cos(a)), 0.75 * delta * float(np.sin(a))) for a in ang]
+    centers = [(0.0, 0.0)] + [
+        tuple(float(c) for c in (np.eye(2) - params.kappa * rot) @ np.array(y))
+        for y in anchors
+    ]
+    alive = np.arange(px.size)
+    r2 = (params.kappa * delta) ** 2
+    for cx, cy in centers:
+        alive = alive[(px[alive] - cx) ** 2 + (py[alive] - cy) ** 2 >= r2]
+    return alive.size / px.size
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0])
+def test_cover_matches_written_out_disk_rule(delta):
+    params = ConstructionParams(kappa=0.76, theta_deg=179.0, delta=delta)
+    res = build_construction(params, resolution=RES)
+    fractions = [reference_uncovered_fraction(params, c, RES) for c in range(1, res.k)]
+    # k - 1 anchors is the first count whose images leave nothing uncovered
+    assert [f == 0.0 for f in fractions] == [False] * (res.k - 2) + [True]
+    assert res.uncovered_fraction == fractions[-1]
+    with pytest.raises(ConstructionError) as exc:
+        build_construction(params, resolution=RES, max_anchors=2)
+    assert exc.value.uncovered_fraction == fractions[1]
+
+
 def test_cover_failure_reports_uncovered():
     params = ConstructionParams(kappa=0.76, theta_deg=179.0, delta=1.0)
     with pytest.raises(ConstructionError) as exc:
@@ -92,6 +131,23 @@ def test_absorbing_fails_for_tiny_ball(reference):
     chk = check_absorbing(reference.system, Disk((0.0, 0.0), 0.1), RES)
     assert not chk.absorbed
     assert chk.escape_distance > 0
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [Disk((0.0, 0.0), 0.1), Disk((0.3, -0.2), 0.5), Disk((1.0, 2.0), 3.0)],
+    ids=["tiny", "off-center", "far-off-center"],
+)
+def test_escape_distance_matches_euclidean_norm(reference, ball):
+    # check_absorbing as written before geometry.point_distance
+    pts = rasterize_disk(ball_domain(ball, RES), ball).included_points()
+    cx, cy = ball.center
+    worst = 0.0
+    for m in reference.system.maps():
+        img = m.eval(pts)
+        d = np.sqrt((img[:, 0] - cx) ** 2 + (img[:, 1] - cy) ** 2)
+        worst = max(worst, float(d.max()) - ball.radius)
+    assert check_absorbing(reference.system, ball, RES).escape_distance == max(worst, 0.0)
 
 
 def test_hutchinson_fixed_point_of_single_map():

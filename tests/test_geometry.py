@@ -1,8 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
+from scipy.spatial import ConvexHull
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +23,15 @@ from ifslab.geometry import (
     empty_set,
     full_set,
     hausdorff_distance,
+    nearest_point_distances,
     one_cell_ring_volume,
+    point_distance,
     points_to_gridset,
     rasterize_disk,
     read_pgm,
     volume,
     write_pgm,
+    write_points_csv,
 )
 from ifslab.seeding import rng_from
 
@@ -180,6 +185,95 @@ def test_circle_diameter():
 def test_planar_diameter_matches_disk(square):
     d = rasterize_disk(square, Disk((0.5, 0.5), 0.2))
     assert diameter(d) == pytest.approx(0.4, abs=2 * square.max_cell_size)
+
+
+# The distances below are checked for equality against the formulas each
+# caller wrote out before point_distance held them: the explicit wraparound
+# min(d, 1 - d) with its neighbour scans, and the explicit Euclidean norm.
+
+
+def reference_circle_diameter(pos):
+    if len(pos) == 1:
+        return 0.0
+    pos = np.sort(pos)
+    idx = np.searchsorted(pos, (pos + 0.5) % 1.0)
+    best = 0.0
+    for off in (-1, 0):
+        diff = np.abs(pos[(idx + off) % len(pos)] - pos)
+        best = max(best, float(np.minimum(diff, 1.0 - diff).max()))
+    return best
+
+
+def reference_nearest(cells, pts):
+    pos = np.sort(pts % 1.0)
+    idx = np.searchsorted(pos, cells % 1.0)
+    best = np.full(cells.shape, np.inf)
+    for off in (-1, 0):
+        diff = np.abs(pos[(idx + off) % len(pos)] - cells % 1.0)
+        best = np.minimum(best, np.minimum(diff, 1.0 - diff))
+    return best
+
+
+def reference_planar_diameter(pts):
+    if len(pts) == 1:
+        return 0.0
+    if len(pts) > 400:
+        pts = pts[ConvexHull(pts).vertices]
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((d**2).sum(-1)).max())
+
+
+def circle_sets():
+    dom = Domain.circle(997)
+    one = np.zeros(997, bool)
+    one[3] = True
+    antipodal = np.zeros(1000, bool)
+    antipodal[[0, 500]] = True
+    return {
+        "arc-across-0": rasterize_disk(dom, Disk(0.02, 0.1)),
+        "two-arcs-across-0": rasterize_disk(dom, Disk(0.98, 0.05)).union(
+            rasterize_disk(dom, Disk(0.4, 0.01))),
+        "one-point": GridSet(dom, one),
+        "antipodal-pair": GridSet(Domain.circle(1000), antipodal),
+        "sparse": GridSet(dom, rng_from(5).random(997) < 0.01),
+    }
+
+
+@pytest.mark.parametrize("name", list(circle_sets()))
+def test_circle_diameter_matches_wraparound_scan(name):
+    s = circle_sets()[name]
+    assert diameter(s) == reference_circle_diameter(s.included_points())
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[0.98, 0.01, 0.5], [0.3], [0.25, 0.75], [0.999, 0.0005], [1.2, -0.1]],
+    ids=["across-0", "one-point", "antipodal-pair", "both-ends", "off-the-unit-interval"],
+)
+def test_circle_nearest_distances_match_wraparound_scan(points):
+    pts = np.array(points)
+    for s in circle_sets().values():
+        want = reference_nearest(s.included_points(), pts)
+        assert np.array_equal(nearest_point_distances(s, pts), want)
+
+
+@pytest.mark.parametrize("count", [1, 2, 399, 400, 401, 2000])
+def test_planar_diameter_matches_euclidean_norm(square, count):
+    # the pairwise path up to 400 cells and the hull path above it
+    cells = rng_from(count).choice(square.resolution**2, count, replace=False)
+    bits = np.zeros(square.resolution**2, bool)
+    bits[cells] = True
+    s = GridSet(square, bits.reshape(square.shape))
+    assert diameter(s) == reference_planar_diameter(s.included_points())
+
+
+def test_point_distance_broadcasts():
+    a = rng_from(1).random((7, 1, 2))
+    b = rng_from(2).random((1, 5, 2))
+    d = a - b
+    assert np.array_equal(point_distance("planar", a, b), np.sqrt((d**2).sum(-1)))
+    assert point_distance("circle", 0.9, np.array([0.1, 0.5])).tolist() == [
+        min(abs(0.9 - x), 1.0 - abs(0.9 - x)) for x in (0.1, 0.5)]
 
 
 def test_boundary_ring(square):
@@ -444,6 +538,41 @@ def test_pgm_roundtrip_property(tmp_path_factory, circle, res, binary, density, 
     if not circle:
         other = Domain.planar((-2.0, 3.0, 1.0, 1.5), res)
         assert np.array_equal(read_pgm(path, other).bitmap, s.bitmap)
+
+
+def test_pgm_pixel_not_a_number(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P2\n4 4\n1\n" + b"0 " * 7 + b"x " + b"1 " * 8)
+    with pytest.raises(ValidationError):
+        read_pgm(path)
+
+
+def reference_points_csv(points, path):
+    # csv.writer with every value as repr(float(x))
+    pts = np.asarray(points)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["x", "y"] if pts.ndim == 2 else ["x"])
+        for row in pts:
+            writer.writerow([repr(float(x)) for x in np.atleast_1d(row)])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        rng_from(3).normal(size=(500, 2)) * 1e3,
+        rng_from(4).random(300),
+        np.empty((0, 2)),
+        np.array([[0.5, -0.0]]),
+        np.array([[5e-324, -2.5e-310], [1e300, np.inf]]),
+        np.arange(4),
+    ],
+    ids=["planar", "circle", "empty", "one-row", "subnormal-and-huge", "integers"],
+)
+def test_points_csv_bytes_match_csv_writer(tmp_path, points):
+    write_points_csv(points, tmp_path / "a.csv")
+    reference_points_csv(points, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 @pytest.mark.parametrize("binary", [True, False])
