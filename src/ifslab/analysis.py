@@ -320,9 +320,15 @@ def empirical_distortion(
         logdet = np.zeros(pts0.shape[0])
         for i, sym in enumerate(order):
             m, const = maps[sym], consts[sym]
-            logdet += m.log_abs_det(pts) if const is None else const
-            if i <= live:
-                pts = m.eval(pts)
+            if const is not None:
+                logdet += const
+                if i < live:
+                    pts = m.eval(pts)
+            elif i < live:
+                pts, step = m.eval_log_abs_det(pts)
+                logdet += step
+            else:
+                logdet += m.log_abs_det(pts)
         ratios = np.exp(logdet[:pair_count] - logdet[pair_count:])
         lo = min(lo, float(ratios.min()))
         hi = max(hi, float(ratios.max()))

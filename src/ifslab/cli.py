@@ -339,13 +339,15 @@ def _build_parser() -> _Parser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Fold --config key=value entries in as defaults; flags still win."""
-    if "--config" not in argv:
+    i = next((k for k, tok in enumerate(argv) if tok.split("=", 1)[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if argv[i] != "--config":  # the --config=PATH spelling
+        path, rest = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1 :]
+    elif i + 1 < len(argv):
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
         raise _UsageError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
     extra: list[str] = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -236,9 +236,9 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, within: GridSet | None = None) 
         if within is not None:
             out[within.bitmap] = hits
     if pushed:
-        fwd_pts = a.included_points()
+        cells = np.nonzero(a.bitmap)
         for m in pushed:
-            out |= geometry.points_to_gridset(a.domain, m.eval(fwd_pts)).bitmap
+            out |= geometry.points_to_gridset(a.domain, m.eval_cells(a.domain, cells)).bitmap
     return GridSet(a.domain, out)
 
 

@@ -108,6 +108,13 @@ class Domain:
         ys = ymin + (np.arange(n) + 0.5) * dy
         return (xs, ys)
 
+    def centers_at(self, index) -> np.ndarray:
+        """Centers of the cells at ``np.nonzero``-style index arrays:
+        (m, 2) planar, (m,) circle."""
+        # read off the axes, so a sparse set never builds the whole grid
+        coords = [xs[i] for xs, i in zip(self.axis_centers(), index)]
+        return coords[0] if self.kind == CIRCLE else np.stack(coords, axis=-1)
+
     def cell_centers(self) -> np.ndarray:
         """All cell centers: shape (n, n, 2) planar, (n,) circle."""
         if self.kind == CIRCLE:
@@ -244,9 +251,7 @@ class GridSet:
 
     def included_points(self) -> np.ndarray:
         """Centers of included cells: (m, 2) planar, (m,) circle."""
-        # read off the axes, so a sparse set never builds the whole grid
-        coords = [xs[i] for xs, i in zip(self.domain.axis_centers(), np.nonzero(self.bitmap))]
-        return coords[0] if self.domain.kind == CIRCLE else np.stack(coords, axis=-1)
+        return self.domain.centers_at(np.nonzero(self.bitmap))
 
 
 def full_set(domain: Domain) -> GridSet:

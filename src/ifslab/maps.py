@@ -54,7 +54,12 @@ def circle_position(x: float) -> float:
 
 def _det(j):
     """Determinants of a field of 2x2 matrices with shape (..., 2, 2)."""
-    return j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
+    return _det_of_entries(j[..., 0, 0], j[..., 0, 1], j[..., 1, 0], j[..., 1, 1])
+
+
+def _det_of_entries(j00, j01, j10, j11):
+    """Determinants of the 2x2 matrices [[j00, j01], [j10, j11]], entrywise."""
+    return j00 * j11 - j01 * j10
 
 
 class Map:
@@ -69,6 +74,14 @@ class Map:
 
     def eval(self, x):
         raise NotImplementedError
+
+    def eval_cells(self, domain, index):
+        """Images of the centers of the domain cells at ``np.nonzero`` index arrays."""
+        return self.eval(domain.centers_at(index))
+
+    def eval_log_abs_det(self, x):
+        """(eval(x), log_abs_det(x)), for a caller that needs both at x."""
+        return self.eval(x), self.log_abs_det(x)
 
     def jacobian(self, x):
         """2x2 matrices with shape (..., 2, 2), or scalar derivatives."""
@@ -129,7 +142,10 @@ class AffineSimilarity(Map):
 
     def eval(self, x):
         pts = _planar_points(x)
-        return pts @ self._rows + self._offset
+        image = pts @ self._rows
+        # in place: a batch of m points holds one (m, 2) array fewer
+        image += self._offset
+        return image
 
     def jacobian(self, x):
         pts = _planar_points(x)
@@ -225,43 +241,95 @@ class Perturbed(Map):
             object.__setattr__(
                 self, "_phases", rng.uniform(0, 2 * np.pi, size=(2, 2))
             )
+            object.__setattr__(self, "_half_amplitude", 0.5 * self.amplitude)
         object.__setattr__(self, "kind", self.base.kind)
         object.__setattr__(self, "invertible", self.base.invertible)
+
+    # The planar bump is p(u, v) = a/2 (sin(u + f00) sin(v + f01),
+    # sin(u + f10) sin(v + f11)).  Every method below takes the sine and
+    # cosine of each of its four shifted arguments at most once per point.
+
+    def _circle_angle(self, pts):
+        return 2 * np.pi * pts + self._phase
+
+    def _arguments(self, u, v):
+        """The bump's shifted arguments, as a (u, v) pair per output axis."""
+        ph = self._phases
+        return (u + ph[0, 0], v + ph[0, 1]), (u + ph[1, 0], v + ph[1, 1])
+
+    def _trig(self, pts):
+        """(sine pairs, cosine pairs) of the arguments at planar points."""
+        args = self._arguments(pts[..., 0], pts[..., 1])
+        return (
+            tuple((np.sin(a), np.sin(b)) for a, b in args),
+            tuple((np.cos(a), np.cos(b)) for a, b in args),
+        )
+
+    def _add_bump(self, image, sine_pairs):
+        """Add the bump into the base image in place, given the sines of the
+        (u, v) arguments of each output axis in turn."""
+        # every planar eval returns a new array, so nothing else sees the write
+        for axis, (su, sv) in enumerate(sine_pairs):
+            image[..., axis] += self._half_amplitude * (su * sv)
+        return image
+
+    def _jacobian_entries(self, pts, sines, cosines):
+        """The four Jacobian entries j00, j01, j10, j11 at planar points."""
+        ((su0, sv0), (su1, sv1)), ((cu0, cv0), (cu1, cv1)) = sines, cosines
+        a = self._half_amplitude
+        bj = self.base.jacobian(pts)
+        return (
+            bj[..., 0, 0] + a * cu0 * sv0,
+            bj[..., 0, 1] + a * su0 * cv0,
+            bj[..., 1, 0] + a * cu1 * sv1,
+            bj[..., 1, 1] + a * su1 * cv1,
+        )
 
     def eval(self, x):
         if self.kind == "circle":
             pts = np.asarray(x, dtype=float)
-            bump = np.sin(2 * np.pi * pts + self._phase) / (2 * np.pi)
+            bump = np.sin(self._circle_angle(pts)) / (2 * np.pi)
             return (self.base.eval(pts) + self.amplitude * bump) % 1.0
         pts = _planar_points(x)
-        u = pts[..., 0]
-        v = pts[..., 1]
-        ph = self._phases
-        bump = np.stack(
-            [
-                np.sin(u + ph[0, 0]) * np.sin(v + ph[0, 1]),
-                np.sin(u + ph[1, 0]) * np.sin(v + ph[1, 1]),
-            ],
-            axis=-1,
-        )
-        return self.base.eval(pts) + 0.5 * self.amplitude * bump
+        args = self._arguments(pts[..., 0], pts[..., 1])
+        return self._add_bump(self.base.eval(pts), ((np.sin(a), np.sin(b)) for a, b in args))
+
+    def eval_cells(self, domain, index):
+        if self.kind == "circle":
+            return super().eval_cells(domain, index)
+        # each sine is taken on the n axis values and gathered per cell; the
+        # gathered entry had the same float as input, so the bits agree
+        (xs, ys), (ix, iy) = domain.axis_centers(), index
+        sines = [(np.sin(a), np.sin(b)) for a, b in self._arguments(xs, ys)]
+        image = self.base.eval(domain.centers_at(index))
+        # gathered one axis at a time, so only one pair of cell arrays is alive
+        return self._add_bump(image, ((su[ix], sv[iy]) for su, sv in sines))
+
+    def eval_log_abs_det(self, x):
+        if self.kind == "circle":
+            return super().eval_log_abs_det(x)
+        pts = _planar_points(x)
+        sines, cosines = self._trig(pts)
+        det = _det_of_entries(*self._jacobian_entries(pts, sines, cosines))
+        return self._add_bump(self.base.eval(pts), sines), np.log(np.abs(det))
 
     def jacobian(self, x):
         if self.kind == "circle":
             pts = np.asarray(x, dtype=float)
-            dbump = np.cos(2 * np.pi * pts + self._phase)
+            dbump = np.cos(self._circle_angle(pts))
             return self.base.jacobian(pts) + self.amplitude * dbump
         pts = _planar_points(x)
-        u = pts[..., 0]
-        v = pts[..., 1]
-        ph = self._phases
-        a = 0.5 * self.amplitude
-        dj = np.empty(pts.shape[:-1] + (2, 2))
-        dj[..., 0, 0] = a * np.cos(u + ph[0, 0]) * np.sin(v + ph[0, 1])
-        dj[..., 0, 1] = a * np.sin(u + ph[0, 0]) * np.cos(v + ph[0, 1])
-        dj[..., 1, 0] = a * np.cos(u + ph[1, 0]) * np.sin(v + ph[1, 1])
-        dj[..., 1, 1] = a * np.sin(u + ph[1, 0]) * np.cos(v + ph[1, 1])
-        return self.base.jacobian(pts) + dj
+        j = np.empty(pts.shape[:-1] + (2, 2))
+        j[..., 0, 0], j[..., 0, 1], j[..., 1, 0], j[..., 1, 1] = self._jacobian_entries(
+            pts, *self._trig(pts)
+        )
+        return j
+
+    def jacobian_det(self, x):
+        if self.kind == "circle":
+            return super().jacobian_det(x)
+        pts = _planar_points(x)
+        return _det_of_entries(*self._jacobian_entries(pts, *self._trig(pts)))
 
     def inverse(self) -> "Map":
         if not self.invertible:
@@ -292,7 +360,8 @@ class _NewtonInverse(Map):
             r = self.target.eval(z) - w
             if circle:
                 r = (r + 0.5) % 1.0 - 0.5
-            if np.max(np.abs(r)) < _NEWTON_TOL:
+            # initial=0.0: an empty batch has converged, not failed
+            if np.max(np.abs(r), initial=0.0) < _NEWTON_TOL:
                 return z % 1.0 if circle else z
             if step == _NEWTON_MAX_ITER:
                 raise ConvergenceError(
@@ -323,6 +392,10 @@ class _NewtonInverse(Map):
 
     def log_abs_det(self, w):
         return -self.target.log_abs_det(self.eval(w))
+
+    def eval_log_abs_det(self, w):
+        z = self.eval(w)
+        return z, -self.target.log_abs_det(z)
 
     def inverse(self) -> Map:
         return self.target

@@ -464,6 +464,46 @@ def test_distortion_affine_tail_pinned():
     assert (e.emp_min, e.emp_max) == (0.9930757685080619, 1.0027492847383925)
     e = empirical_distortion(SystemSpec(gens, include_inverses=True), region, 6, 5, 8, seed=6)
     assert (e.emp_min, e.emp_max) == (0.9860843897370446, 1.0212010206108262)
+    # families where every step, or every step but the rotation's, takes the
+    # fused image/log-det step (the inverses are Newton inverses); recorded
+    # before that step existed
+    all_perturbed = (
+        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
+        Perturbed(AffineSimilarity(0.7, 30.0, (0.4, 0.0)), 0.03, seed=5),
+        Perturbed(AffineSimilarity(0.61, 77.0, (-0.3, 0.2)), 0.01, seed=8),
+    )
+    circle = (
+        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4),
+        CircleRotation(0.6180339887498949),
+        CircleNorthSouth(0.6, 0.37),
+    )
+    circle_region = full_set(Domain.circle(256))
+    for family, where, inverses, expected in (
+        (all_perturbed, region, False, (0.9871399686726957, 1.0132746965805486)),
+        (all_perturbed, region, True, (0.9429197916202883, 1.1349986328733082)),
+        (circle, circle_region, False, (0.11810399619636539, 10.09147662437497)),
+        (circle, circle_region, True, (0.023861859623638872, 112.63261254939911)),
+    ):
+        e = empirical_distortion(SystemSpec(family, inverses), where, 6, 5, 8, seed=6)
+        assert (e.emp_min, e.emp_max) == expected
+
+
+def test_perturbed_attractor_pinned():
+    # every member is pushed forward; recorded before the push gathered each
+    # bump's sines from the chart's axes
+    import hashlib
+
+    from ifslab.geometry import ball_domain
+
+    res = 256
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    sys = SystemSpec(tuple(Perturbed(g, 0.01, 20 + i) for i, g in enumerate(built.system.generators)))
+    ball = built.absorbing_ball
+    result = attractor(sys, ball, tol=2 * ball_domain(ball, res).cell_sizes[0], resolution=res)
+    assert result.iterations == 14
+    assert repr(result.final_hausdorff) == "0.18230096702465678"
+    digest = hashlib.sha256(np.packbits(result.attractor.bitmap)).hexdigest()
+    assert digest == "6f0ca5952a5efd4add372db84a512d93f5b1b0f37f6da632c842b0b68cb20aa1"
 
 
 # -- vacuous verdicts ----------------------------------------------------------

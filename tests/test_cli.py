@@ -58,14 +58,17 @@ def test_minimality_report_and_determinism(tmp_path, gold_system_file):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--epsilon", "0.02"], ["--epsilon=0.02"]], ids=["separate", "equals"]
+    "config_equals, flag",
+    [(False, ["--epsilon", "0.02"]), (False, ["--epsilon=0.02"]), (True, ["--epsilon", "0.02"])],
+    ids=["separate", "equals", "config-equals"],
 )
-def test_config_file_defaults_with_flag_override(tmp_path, gold_system_file, flag):
+def test_config_file_defaults_with_flag_override(tmp_path, gold_system_file, config_equals, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epsilon=0.5\nmax-word-len=200\nsamples=4\nresolution=1024\n")
     out = tmp_path / "cfg_out"
+    config = [f"--config={cfg}"] if config_equals else ["--config", cfg]
     code = run(
-        ["--config", cfg, "minimality", "--system", gold_system_file, *flag, "--out", out]
+        [*config, "minimality", "--system", gold_system_file, *flag, "--out", out]
     )
     assert code == 0
     doc = json.loads((out / "report.json").read_text())

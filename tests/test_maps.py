@@ -12,6 +12,7 @@ from ifslab.errors import (
     DimensionError,
     ValidationError,
 )
+from ifslab.geometry import Domain, GridSet
 from ifslab.maps import (
     AffineSimilarity,
     CircleNorthSouth,
@@ -563,3 +564,70 @@ def test_affine_eval_matches_column_vector_reference(scale, angle, anchor, shape
     t = AffineSimilarity(scale, angle, anchor)
     assert np.array_equal(t.eval(pts), ref)
     assert np.array_equal(t.jacobian(pts), np.broadcast_to(m, shape[:-1] + (2, 2)))
+
+
+# -- the fused log-det step and the gathered cell evaluation -------------------
+
+
+def _cell_sets(domain):
+    """Empty, one-cell, sparse and full bitmaps on the domain."""
+    one = np.zeros(domain.shape, dtype=bool)
+    one[(3,) * len(domain.shape)] = True
+    sparse = rng_from(17).uniform(size=domain.shape) < 0.05
+    return [np.zeros(domain.shape, dtype=bool), one, sparse, np.ones(domain.shape, dtype=bool)]
+
+
+def _check_fused_and_gathered(m, domain):
+    for bits in _cell_sets(domain):
+        pts = GridSet(domain, bits).included_points()
+        image = m.eval(pts)
+        gathered = m.eval_cells(domain, np.nonzero(bits))
+        assert gathered.shape == image.shape
+        assert np.array_equal(gathered, image)
+        fused_image, fused_logdet = m.eval_log_abs_det(pts)
+        assert np.array_equal(fused_image, image)
+        assert np.array_equal(fused_logdet, m.log_abs_det(pts))
+
+
+_PLANAR_CHART = Domain.planar((-1.5, 1.0, -0.5, 2.0), 48)
+_CIRCLE_CHART = Domain.circle(256)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        AffineSimilarity(0.8, 120.0, (0.1, 0.1)),
+        CircleRotation(0.6180339887498949),
+        CircleNorthSouth(0.6, 0.37),
+        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
+        Perturbed(Perturbed(AffineSimilarity(0.7, 30.0), 0.05, seed=8), 0.01, seed=9),
+        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4),
+        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3).inverse(),
+        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4).inverse(),
+    ],
+    ids=[
+        "affine", "rotation", "north-south", "perturbed", "perturbed-twice",
+        "perturbed-circle", "newton", "newton-circle",
+    ],
+)
+def test_fused_and_gathered_steps_match_eval(m):
+    domain = _CIRCLE_CHART if m.kind == "circle" else _PLANAR_CHART
+    _check_fused_and_gathered(m, domain)
+    # a lone point takes the same route as a batch
+    x = 0.3 if m.kind == "circle" else np.array([0.3, -0.2])
+    image, logdet = m.eval_log_abs_det(x)
+    assert np.array_equal(image, m.eval(x))
+    assert np.array_equal(logdet, m.log_abs_det(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    amplitude=st.sampled_from([0.0, 1e-3, 0.01]) | st.floats(0.0, 0.3),
+    circle=st.booleans(),
+    inverse=st.booleans(),
+)
+def test_fused_and_gathered_steps_match_eval_property(seed, amplitude, circle, inverse):
+    base = CircleNorthSouth(0.7, 0.2) if circle else AffineSimilarity(0.76, 179.0, (0.4, -0.3))
+    m = Perturbed(base, amplitude, seed)
+    _check_fused_and_gathered(m.inverse() if inverse else m, _CIRCLE_CHART if circle else _PLANAR_CHART)
