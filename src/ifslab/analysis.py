@@ -70,13 +70,17 @@ def _quantize_key_planar(pts: np.ndarray, q: float) -> np.ndarray:
     return k[..., 0] * np.int64(1 << 32) + k[..., 1]
 
 
-def _orbit_points(sys: SystemSpec, start, max_word_len: int, epsilon: float) -> np.ndarray:
+def _orbit_points(
+    sys: SystemSpec, start, max_word_len: int, epsilon: float
+) -> tuple[np.ndarray, bool]:
     """Breadth-first orbit of one start point with proximity pruning.
 
     A branch stops expanding once its point lands in an occupied pruning
     cell; cells are sized so that same-cell points are within epsilon/2 of
     each other.  Every visited point is an orbit point.  The enumeration
-    budget of 10^7 map evaluations applies per start point.
+    budget of 10^7 map evaluations applies per start point; returns the
+    orbit found and whether that budget ran out before the enumeration
+    finished, in which case the orbit is partial.
     """
     circle = sys.kind == CIRCLE
     q = (epsilon / 2.0) if circle else epsilon / (2.0 * math.sqrt(2.0))
@@ -97,7 +101,7 @@ def _orbit_points(sys: SystemSpec, start, max_word_len: int, epsilon: float) -> 
         for m in maps:
             evals += frontier.shape[0]
             if evals > _EVAL_BUDGET:
-                raise _BudgetSignal(np.concatenate(collected))
+                return np.concatenate(collected), True
             img = m.eval(frontier)
             imgs.append(img)
             if circle:
@@ -117,12 +121,7 @@ def _orbit_points(sys: SystemSpec, start, max_word_len: int, epsilon: float) -> 
         keys.update(cat_keys[fresh].tolist())
         frontier = cat_pts[fresh]
         collected.append(frontier)
-    return np.concatenate(collected)
-
-
-class _BudgetSignal(Exception):
-    def __init__(self, partial_orbit):
-        self.partial_orbit = partial_orbit
+    return np.concatenate(collected), False
 
 
 def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
@@ -169,16 +168,14 @@ def minimality_test(
         )
 
     for i in range(samples):
-        try:
-            orbit = _orbit_points(sys, starts[i], max_word_len, epsilon)
-        except _BudgetSignal as sig:
-            worst = max(worst, _uncovered_count(region, sig.partial_orbit, epsilon))
+        orbit, exhausted = _orbit_points(sys, starts[i], max_word_len, epsilon)
+        worst = max(worst, _uncovered_count(region, orbit, epsilon))
+        if exhausted:
             raise BudgetExceededError(
                 f"word budget of {_EVAL_BUDGET} evaluations exhausted "
                 f"after {i + 1} of {samples} samples",
                 partial=report(i + 1),
-            ) from None
-        worst = max(worst, _uncovered_count(region, orbit, epsilon))
+            )
     return report(samples)
 
 
@@ -386,7 +383,8 @@ def distortion_report(
     seed: int = 0,
 ) -> DistortionReport:
     """Full pipeline: estimate C and xi, form the bound, check it empirically."""
-    _require_positive(word_count=word_count, pair_count=pair_count, holder_pairs=holder_pairs)
+    _require_positive(word_length=word_length, word_count=word_count, pair_count=pair_count,
+                      holder_pairs=holder_pairs)
     c = max(holder_constant(m, alpha, delta_set, holder_pairs, seed) for m in sys.maps())
     xi = contraction_factor(sys, delta_set, holder_pairs, seed)
     diam = geometry.diameter(delta_set)
@@ -541,6 +539,9 @@ def ergodicity_probe(
     this resolution, not as a proof.
     """
     _require_positive(seed_sets=seed_sets)
+    if refine_steps < 0:
+        # 0 still scores the seed sets themselves
+        raise ValidationError(f"refine_steps must be >= 0, got {refine_steps}")
     for m in sys.maps():
         if not m.invertible:
             raise InvertibilityError("ergodicity probe needs invertible generators")

@@ -121,6 +121,8 @@ def _cmd_minimality(args, out_dir: Path) -> int:
 
 
 def _cmd_distortion(args, out_dir: Path) -> int:
+    if args.shrink_max_r < 0:
+        raise ValidationError(f"--shrink-max-r must be >= 0, got {args.shrink_max_r}")
     sys_spec = _load_system(args.system)
     region = _region_from_args(args, sys_spec.kind)
     rep = analysis.distortion_report(
@@ -229,10 +231,7 @@ def _cmd_circle(args, out_dir: Path) -> int:
 def _cmd_packing(args, out_dir: Path) -> int:
     if args.packing_mode == "verify":
         inst = packing.read_instance(args.instance)
-        rep = packing.verify_conditions(inst)
-        doc = rep.to_json_dict()
-        doc["contradiction"] = packing.contradiction_bound(inst)
-        _write_report(out_dir, doc, args.seed)
+        _write_report(out_dir, packing.verify_conditions(inst).to_json_dict(), args.seed)
         return 0
     # greedy
     domain = None
@@ -248,7 +247,6 @@ def _cmd_packing(args, out_dir: Path) -> int:
     )
     packing.write_instance(inst, out_dir / "instance.json", out_dir / "target.pgm")
     doc = rep.to_json_dict()
-    doc["contradiction"] = packing.contradiction_bound(inst)
     doc["disks_placed"] = len(inst.family)
     _write_report(out_dir, doc, args.seed)
     return 0

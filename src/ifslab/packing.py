@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +60,20 @@ class PackingReport:
     feasible: bool
     centers_in_complement_density_points: bool
     covered_fraction: float
+    contradiction: dict  # both sides of the chain, from contradiction_bound
 
     def to_json_dict(self) -> dict:
         return dict(asdict(self), margins=list(self.margins))
+
+
+class FullGrids(NamedTuple):
+    """The full-grid bitmaps of one instance and the two volumes they give."""
+
+    target: np.ndarray
+    ambient: np.ndarray
+    union: np.ndarray
+    vol_ambient: float
+    vol_union: float
 
 
 def _ring_volume(domain: Domain, d: Disk) -> float:
@@ -75,26 +87,6 @@ def _volume(bits: np.ndarray, cells: int) -> float:
     return int(np.count_nonzero(bits)) / cells
 
 
-def _rasterize(inst: PackingInstance):
-    """(ambient bitmap, its volume, each disk's ``disk_cells`` (window, bits),
-    their union, target density).
-
-    Only the ambient disk and the union span the whole grid; a family disk
-    is measured on its own window.
-    """
-    dom = inst.target.domain
-    amb = geometry.rasterize_disk(dom, inst.ambient).bitmap
-    vol_amb = _volume(amb, amb.size)
-    if vol_amb == 0:
-        raise ValidationError("ambient disk rasterizes to nothing")
-    disks = [geometry.disk_cells(dom, d) for d in inst.family]
-    union = np.zeros(dom.shape, dtype=bool)
-    for window, bits in disks:
-        union[window] |= bits
-    density_ratio = _volume(inst.target.bitmap & amb, amb.size) / vol_amb
-    return amb, vol_amb, disks, union, density_ratio
-
-
 def verify_conditions(inst: PackingInstance) -> PackingReport:
     """Check the four packing conditions on the grid, with signed margins.
 
@@ -104,12 +96,21 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     separate flag records whether every family center lies in the
     rasterized density points of the complement of the target (threshold
     3/4), which is the packing problem's premise rather than a numbered
-    condition.
+    condition.  The instance is rasterized once: only the ambient disk and
+    the union span the whole grid, and each family disk is measured on its
+    own ``disk_cells`` window.
     """
     dom = inst.target.domain
     target = inst.target.bitmap
-    amb, vol_amb, disks, union, density_ratio = _rasterize(inst)
+    amb = geometry.rasterize_disk(dom, inst.ambient).bitmap
     n = amb.size
+    vol_amb = _volume(amb, n)
+    if vol_amb == 0:
+        raise ValidationError("ambient disk rasterizes to nothing")
+    disks = [geometry.disk_cells(dom, d) for d in inst.family]
+    union = np.zeros(dom.shape, dtype=bool)
+    for window, bits in disks:
+        union[window] |= bits
     rings = [_ring_volume(dom, d) for d in inst.family]
 
     # (1) each disk inside the ambient ball
@@ -150,21 +151,24 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     else:
         centers_ok = True
 
+    chain = contradiction_bound(FullGrids(target, amb, union, vol_amb, vol_union))
     return PackingReport(
         cond1=c1,
         cond2=c2,
         cond3=c3,
         cond4=c4,
         margins=(m1, m2, m3, m4),
-        density_premise=density_ratio,
+        density_premise=chain["density_ratio"],
         feasible=c1 and c2 and c3 and c4,
         centers_in_complement_density_points=centers_ok,
         covered_fraction=vol_union / vol_amb,
+        contradiction=chain,
     )
 
 
-def contradiction_bound(inst: PackingInstance) -> dict:
-    """Both sides of the feasibility-vs-density chain.
+def contradiction_bound(grids: FullGrids) -> dict:
+    """Both sides of the feasibility-vs-density chain, from the full grids
+    :func:`verify_conditions` holds; it rasterizes nothing.
 
     When conditions (2)-(4) hold, the complement volume inside the union
     exceeds half the union volume, and with (3) the complement inside the
@@ -172,10 +176,9 @@ def contradiction_bound(inst: PackingInstance) -> dict:
     of the ambient ball the complement is below 1/4 < 1/3, so no family
     can satisfy all four conditions; ``forced_infeasible`` flags that case.
     """
-    target = inst.target.bitmap
-    amb, vol_amb, _, union, density_ratio = _rasterize(inst)
+    target, amb, union, vol_amb, vol_union = grids
     n = amb.size
-    vol_union = _volume(union, n)
+    density_ratio = _volume(target & amb, n) / vol_amb
     lower_bound = 0.5 * vol_union
     actual = _volume(amb & ~target, n)
     return {
@@ -231,7 +234,7 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
     centers = dom.cell_centers()
     # largest radius at each cell honoring (1) and (2)
     avail = ambient.radius - geometry.point_distance(dom.kind, centers, ambient.center)
-    amb_vol = geometry.volume(geometry.rasterize_disk(dom, ambient))
+    amb_vol = _volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
 
     placed: list[Disk] = []
     union = np.zeros(dom.shape, dtype=bool)

@@ -41,7 +41,6 @@ from ifslab.geometry import (
 from ifslab.maps import CircleNorthSouth, CircleRotation, Perturbed, SystemSpec, Word
 from ifslab.packing import (
     PackingInstance,
-    contradiction_bound,
     greedy_pack,
     verify_conditions,
 )
@@ -284,7 +283,7 @@ def criterion_8() -> dict:
                 fam = _random_disjoint_family(dom, ambient, rng, max_disks=8)
         inst_i = PackingInstance(ambient, target, fam)
         rep_i = verify_conditions(inst_i)
-        cb = contradiction_bound(inst_i)
+        cb = rep_i.contradiction
         if rep_i.cond2 and rep_i.cond4 and fam:
             if not cb["complement_in_union"] > 0.5 * cb["union_volume"] - slack:
                 violations += 1

@@ -520,9 +520,12 @@ def test_perturbed_attractor_pinned():
         lambda sys, region: distortion_report(sys, region, 1.0, 10, 8, 8, holder_pairs=0),
         lambda sys, region: holder_constant(sys.maps()[0], 1.0, region, 0),
         lambda sys, region: contraction_factor(sys, region, 0),
+        lambda sys, region: distortion_report(sys, region, 1.0, 0, 8, 8),
+        lambda sys, region: ergodicity_probe(sys, 64, refine_steps=-1, domain=region.domain),
     ],
     ids=["samples", "seed_sets", "word_count", "pair_count", "empirical_word_count",
-         "holder_pairs", "holder_pair_samples", "contraction_samples"],
+         "holder_pairs", "holder_pair_samples", "contraction_samples", "word_length",
+         "refine_steps"],
 )
 def test_probe_rejects_empty_sample(probe):
     # a probe that examined nothing must not return a verdict

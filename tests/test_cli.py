@@ -1,14 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ifslab
 from ifslab.cli import main
-from ifslab.geometry import Domain, empty_set, read_pgm, write_pgm
+from ifslab.geometry import Domain, GridSet, empty_set, read_pgm, write_pgm
 
 
 GOLD_SYSTEM = "moebius lambda=0.7 pole=0.0\nrotation angle=0.6180339887498949\n"
@@ -221,6 +223,37 @@ def test_packing_greedy_and_exit_codes(tmp_path):
     assert run(["packing", "verify", "--out", tmp_path / "x"]) == 1
 
 
+# a hexagonal family of radius 1/8 around the center of a 0.4 ambient disk,
+# written as literals so no trig routine enters the instance
+HEX_FAMILY = [(0.5, 0.5), (0.76, 0.5), (0.63, 0.725167), (0.37, 0.725167),
+              (0.24, 0.5), (0.37, 0.274833), (0.63, 0.274833)]
+
+
+@pytest.mark.parametrize(
+    "target_kind, digest",
+    [
+        ("empty", "61d7f300e7d98fe776d9947a7312960b7e5351635fe2d0edba9de84cb91a8658"),
+        ("checkerboard", "c94cbc4fc51f4d749944c488fdaf7ff5df09385538fb9a225b1ac2483f701853"),
+    ],
+)
+def test_packing_verify_report_bytes_pinned(tmp_path, target_kind, digest):
+    # report.json of `packing verify` on a 128^2 instance, byte for byte
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 128)
+    ix = np.arange(128)[:, None]
+    iy = np.arange(128)[None, :]
+    bitmap = (ix + 2 * iy) % 5 != 0 if target_kind == "checkerboard" else np.zeros(dom.shape, bool)
+    write_pgm(GridSet(dom, bitmap), tmp_path / "target.pgm")
+    doc = {
+        "ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4},
+        "target": str(tmp_path / "target.pgm"),
+        "family": [{"cx": cx, "cy": cy, "r": 0.125} for cx, cy in HEX_FAMILY],
+    }
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    out = tmp_path / "pv"
+    assert run(["packing", "verify", "--instance", tmp_path / "inst.json", "--out", out]) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
 def test_probe_error_exit_code(tmp_path):
     # a rotation is not a contraction: the distortion pipeline must fail
     # with a validation error -> exit 1
@@ -278,6 +311,10 @@ def test_shrink_horizon_exit_two(tmp_path):
            '{"ambient": {"cx": 0.5, "cy": 0.5, "r": 0.4}, "family": [], "target": %s}' % t)
           for t in ("null", "0", "true")],
         (["circle", "--amplitudes", "0.01,abc"], None, None),
+        (["distortion", "--system", "{file}", "--resolution", "64", "--word-length", "0"],
+         None, "affine kappa=0.5 theta=30\n"),
+        (["distortion", "--system", "{file}", "--resolution", "64", "--shrink-radius", "0.5",
+          "--shrink-max-r", "-1"], None, "affine kappa=0.5 theta=30\n"),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -286,7 +323,7 @@ def test_shrink_horizon_exit_two(tmp_path):
          "system-perturb-base-not-a-number", "system-inverse-scale-infinite",
          "instance-without-target", "instance-is-a-list",
          "instance-target-null", "instance-target-zero", "instance-target-true",
-         "amplitude-not-a-number"],
+         "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;

@@ -17,7 +17,6 @@ from ifslab.geometry import (
 from ifslab.packing import (
     COVER_FRACTION,
     PackingInstance,
-    contradiction_bound,
     greedy_pack,
     read_instance,
     verify_conditions,
@@ -130,7 +129,7 @@ def test_contradiction_bound_chain_on_feasible_instance(dom, ambient):
     inst = PackingInstance(ambient, empty_set(dom), hex_family(ambient))
     rep = verify_conditions(inst)
     assert rep.feasible
-    cb = contradiction_bound(inst)
+    cb = rep.contradiction
     # the chain: complement inside the ambient exceeds half the union volume
     assert cb["actual_complement_in_ambient"] >= cb["lower_bound"] - 0.02
     assert cb["lower_bound_fraction"] > 1.0 / 3.0
@@ -139,7 +138,7 @@ def test_contradiction_bound_chain_on_feasible_instance(dom, ambient):
 
 def test_contradiction_bound_dense_target(dom, ambient):
     inst = PackingInstance(ambient, checkerboard(dom), hex_family(ambient))
-    cb = contradiction_bound(inst)
+    cb = verify_conditions(inst).contradiction
     assert cb["premise_holds"]
     assert cb["forced_infeasible"]
     # with the premise the complement fraction is pinched below 1/4
@@ -147,7 +146,7 @@ def test_contradiction_bound_dense_target(dom, ambient):
 
 
 def test_contradiction_bound_empty_family(dom, ambient):
-    cb = contradiction_bound(PackingInstance(ambient, empty_set(dom), ()))
+    cb = verify_conditions(PackingInstance(ambient, empty_set(dom), ())).contradiction
     assert cb["lower_bound"] == 0.0
     assert not cb["forced_infeasible"]
 
@@ -192,7 +191,7 @@ def test_greedy_output_satisfies_chain(dom, ambient):
     blob = GridSet(dom, rng.random(dom.shape) < 0.2)
     inst, rep = greedy_pack(blob, ambient, 8 / RES, 200)
     if rep.cond2 and rep.cond4 and inst.family:
-        cb = contradiction_bound(inst)
+        cb = rep.contradiction
         assert cb["complement_in_union"] > 0.5 * cb["union_volume"] - 1.0 / 50.0
         if rep.cond3:
             assert cb["actual_fraction"] > 1.0 / 3.0 - 1.0 / 50.0
@@ -242,8 +241,8 @@ def full_grid_disk(dom, d):
 
 
 def reference_packing(inst):
-    """verify_conditions' report and contradiction_bound, every disk tested
-    on the full grid of cell centers."""
+    """verify_conditions' report and its contradiction chain, every disk
+    tested on the full grid of cell centers."""
     dom = inst.target.domain
     amb = full_grid_disk(dom, inst.ambient)
     vol_amb = float(amb.mean())
@@ -336,15 +335,14 @@ def test_packing_matches_full_grid_reference(dom, ambient, family, target_kind):
     }[target_kind]
     inst = PackingInstance(ambient, target, reference_families(ambient)[family])
     report, bound = reference_packing(inst)
-    assert verify_conditions(inst).to_json_dict() == report
-    assert contradiction_bound(inst) == bound
+    assert verify_conditions(inst).to_json_dict() == dict(report, contradiction=bound)
 
 
 def test_contradiction_bound_subcell_ambient_rejected(dom):
     # centered on a cell corner, a quarter-cell ambient holds no cell center
     inst = PackingInstance(Disk((0.5, 0.5), 0.25 / RES), empty_set(dom), ())
     with pytest.raises(ValidationError):
-        contradiction_bound(inst)
+        verify_conditions(inst).contradiction
     with pytest.raises(ValidationError):
         verify_conditions(inst)
 
