@@ -16,8 +16,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d, distance_transform_edt
-from scipy.signal import fftconvolve
+from scipy.ndimage import distance_transform_edt
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -321,42 +320,42 @@ def rasterize_disk(domain: Domain, d: Disk) -> GridSet:
 # ---------------------------------------------------------------------------
 
 
-def volume(s: GridSet) -> float:
-    """Normalized volume: included cells / total cells."""
-    return float(s.bitmap.mean())
-
-
-def _disk_kernel(domain: Domain, radius: float) -> np.ndarray:
-    dx, dy = domain.cell_sizes
-    if domain.kind == CIRCLE:
-        m = int(np.floor(radius / dx))
-        return np.ones(2 * m + 1)
-    mx = int(np.floor(radius / dx))
-    my = int(np.floor(radius / dy))
-    ox = (np.arange(-mx, mx + 1) * dx)[:, None]
-    oy = (np.arange(-my, my + 1) * dy)[None, :]
-    return (ox**2 + oy**2 <= radius**2).astype(float)
-
-
 def local_density(a: GridSet, radius: float) -> np.ndarray:
     """Per-cell ratio vol(a ∩ B(center, radius)) / vol(B) over the grid.
 
-    Near planar chart boundaries the ball is truncated by the chart; the
-    missing part counts as not-in-a (zero padding), which only penalizes
-    boundary cells.
+    The ball is a stack of runs, one per kernel column: cell offsets (i, j)
+    with (i*dx)**2 + (j*dy)**2 <= radius**2 on the plane, and the
+    2*floor(radius/dx) + 1 cells of one column on the circle.  Each count is
+    exact: a sum of run sums read off one integer cumsum along the last axis
+    of the bitmap, padded with wraparound on the circle and with zeros on the
+    plane, where the chart truncates the ball; this only penalizes boundary
+    cells.
     """
-    kernel = _disk_kernel(a.domain, radius)
-    ksum = kernel.sum()
+    dx, dy = a.domain.cell_sizes
+    if a.domain.kind == CIRCLE:
+        runs, mode = np.array([2 * int(np.floor(radius / dx)) + 1]), "wrap"
+    else:
+        mx, my = int(np.floor(radius / dx)), int(np.floor(radius / dy))
+        ox = (np.arange(-mx, mx + 1) * dx)[:, None]
+        oy = (np.arange(-my, my + 1) * dy)[None, :]
+        runs, mode = (ox**2 + oy**2 <= radius**2).sum(axis=1), "constant"
+    ksum = runs.sum()
     if ksum <= 1:
         raise ResolutionError("density radius is below the grid scale")
-    field = a.bitmap.astype(float)
-    if a.domain.kind == CIRCLE:
-        counts = convolve1d(field, kernel, mode="wrap")
-    else:
-        counts = fftconvolve(field, kernel, mode="same")
-    # inputs are 0/1, so true counts are integers; rounding removes FFT dust
-    counts = np.rint(counts)
-    return counts / ksum
+    n = a.domain.resolution
+    bits = a.bitmap.reshape(-1, n)
+    # runs are odd and centred; one leading pad cell makes cum[k] - cum[k - run]
+    # the run ending at padded cell k
+    h = runs.max() // 2
+    cum = np.cumsum(np.pad(bits, ((len(runs) // 2,) * 2, (h + 1, h)), mode=mode),
+                    axis=-1, dtype=np.int32)
+    counts = np.zeros(bits.shape, dtype=np.int32)
+    for i, run in enumerate(runs):
+        if run:
+            rows, r = cum[i:i + len(bits)], run // 2
+            counts += rows[:, h + 1 + r:h + 1 + r + n]
+            counts -= rows[:, h - r:h - r + n]
+    return (counts / ksum).reshape(a.domain.shape)
 
 
 def density_points(a: GridSet, radius: float, threshold: float) -> GridSet:
@@ -505,7 +504,7 @@ def sample_cells(s: GridSet, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: PGM bitmaps and disk CSV lists
+# PGM bitmaps and point CSV
 # ---------------------------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,14 @@ from scipy.spatial import ConvexHull
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ifslab
 from ifslab.errors import (
     EmptySetError,
     ResolutionError,
     ValidationError,
 )
 from ifslab.geometry import (
+    CIRCLE,
     Disk,
     Domain,
     GridSet,
@@ -23,13 +29,13 @@ from ifslab.geometry import (
     empty_set,
     full_set,
     hausdorff_distance,
+    local_density,
     nearest_point_distances,
     one_cell_ring_volume,
     point_distance,
     points_to_gridset,
     rasterize_disk,
     read_pgm,
-    volume,
     write_pgm,
     write_points_csv,
 )
@@ -66,12 +72,12 @@ def test_disk_validation():
 
 
 def test_volume_empty_and_full(square):
-    assert volume(empty_set(square)) == 0.0
-    assert volume(full_set(square)) == 1.0
+    assert float(empty_set(square).bitmap.mean()) == 0.0
+    assert float(full_set(square).bitmap.mean()) == 1.0
 
 
 def test_volume_half_plane(square):
-    assert volume(half_plane(square)) == pytest.approx(0.5, abs=1.0 / 256)
+    assert float(half_plane(square).bitmap.mean()) == pytest.approx(0.5, abs=1.0 / 256)
 
 
 def test_volume_additive_on_disjoint(square):
@@ -79,7 +85,8 @@ def test_volume_additive_on_disjoint(square):
     bits = rng.random(square.shape) < 0.3
     a = GridSet(square, bits)
     b = GridSet(square, ~bits & (rng.random(square.shape) < 0.4))
-    assert volume(a.union(b)) == pytest.approx(volume(a) + volume(b), abs=0)
+    total = float(a.bitmap.mean()) + float(b.bitmap.mean())
+    assert float(a.union(b).bitmap.mean()) == pytest.approx(total, abs=0)
 
 
 def test_density_points_half_plane_interior_and_boundary(square):
@@ -126,6 +133,60 @@ def test_density_points_preconditions(square):
         density_points(a, 4 * h, 0.4)
 
 
+def _density_by_offsets(a, radius):
+    """Counts over the kernel offsets one shifted slice at a time: zeros beyond
+    a planar chart's edges, wraparound on the circle."""
+    dom = a.domain
+    dx, dy = dom.cell_sizes
+    bits = a.bitmap.astype(np.int64)
+    n = dom.resolution
+    if dom.kind == CIRCLE:
+        m = int(np.floor(radius / dx))
+        offsets = range(-m, m + 1)
+        counts = sum(np.roll(bits, -k) for k in offsets)
+        return counts / len(offsets)
+    mx, my = int(np.floor(radius / dx)), int(np.floor(radius / dy))
+    padded = np.pad(bits, ((mx, mx), (my, my)))
+    counts = np.zeros(dom.shape, dtype=np.int64)
+    ksum = 0
+    for i in range(-mx, mx + 1):
+        for j in range(-my, my + 1):
+            if (i * dx) ** 2 + (j * dy) ** 2 <= radius**2:
+                counts += padded[mx + i:mx + i + n, my + j:my + j + n]
+                ksum += 1
+    return counts / ksum
+
+
+@pytest.mark.parametrize("cells", [2, 4, 8])
+def test_local_density_matches_offset_loop_planar(cells):
+    dom = Domain.planar((-2.0, 3.0, 0.1, 0.7), 48)
+    a = GridSet(dom, rng_from(cells).random(dom.shape) < 0.6)
+    radius = cells * dom.max_cell_size
+    assert np.array_equal(local_density(a, radius), _density_by_offsets(a, radius))
+
+
+@pytest.mark.parametrize("n", [64, 1000])
+@pytest.mark.parametrize("radius_cells", [2, 3.5, 10, None])
+def test_local_density_matches_offset_loop_circle(n, radius_cells):
+    dom = Domain.circle(n)
+    a = GridSet(dom, rng_from(n).random(dom.shape) < 0.5)
+    radius = 0.45 if radius_cells is None else radius_cells / n
+    assert np.array_equal(local_density(a, radius), _density_by_offsets(a, radius))
+
+
+def test_import_leaves_scipy_signal_and_stats_out():
+    code = (
+        "import sys, ifslab.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(ifslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_hausdorff_identity(square):
     d = rasterize_disk(square, Disk((0.5, 0.5), 0.2))
     assert hausdorff_distance(d, d) == 0.0
@@ -169,7 +230,7 @@ def test_circle_domain_wraparound():
     dom = Domain.circle(360)
     arc = rasterize_disk(dom, Disk(0.0, 0.1))
     # the arc wraps: both sides of 0 included
-    assert volume(arc) == pytest.approx(0.2, abs=2 / 360)
+    assert float(arc.bitmap.mean()) == pytest.approx(0.2, abs=2 / 360)
     assert arc.lookup(np.array([0.95]))[0]
     assert arc.lookup(np.array([0.05]))[0]
     assert not arc.lookup(np.array([0.5]))[0]
@@ -346,7 +407,7 @@ def test_rasterize_disk_matches_full_grid_rule(res, x0, y0, width, height, u, v,
 def _reference_cell(dom, p):
     """The floor rule on the half-open chart, one point at a time: a cell or None."""
     n = dom.resolution
-    if dom.kind == "circle":
+    if dom.kind == CIRCLE:
         return (min(math.floor((p % 1.0) * n), n - 1),)
     xmin, xmax, ymin, ymax = dom.bounds
     x, y = p
@@ -465,7 +526,7 @@ def _random_patch(dom, rng, start, size, density):
     """Random cells inside a box of the chart (an arc on the circle) holding at least one."""
     n = dom.resolution
     bits = np.zeros(dom.shape, bool)
-    if dom.kind == "circle":
+    if dom.kind == CIRCLE:
         idx = (start[0] + np.arange(size[0])) % n  # the arc may wrap across 0
         bits[idx] = rng.random(len(idx)) < density
         bits[idx[0]] = True
