@@ -147,7 +147,7 @@ def minimality_test(
     for any single start point raises :class:`BudgetExceededError`
     carrying the partial report.
     """
-    if epsilon < 2 * region.domain.max_cell_size:
+    if not epsilon >= 2 * region.domain.max_cell_size:
         raise ResolutionError("epsilon must be at least 2 cell widths")
     if max_word_len < 1:
         raise ValidationError("max_word_len must be >= 1")

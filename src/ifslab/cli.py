@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -34,59 +35,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_report(out_dir: Path, report: dict, seed: int) -> Path:
-    report = dict(report)
-    report["seed"] = seed
-    report["rng"] = RNG_ALGORITHM
-    path = out_dir / "report.json"
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+# argparse types: every flag value is parsed and checked here, never in a handler
 
 
-def _load_system(path: str):
-    with open(path) as f:
-        return parse_system(f.read())
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
 
 
-def _region_from_args(args, kind_hint: str):
+def _floats(n: int | None):
+    """Comma-separated finite floats: exactly ``n`` of them, or any number."""
+
+    def parse(text: str) -> tuple[float, ...]:
+        values = tuple(_finite(v) for v in text.split(","))
+        if n is not None and len(values) != n:
+            raise argparse.ArgumentTypeError(f"needs {n} comma-separated values, got {text!r}")
+        return values
+
+    return parse
+
+
+def _fraction(text: str) -> tuple[int, int]:
+    try:
+        p, q = (int(v) for v in text.split("/"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs p/q, got {text!r}") from None
+    return p, q
+
+
+def _domain(args) -> Domain | None:
+    """The planar chart --bounds/--resolution name, or None to infer it."""
+    return Domain.planar(args.bounds, args.resolution) if args.bounds else None
+
+
+def _region(args, kind: str):
     if args.region_pgm:
-        domain = None
-        if args.bounds:
-            domain = Domain.planar(args.bounds, args.resolution)
-        return geometry.read_pgm(args.region_pgm, domain)
-    if kind_hint == "circle":
+        return geometry.read_pgm(args.region_pgm, _domain(args))
+    if kind == "circle":
         return geometry.full_set(Domain.circle(args.resolution))
-    bounds = args.bounds or (0.0, 1.0, 0.0, 1.0)
-    return geometry.full_set(Domain.planar(bounds, args.resolution))
+    return geometry.full_set(_domain(args) or Domain.planar((0.0, 1.0, 0.0, 1.0), args.resolution))
 
 
-def _parse_bounds(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("bounds need 4 comma-separated values")
-    return tuple(parts)
-
-
-def _parse_point(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError("point needs 2 comma-separated values")
-    return tuple(parts)
+def _system(args):
+    return parse_system(Path(args.system).read_text())
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each runs its experiment, writes its artifacts and returns
+# the report dict that main writes as report.json
 # ---------------------------------------------------------------------------
 
 
-def _cmd_construct(args, out_dir: Path) -> int:
+def _cmd_construct(args, out_dir: Path) -> dict:
     params = construction.ConstructionParams(
-        kappa=args.kappa,
-        theta_deg=args.theta,
-        delta=args.delta,
-        u_factor=args.u_factor,
+        kappa=args.kappa, theta_deg=args.theta, delta=args.delta, u_factor=args.u_factor
     )
     result = construction.build_construction(params, args.resolution)
     absorbing = construction.check_absorbing(
@@ -100,34 +107,30 @@ def _cmd_construct(args, out_dir: Path) -> int:
         resolution=args.resolution,
         verify_absorbing=False,
     )
-    report = construction.construction_report(result, absorbing, attr)
     geometry.write_pgm(attr.attractor, out_dir / "attractor.pgm")
     geometry.write_points_csv(
         attr.attractor.included_points(), out_dir / "attractor_points.csv"
     )
     geometry.write_points_csv(np.array(result.anchors), out_dir / "anchors.csv")
-    _write_report(out_dir, report, args.seed)
-    return 0
+    return construction.construction_report(result, absorbing, attr)
 
 
-def _cmd_minimality(args, out_dir: Path) -> int:
-    sys_spec = _load_system(args.system)
-    region = _region_from_args(args, sys_spec.kind)
+def _cmd_minimality(args, out_dir: Path) -> dict:
+    sys_spec = _system(args)
     rep = analysis.minimality_test(
-        sys_spec, region, args.epsilon, args.max_word_len, args.samples, args.seed
+        sys_spec, _region(args, sys_spec.kind), args.epsilon, args.max_word_len,
+        args.samples, args.seed,
     )
-    _write_report(out_dir, rep.to_json_dict(), args.seed)
-    return 0
+    return rep.to_json_dict()
 
 
-def _cmd_distortion(args, out_dir: Path) -> int:
+def _cmd_distortion(args, out_dir: Path) -> dict:
     if args.shrink_max_r < 0:
         raise ValidationError(f"--shrink-max-r must be >= 0, got {args.shrink_max_r}")
-    sys_spec = _load_system(args.system)
-    region = _region_from_args(args, sys_spec.kind)
+    sys_spec = _system(args)
     rep = analysis.distortion_report(
         sys_spec,
-        region,
+        _region(args, sys_spec.kind),
         alpha=args.alpha,
         word_length=args.word_length,
         word_count=args.word_count,
@@ -154,102 +157,65 @@ def _cmd_distortion(args, out_dir: Path) -> int:
             "diam_at_r0": st.diam_at_r0,
             "diam_before": st.diam_before,
         }
-    _write_report(out_dir, doc, args.seed)
-    return 0
+    return doc
 
 
-def _cmd_ergodicity(args, out_dir: Path) -> int:
-    sys_spec = _load_system(args.system)
-    domain = None
-    if args.bounds:
-        domain = Domain.planar(args.bounds, args.resolution)
+def _cmd_ergodicity(args, out_dir: Path) -> dict:
     rep = analysis.ergodicity_probe(
-        sys_spec,
+        _system(args),
         args.resolution,
         seed_sets=args.seed_sets,
         refine_steps=args.refine_steps,
         seed=args.seed,
-        domain=domain,
+        domain=_domain(args),
     )
     if rep.candidate is not None:
         geometry.write_pgm(rep.candidate, out_dir / "candidate.pgm")
-    _write_report(out_dir, rep.to_json_dict(), args.seed)
-    return 0
+    return rep.to_json_dict()
 
 
-def _cmd_circle(args, out_dir: Path) -> int:
-    rational = None
-    if args.rational:
-        try:
-            p, q = (int(v) for v in args.rational.split("/"))
-        except ValueError:
-            raise ValidationError(f"--rational needs p/q, got {args.rational!r}") from None
-        rational = (p, q)
+def _cmd_circle(args, out_dir: Path) -> dict:
     params = circle.CircleExampleParams(
         multiplier=args.multiplier,
         rotation_angle=args.angle,
-        rational_approx=rational,
+        rational_approx=args.rational,
         seed=args.seed,
     )
+    probe = dict(epsilon=args.epsilon, max_word_len=args.max_word_len, samples=args.samples)
     report: dict = {"multiplier": args.multiplier, "rotation_angle": args.angle}
-    if rational is not None:
+    if args.rational is not None:
         report["substitution"] = circle.rational_substitution_experiment(
-            params,
-            epsilon=args.epsilon,
-            max_word_len=args.max_word_len,
-            samples=args.samples,
-            resolution=args.resolution,
+            params, **probe, resolution=args.resolution
         )
-    if args.amplitudes:
-        try:
-            amps = [float(a) for a in args.amplitudes.split(",")]
-        except ValueError:
-            raise ValidationError(f"--amplitudes needs numbers, got {args.amplitudes!r}") from None
+    if args.amplitudes is not None:
         sweep = circle.robustness_sweep(
-            params,
-            amps,
-            epsilon=args.epsilon,
-            max_word_len=args.max_word_len,
-            samples=args.samples,
-            resolution=min(args.resolution, 1024),
+            params, args.amplitudes, **probe, resolution=min(args.resolution, 1024)
         )
         report["sweep"] = sweep
         (out_dir / "sweep.csv").write_text(circle.sweep_rows_csv(sweep))
-    if rational is None and not args.amplitudes:
+    if args.rational is None and args.amplitudes is None:
         sys_spec = circle.build_circle_example(params)
         region = geometry.full_set(Domain.circle(args.resolution))
-        rep = analysis.minimality_test(
-            sys_spec, region, args.epsilon, args.max_word_len, args.samples, args.seed
-        )
+        rep = analysis.minimality_test(sys_spec, region, **probe, seed=args.seed)
         ergo = analysis.ergodicity_probe(sys_spec, args.resolution, seed=args.seed)
         report["minimality"] = rep.to_json_dict()
         report["ergodicity"] = ergo.to_json_dict()
-    _write_report(out_dir, report, args.seed)
-    return 0
+    return report
 
 
-def _cmd_packing(args, out_dir: Path) -> int:
-    if args.packing_mode == "verify":
-        inst = packing.read_instance(args.instance)
-        _write_report(out_dir, packing.verify_conditions(inst).to_json_dict(), args.seed)
-        return 0
-    # greedy
-    domain = None
-    if args.bounds:
-        domain = Domain.planar(args.bounds, args.resolution)
-    target = geometry.read_pgm(args.target_pgm, domain)
-    try:
-        cx, cy, r = (float(v) for v in args.ambient.split(","))
-    except ValueError:
-        raise ValidationError(f"--ambient needs cx,cy,r, got {args.ambient!r}") from None
-    inst, rep = packing.greedy_pack(
-        target, Disk((cx, cy), r), args.min_radius, args.max_disks
-    )
+def _cmd_packing_verify(args, out_dir: Path) -> dict:
+    inst = packing.read_instance(args.instance, _domain(args))
+    return packing.verify_conditions(inst).to_json_dict()
+
+
+def _cmd_packing_greedy(args, out_dir: Path) -> dict:
+    target = geometry.read_pgm(args.target_pgm, _domain(args))
+    cx, cy, r = args.ambient
+    inst, rep = packing.greedy_pack(target, Disk((cx, cy), r), args.min_radius, args.max_disks)
     packing.write_instance(inst, out_dir / "instance.json", out_dir / "target.pgm")
     doc = rep.to_json_dict()
     doc["disks_placed"] = len(inst.family)
-    _write_report(out_dir, doc, args.seed)
-    return 0
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -262,75 +228,67 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="key=value file; flags override its entries")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, handler, chart, summary):
+        p = parent.add_parser(name, help=summary)
         p.add_argument("--resolution", type=int, default=1024)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--bounds", type=_parse_bounds, default=None,
-                       help="planar chart bounds xmin,xmax,ymin,ymax")
+        if chart:
+            p.add_argument("--bounds", type=_floats(4), help="planar chart xmin,xmax,ymin,ymax")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("construct", help="build the contraction family and its attractor")
-    common(p)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--theta", type=float, default=179.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--u-factor", dest="u_factor", type=float, default=16.0)
-    p.add_argument("--tol-cells", dest="tol_cells", type=float, default=2.0)
-    p.set_defaults(handler=_cmd_construct)
+    p = command(sub, "construct", _cmd_construct, False,
+                "build the contraction family and its attractor")
+    p.add_argument("--kappa", type=_finite, required=True)
+    p.add_argument("--theta", type=_finite, default=179.0)
+    p.add_argument("--delta", type=_finite, default=1.0)
+    p.add_argument("--u-factor", type=_finite, default=16.0)
+    p.add_argument("--tol-cells", type=_finite, default=2.0)
 
-    p = sub.add_parser("minimality", help="eps-density of sampled orbits")
-    common(p)
+    p = command(sub, "minimality", _cmd_minimality, True, "eps-density of sampled orbits")
     p.add_argument("--system", required=True, help="system text file")
-    p.add_argument("--region-pgm", dest="region_pgm", default=None)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-word-len", dest="max_word_len", type=int, required=True)
+    p.add_argument("--region-pgm")
+    p.add_argument("--epsilon", type=_finite, required=True)
+    p.add_argument("--max-word-len", type=int, required=True)
     p.add_argument("--samples", type=int, default=16)
-    p.set_defaults(handler=_cmd_minimality)
 
-    p = sub.add_parser("distortion", help="bounded-distortion pipeline")
-    common(p)
+    p = command(sub, "distortion", _cmd_distortion, True, "bounded-distortion pipeline")
     p.add_argument("--system", required=True)
-    p.add_argument("--region-pgm", dest="region_pgm", default=None,
-                   help="attractor bitmap to sample from")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--word-length", dest="word_length", type=int, default=30)
-    p.add_argument("--word-count", dest="word_count", type=int, default=1000)
-    p.add_argument("--pair-count", dest="pair_count", type=int, default=256)
-    p.add_argument("--pair-samples", dest="pair_samples", type=int, default=4096)
-    p.add_argument("--shrink-center", dest="shrink_center", type=_parse_point,
-                   default=(0.0, 0.0))
-    p.add_argument("--shrink-radius", dest="shrink_radius", type=float, default=None)
-    p.add_argument("--shrink-delta", dest="shrink_delta", type=float, default=1.0)
-    p.add_argument("--shrink-max-r", dest="shrink_max_r", type=int, default=64)
-    p.set_defaults(handler=_cmd_distortion)
+    p.add_argument("--region-pgm", help="attractor bitmap to sample from")
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--word-length", type=int, default=30)
+    p.add_argument("--word-count", type=int, default=1000)
+    p.add_argument("--pair-count", type=int, default=256)
+    p.add_argument("--pair-samples", type=int, default=4096)
+    p.add_argument("--shrink-center", type=_floats(2), default=(0.0, 0.0))
+    p.add_argument("--shrink-radius", type=_finite)
+    p.add_argument("--shrink-delta", type=_finite, default=1.0)
+    p.add_argument("--shrink-max-r", type=int, default=64)
 
-    p = sub.add_parser("ergodicity", help="invariant-set falsification search")
-    common(p)
+    p = command(sub, "ergodicity", _cmd_ergodicity, True, "invariant-set falsification search")
     p.add_argument("--system", required=True)
-    p.add_argument("--seed-sets", dest="seed_sets", type=int, default=16)
-    p.add_argument("--refine-steps", dest="refine_steps", type=int, default=24)
-    p.set_defaults(handler=_cmd_ergodicity)
+    p.add_argument("--seed-sets", type=int, default=16)
+    p.add_argument("--refine-steps", type=int, default=24)
 
-    p = sub.add_parser("circle", help="north-south + rotation experiments")
-    common(p)
-    p.add_argument("--multiplier", type=float, default=0.7)
-    p.add_argument("--angle", type=float, default=circle.GOLDEN_ANGLE)
-    p.add_argument("--rational", default=None, help="p/q substitute for the angle")
-    p.add_argument("--amplitudes", default=None, help="comma-separated C1 sweep amplitudes")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--max-word-len", dest="max_word_len", type=int, default=300)
+    p = command(sub, "circle", _cmd_circle, False, "north-south + rotation experiments")
+    p.add_argument("--multiplier", type=_finite, default=0.7)
+    p.add_argument("--angle", type=_finite, default=circle.GOLDEN_ANGLE)
+    p.add_argument("--rational", type=_fraction, help="p/q substitute for the angle")
+    p.add_argument("--amplitudes", type=_floats(None), help="comma-separated C1 sweep amplitudes")
+    p.add_argument("--epsilon", type=_finite, default=0.01)
+    p.add_argument("--max-word-len", type=int, default=300)
     p.add_argument("--samples", type=int, default=8)
-    p.set_defaults(handler=_cmd_circle)
 
     p = sub.add_parser("packing", help="packing condition verification/search")
-    common(p)
-    p.add_argument("packing_mode", choices=["verify", "greedy"])
-    p.add_argument("--instance", default=None, help="instance JSON (verify)")
-    p.add_argument("--target-pgm", dest="target_pgm", default=None, help="target bitmap (greedy)")
-    p.add_argument("--ambient", default=None, help="cx,cy,r (greedy)")
-    p.add_argument("--min-radius", dest="min_radius", type=float, default=None)
-    p.add_argument("--max-disks", dest="max_disks", type=int, default=256)
-    p.set_defaults(handler=_cmd_packing)
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = command(modes, "verify", _cmd_packing_verify, True, "check an instance's conditions")
+    p.add_argument("--instance", required=True, help="instance JSON")
+    p = command(modes, "greedy", _cmd_packing_greedy, True, "greedy search for a family")
+    p.add_argument("--target-pgm", required=True, help="target bitmap")
+    p.add_argument("--ambient", type=_floats(3), required=True, help="cx,cy,r")
+    p.add_argument("--min-radius", type=_finite, required=True)
+    p.add_argument("--max-disks", type=int, default=256)
 
     return parser
 
@@ -356,10 +314,11 @@ def _apply_config(argv: list[str]) -> list[str]:
         key, value = (s.strip() for s in line.split("=", 1))
         # one token, so a value such as -2,2,-2,2 does not read as a flag
         extra.append(f"--{key.replace('_', '-')}={value}")
-    # right after the subcommand name, so every explicit flag comes later and
-    # wins, however it is spelled (--flag=value, an abbreviation)
-    sub = next((k + 1 for k, tok in enumerate(rest) if not tok.startswith("-")), len(rest))
-    return rest[:sub] + extra + rest[sub:]
+    # before the first flag, so after every subcommand name (packing verify),
+    # and every explicit flag comes later and wins, however it is spelled
+    # (--flag=value, an abbreviation)
+    at = next((k for k, tok in enumerate(rest) if tok.startswith("-")), len(rest))
+    return rest[:at] + extra + rest[at:]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,18 +327,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
-        if getattr(args, "packing_mode", None):
-            if args.packing_mode == "verify" and not args.instance:
-                raise _UsageError("packing verify needs --instance")
-            if args.packing_mode == "greedy" and not (
-                args.target_pgm and args.ambient and args.min_radius
-            ):
-                raise _UsageError(
-                    "packing greedy needs --target-pgm, --ambient and --min-radius"
-                )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.handler(args, out_dir)
+        report = args.handler(args, out_dir)
+        report.update(seed=args.seed, rng=RNG_ALGORITHM)
+        with open(out_dir / "report.json", "w") as f:
+            json.dump(report, f, indent=2, sort_keys=True)
+            f.write("\n")
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return 1

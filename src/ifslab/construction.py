@@ -51,6 +51,8 @@ class ConstructionParams:
     def __post_init__(self):
         if not 0.75 < self.kappa < 1.0:
             raise ValidationError(f"kappa must lie in (3/4, 1), got {self.kappa}")
+        if not np.isfinite([self.theta_deg, self.delta, self.u_factor]).all():
+            raise ValidationError("theta_deg, delta and u_factor must be finite")
         if not self.delta > 0:
             raise ValidationError("delta must be positive")
         if not self.u_factor > 1:

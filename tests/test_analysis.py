@@ -522,10 +522,11 @@ def test_perturbed_attractor_pinned():
         lambda sys, region: contraction_factor(sys, region, 0),
         lambda sys, region: distortion_report(sys, region, 1.0, 0, 8, 8),
         lambda sys, region: ergodicity_probe(sys, 64, refine_steps=-1, domain=region.domain),
+        lambda sys, region: minimality_test(sys, region, float("nan"), 10, 4),
     ],
     ids=["samples", "seed_sets", "word_count", "pair_count", "empirical_word_count",
          "holder_pairs", "holder_pair_samples", "contraction_samples", "word_length",
-         "refine_steps"],
+         "refine_steps", "epsilon-nan"],
 )
 def test_probe_rejects_empty_sample(probe):
     # a probe that examined nothing must not return a verdict

@@ -223,6 +223,20 @@ def test_packing_greedy_and_exit_codes(tmp_path):
     assert run(["packing", "verify", "--out", tmp_path / "x"]) == 1
 
 
+def test_packing_verify_reads_greedy_instance_on_its_bounds(tmp_path):
+    # verify reads the instance on the chart greedy wrote it for
+    target = tmp_path / "target.pgm"
+    write_pgm(empty_set(Domain.planar((-2.0, 2.0, -2.0, 2.0), 128)), target)
+    chart = ["--bounds=-2,2,-2,2", "--resolution", "128"]
+    assert run(["packing", "greedy", "--target-pgm", target, "--ambient", "0,0,1.5",
+                "--min-radius", "0.25", *chart, "--out", tmp_path / "pg"]) == 0
+    assert run(["packing", "verify", "--instance", tmp_path / "pg" / "instance.json",
+                *chart, "--out", tmp_path / "pv"]) == 0
+    greedy = json.loads((tmp_path / "pg" / "report.json").read_text())
+    del greedy["disks_placed"]
+    assert json.loads((tmp_path / "pv" / "report.json").read_text()) == greedy
+
+
 # a hexagonal family of radius 1/8 around the center of a 0.4 ambient disk,
 # written as literals so no trig routine enters the instance
 HEX_FAMILY = [(0.5, 0.5), (0.76, 0.5), (0.63, 0.725167), (0.37, 0.725167),
@@ -315,6 +329,11 @@ def test_shrink_horizon_exit_two(tmp_path):
          None, "affine kappa=0.5 theta=30\n"),
         (["distortion", "--system", "{file}", "--resolution", "64", "--shrink-radius", "0.5",
           "--shrink-max-r", "-1"], None, "affine kappa=0.5 theta=30\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "nan", "--max-word-len", "3"],
+         None, "affine kappa=0.5 theta=30\n"),
+        (["construct", "--kappa", "0.76", "--delta", "inf", "--resolution", "64"], None, None),
+        (["circle", "--amplitudes", "0.01,inf"], None, None),
+        (["construct", "--kappa", "0.76", "--bounds=-1,1,-1,1"], None, None),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -323,7 +342,8 @@ def test_shrink_horizon_exit_two(tmp_path):
          "system-perturb-base-not-a-number", "system-inverse-scale-infinite",
          "instance-without-target", "instance-is-a-list",
          "instance-target-null", "instance-target-zero", "instance-target-true",
-         "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative"],
+         "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative",
+         "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;

@@ -43,6 +43,9 @@ def test_params_validation():
         ConstructionParams(kappa=0.7)
     with pytest.raises(ValidationError):
         ConstructionParams(kappa=0.76, delta=-1.0)
+    for bad in ({"delta": float("inf")}, {"u_factor": float("inf")}, {"theta_deg": float("nan")}):
+        with pytest.raises(ValidationError):
+            ConstructionParams(kappa=0.76, **bad)
 
 
 def test_reference_cover(reference):
