@@ -32,6 +32,7 @@ from .maps import REVERSE, SystemSpec, Word, apply_word
 from .seeding import rng_from, spawn_rngs
 
 _EVAL_BUDGET = 10**7
+_CHUNK_POINTS = 2**18  # points pushed per chunk of words in empirical_distortion
 _VOLUME_WINDOW = (0.05, 0.95)  # candidate volumes the ergodicity probe scores
 
 EPS_DENSE = "eps-dense"
@@ -297,7 +298,13 @@ def empirical_distortion(
 
     Words are drawn uniformly per symbol; the same point pairs (sampled
     from the attractor set) are pushed through every word, accumulating
-    log|det D| along the reverse orbit.
+    log|det D| along the reverse orbit.  Words are pushed together, up to
+    ``_CHUNK_POINTS`` points per chunk: at each depth every symbol makes
+    one call on the rows of the words that apply it there, or one call per
+    word for a map that is not batch-invariant.  Each row sees the same
+    operations as it would alone, so the ratios do not depend on the
+    chunking.  A word whose maps all have constant log-dets gives every
+    point the same sum, hence ratios of exactly 1, and is skipped.
     """
     _require_positive(word_count=word_count, pair_count=pair_count)
     rng = rng_from(seed)
@@ -305,34 +312,63 @@ def empirical_distortion(
     ys = geometry.sample_cells(delta_set, pair_count, rng)
     pts0 = np.concatenate([xs, ys], axis=0)
     maps = sys.maps()
-    consts = [m.constant_log_abs_det for m in maps]
     symbols = rng.integers(0, len(maps), size=(word_count, word_length))
+    varies = np.array([m.constant_log_abs_det is None for m in maps])
+    # reverse iteration: last symbol acts first; a word with no varying
+    # log-det has every ratio exactly 1, which moves neither extreme
+    order = symbols[:, ::-1]
+    order = order[varies[order].any(axis=1)]
+    per_chunk = max(1, _CHUNK_POINTS // pts0.shape[0])
     lo, hi = 1.0, 1.0
-    for w in range(word_count):
-        # reverse iteration: last symbol acts first
-        order = symbols[w, ::-1]
-        # after the last map whose log-det varies, no step reads the points
-        live = max((i for i, s in enumerate(order) if consts[s] is None), default=-1)
-        pts = pts0
-        logdet = np.zeros(pts0.shape[0])
-        for i, sym in enumerate(order):
-            m, const = maps[sym], consts[sym]
-            if const is not None:
-                logdet += const
-                if i < live:
-                    pts = m.eval(pts)
-            elif i < live:
-                pts, step = m.eval_log_abs_det(pts)
-                logdet += step
-            else:
-                logdet += m.log_abs_det(pts)
-        ratios = np.exp(logdet[:pair_count] - logdet[pair_count:])
-        lo = min(lo, float(ratios.min()))
-        hi = max(hi, float(ratios.max()))
+    for start in range(0, order.shape[0], per_chunk):
+        logdet = _word_log_dets(maps, order[start:start + per_chunk], pts0)
+        ratios = np.exp(logdet[:, :pair_count] - logdet[:, pair_count:])
+        # fmin/fmax drop a word whose ratios hold a NaN, as a word-by-word
+        # min(lo, ...) fold does, so the extremes do not depend on the chunking
+        lo = min(lo, float(np.fmin.reduce(ratios.min(axis=1))))
+        hi = max(hi, float(np.fmax.reduce(ratios.max(axis=1))))
     return EmpiricalDistortion(
         emp_min=lo, emp_max=hi, words=word_count,
         word_length=word_length, pairs=pair_count,
     )
+
+
+def _word_log_dets(maps, order: np.ndarray, pts0: np.ndarray) -> np.ndarray:
+    """log|det D| of each word along its orbit, one row per word of ``order``.
+
+    ``order`` holds symbols in the order the maps act, and every word holds
+    at least one map whose log-det varies.
+    """
+    consts = np.array([m.constant_log_abs_det or 0.0 for m in maps])
+    varying = np.array([m.constant_log_abs_det is None for m in maps])[order]
+    # after the last map whose log-det varies, no step reads the points
+    live = order.shape[1] - 1 - varying[:, ::-1].argmax(axis=1)
+    pts = np.broadcast_to(pts0, (order.shape[0],) + pts0.shape).copy()
+    logdet = np.zeros(pts.shape[:2])
+    for i, col in enumerate(order.T):
+        if not varying[:, i].all():
+            # 0.0 on the rows of varying maps leaves their sums unchanged
+            logdet += consts[col][:, None]
+        for sym in np.unique(col[i <= live]):
+            m, at = maps[sym], col == sym
+            moving, last = np.flatnonzero(at & (i < live)), np.flatnonzero(at & (i == live))
+            for rows in _calls(m, moving):
+                if m.constant_log_abs_det is None:
+                    pts[rows], step = m.eval_log_abs_det(pts[rows])
+                    logdet[rows] += step
+                else:
+                    pts[rows] = m.eval(pts[rows])
+            for rows in _calls(m, last):
+                logdet[rows] += m.log_abs_det(pts[rows])
+    return logdet
+
+
+def _calls(m, rows: np.ndarray):
+    """The row groups to evaluate ``m`` on: all rows at once when ``m`` is
+    batch-invariant, else one word per call."""
+    if not rows.size:
+        return ()
+    return (rows,) if m.batch_invariant else rows[:, None]
 
 
 _CONSISTENCY_SLACK = 0.05

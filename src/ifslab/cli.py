@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, circle, construction, geometry, packing
 from .errors import IfslabError, ProbeError, ValidationError
-from .geometry import Disk, Domain
+from .geometry import CIRCLE, PLANAR, Disk, Domain
 from .maps import Word, parse_system
 from .seeding import RNG_ALGORITHM, rng_from
 
@@ -68,17 +68,22 @@ def _fraction(text: str) -> tuple[int, int]:
     return p, q
 
 
-def _domain(args) -> Domain | None:
+def _domain(args, kind: str = PLANAR) -> Domain | None:
     """The planar chart --bounds/--resolution name, or None to infer it."""
-    return Domain.planar(args.bounds, args.resolution) if args.bounds else None
+    if not args.bounds:
+        return None
+    if kind == CIRCLE:
+        raise ValidationError("--bounds names a planar chart, and a circle system has none")
+    return Domain.planar(args.bounds, args.resolution)
 
 
 def _region(args, kind: str):
+    domain = _domain(args, kind)
     if args.region_pgm:
-        return geometry.read_pgm(args.region_pgm, _domain(args))
-    if kind == "circle":
+        return geometry.read_pgm(args.region_pgm, domain)
+    if kind == CIRCLE:
         return geometry.full_set(Domain.circle(args.resolution))
-    return geometry.full_set(_domain(args) or Domain.planar((0.0, 1.0, 0.0, 1.0), args.resolution))
+    return geometry.full_set(domain or Domain.planar((0.0, 1.0, 0.0, 1.0), args.resolution))
 
 
 def _system(args):
@@ -161,13 +166,14 @@ def _cmd_distortion(args, out_dir: Path) -> dict:
 
 
 def _cmd_ergodicity(args, out_dir: Path) -> dict:
+    sys_spec = _system(args)
     rep = analysis.ergodicity_probe(
-        _system(args),
+        sys_spec,
         args.resolution,
         seed_sets=args.seed_sets,
         refine_steps=args.refine_steps,
         seed=args.seed,
-        domain=_domain(args),
+        domain=_domain(args, sys_spec.kind),
     )
     if rep.candidate is not None:
         geometry.write_pgm(rep.candidate, out_dir / "candidate.pgm")

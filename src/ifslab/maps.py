@@ -1,10 +1,12 @@
 """Self-maps of planar charts and the circle, words, and iteration.
 
-Every map evaluates pointwise or on numpy arrays of points — shape
+Every map evaluates single points or numpy arrays of points — shape
 ``(..., 2)`` for planar maps, any shape for circle maps — and exposes an
 exact Jacobian (a 2x2 matrix field for planar maps, a scalar derivative
-field on the circle).  Circle maps act on [0, 1) and commute with integer
-shifts, so values are always reported mod 1.
+field on the circle).  Each point's result depends on that point alone,
+except under a Newton inverse, which stops on the whole batch's residual
+(see ``Map.batch_invariant``).  Circle maps act on [0, 1) and commute with
+integer shifts, so values are always reported mod 1.
 
 Word semantics: a word w = (w1, ..., wr) applied *forward* composes the
 corresponding generators with the first symbol innermost, i.e. the orbit
@@ -71,6 +73,9 @@ class Map:
     constant_log_abs_det: float | None = None
     # True when inverse() is exact rather than a Newton iteration
     closed_form_inverse: bool = False
+    # True when every result at a point has the same bits whatever other
+    # points share its call, so callers may stack batches into one call
+    batch_invariant: bool = True
 
     def eval(self, x):
         raise NotImplementedError
@@ -244,6 +249,7 @@ class Perturbed(Map):
             object.__setattr__(self, "_half_amplitude", 0.5 * self.amplitude)
         object.__setattr__(self, "kind", self.base.kind)
         object.__setattr__(self, "invertible", self.base.invertible)
+        object.__setattr__(self, "batch_invariant", self.base.batch_invariant)
 
     # The planar bump is p(u, v) = a/2 (sin(u + f00) sin(v + f01),
     # sin(u + f10) sin(v + f11)).  Every method below takes the sine and
@@ -348,6 +354,11 @@ class _NewtonInverse(Map):
     """
 
     target: Perturbed  # with an invertible base
+
+    # the iteration stops once the batch's largest residual is below
+    # tolerance, so a point's bits, and a ConvergenceError, depend on the
+    # other points of its call
+    batch_invariant = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.target.kind)

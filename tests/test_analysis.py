@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ifslab import analysis
 from ifslab.analysis import (
     CANDIDATE_FOUND,
     EPS_DENSE,
@@ -486,6 +487,84 @@ def test_distortion_affine_tail_pinned():
     ):
         e = empirical_distortion(SystemSpec(family, inverses), where, 6, 5, 8, seed=6)
         assert (e.emp_min, e.emp_max) == expected
+
+
+def reference_empirical_distortion(sys, region, word_length, word_count, pair_count, seed):
+    """empirical_distortion written out one word at a time, as it pushed
+    words before they were pushed together."""
+    rng = rng_from(seed)
+    xs = sample_cells(region, pair_count, rng)
+    ys = sample_cells(region, pair_count, rng)
+    pts0 = np.concatenate([xs, ys], axis=0)
+    maps = sys.maps()
+    consts = [m.constant_log_abs_det for m in maps]
+    symbols = rng.integers(0, len(maps), size=(word_count, word_length))
+    lo, hi = 1.0, 1.0
+    for w in range(word_count):
+        order = symbols[w, ::-1]
+        live = max((i for i, s in enumerate(order) if consts[s] is None), default=-1)
+        pts = pts0
+        logdet = np.zeros(pts0.shape[0])
+        for i, sym in enumerate(order):
+            m, const = maps[sym], consts[sym]
+            if const is not None:
+                logdet += const
+                if i < live:
+                    pts = m.eval(pts)
+            elif i < live:
+                pts, step = m.eval_log_abs_det(pts)
+                logdet += step
+            else:
+                logdet += m.log_abs_det(pts)
+        ratios = np.exp(logdet[:pair_count] - logdet[pair_count:])
+        lo = min(lo, float(ratios.min()))
+        hi = max(hi, float(ratios.max()))
+    return lo, hi
+
+
+_SIMILARITIES = (
+    AffineSimilarity(0.8, 120.0, (0.1, 0.1)),
+    AffineSimilarity(0.7, 30.0, (0.4, 0.0)),
+    AffineSimilarity(0.61, 77.0, (-0.3, 0.2)),
+)
+_DISTORTION_FAMILIES = {
+    "similarity": _SIMILARITIES,
+    "mixed": (Perturbed(_SIMILARITIES[0], 0.02, seed=3),) + _SIMILARITIES[1:],
+    "perturbed": tuple(
+        Perturbed(g, a, seed=s) for g, a, s in zip(_SIMILARITIES, (0.02, 0.03, 0.01), (3, 5, 8))
+    ),
+    "circle": (
+        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4),
+        CircleRotation(GOLD),
+        CircleNorthSouth(0.6, 0.37),
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_points", [None, 24])
+@pytest.mark.parametrize(
+    "word_length, word_count, pair_count",
+    [(0, 3, 4), (1, 7, 4), (30, 1, 4), (30, 7, 4), (30, 13, 1), (30, 4, 16)],
+)
+@pytest.mark.parametrize("inverses", [False, True])
+@pytest.mark.parametrize("family", sorted(_DISTORTION_FAMILIES))
+def test_empirical_distortion_matches_word_by_word_loop(
+    monkeypatch, family, inverses, word_length, word_count, pair_count, chunk_points
+):
+    # a 24-point chunk holds 12, 3 or 1 words at 1, 4 or 16 pairs, so the
+    # counts above end on a partial chunk
+    if chunk_points is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_POINTS", chunk_points)
+    gens = _DISTORTION_FAMILIES[family]
+    if family == "circle":
+        region = full_set(Domain.circle(256))
+    else:
+        region = rasterize_disk(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64), Disk((0.0, 0.0), 0.8))
+    sys = SystemSpec(gens, inverses)
+    e = empirical_distortion(sys, region, word_length, word_count, pair_count, seed=6)
+    expected = reference_empirical_distortion(
+        sys, region, word_length, word_count, pair_count, 6)
+    assert (e.emp_min, e.emp_max) == expected
 
 
 def test_perturbed_attractor_pinned():

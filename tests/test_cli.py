@@ -334,6 +334,10 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["construct", "--kappa", "0.76", "--delta", "inf", "--resolution", "64"], None, None),
         (["circle", "--amplitudes", "0.01,inf"], None, None),
         (["construct", "--kappa", "0.76", "--bounds=-1,1,-1,1"], None, None),
+        (["minimality", "--system", "{file}", "--epsilon", "0.05", "--max-word-len", "3",
+          "--resolution", "64", "--bounds=-5,5,-5,5"], None, "rotation angle=0.618\n"),
+        (["ergodicity", "--system", "{file}", "--resolution", "64", "--bounds=-5,5,-5,5"],
+         None, "rotation angle=0.618\n"),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -343,7 +347,8 @@ def test_shrink_horizon_exit_two(tmp_path):
          "instance-without-target", "instance-is-a-list",
          "instance-target-null", "instance-target-zero", "instance-target-true",
          "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative",
-         "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct"],
+         "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct",
+         "bounds-on-circle-minimality", "bounds-on-circle-ergodicity"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;

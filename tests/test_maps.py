@@ -631,3 +631,45 @@ def test_fused_and_gathered_steps_match_eval_property(seed, amplitude, circle, i
     base = CircleNorthSouth(0.7, 0.2) if circle else AffineSimilarity(0.76, 179.0, (0.4, -0.3))
     m = Perturbed(base, amplitude, seed)
     _check_fused_and_gathered(m.inverse() if inverse else m, _CIRCLE_CHART if circle else _PLANAR_CHART)
+
+
+# -- batch invariance: a stacked call equals its blocks' calls, bit for bit ----
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        AffineSimilarity(0.8, 120.0, (0.1, 0.1)),
+        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
+        Perturbed(Perturbed(AffineSimilarity(0.7, 30.0), 0.05, seed=8), 0.01, seed=9),
+        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4),
+        CircleNorthSouth(0.6, 0.37),
+        CircleRotation(0.6180339887498949),
+    ],
+    ids=["affine", "perturbed", "perturbed-twice", "perturbed-circle", "north-south",
+         "rotation"],
+)
+@pytest.mark.parametrize("blocks, size", [(1, 1), (3, 1), (5, 7), (4, 33), (2, 513)])
+def test_stacked_batch_matches_its_blocks(m, blocks, size):
+    # empirical_distortion stacks many words' points into one call
+    assert m.batch_invariant
+    rng = rng_from(blocks * 1000 + size)
+    if m.kind == "circle":
+        stack = rng.uniform(0.0, 1.0, (blocks, size))
+    else:
+        stack = rng.uniform(-1.5, 1.5, (blocks, size, 2))
+    for method in ("eval", "eval_log_abs_det", "log_abs_det"):
+        got = getattr(m, method)(stack)
+        parts = [getattr(m, method)(np.ascontiguousarray(block)) for block in stack]
+        if method == "eval_log_abs_det":
+            for k in range(2):
+                assert np.array_equal(got[k], np.stack([p[k] for p in parts]))
+        else:
+            assert np.array_equal(got, np.stack(parts))
+
+
+def test_newton_inverse_is_not_batch_invariant():
+    for base in (AffineSimilarity(0.8, 120.0, (0.1, 0.1)), CircleNorthSouth(0.7, 0.0)):
+        m = Perturbed(base, 0.02, seed=3)
+        assert m.batch_invariant
+        assert not m.inverse().batch_invariant
