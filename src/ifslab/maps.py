@@ -34,6 +34,7 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 _NEWTON_TOL = 1e-13
+_NEWTON_ULPS = 4  # the tolerance is at least this many ulps of the largest coordinate
 _NEWTON_MAX_ITER = 80
 
 
@@ -148,8 +149,10 @@ class AffineSimilarity(Map):
     def eval(self, x):
         pts = _planar_points(x)
         image = pts @ self._rows
-        # in place: a batch of m points holds one (m, 2) array fewer
-        image += self._offset
+        # in place: a batch of m points holds one (m, 2) array fewer; one
+        # add per axis, as a (2,) broadcast runs an inner loop of length 2
+        image[..., 0] += self._offset[0]
+        image[..., 1] += self._offset[1]
         return image
 
     def jacobian(self, x):
@@ -349,8 +352,11 @@ class _NewtonInverse(Map):
 
     Newton iteration seeded at the base inverse of the perturbed map;
     accurate to ~1e-13, well inside the documented 1e-9 roundtrip contract.
-    A residual still at or above ``_NEWTON_TOL`` after ``_NEWTON_MAX_ITER``
-    steps raises :class:`ConvergenceError`.
+    A residual still at or above the tolerance after ``_NEWTON_MAX_ITER``
+    steps raises :class:`ConvergenceError`; the tolerance is ``_NEWTON_TOL``,
+    or ``_NEWTON_ULPS`` ulps of the batch's largest coordinate where that is
+    larger (from |w| = 128 on), since no residual can fall below the
+    rounding of the image.
     """
 
     target: Perturbed  # with an invertible base
@@ -367,17 +373,19 @@ class _NewtonInverse(Map):
         w = np.asarray(w, dtype=float)
         z = self.target.base.inverse().eval(w)
         circle = self.kind == "circle"
+        largest = float(np.max(np.abs(w), initial=0.0))
+        tol = max(_NEWTON_TOL, _NEWTON_ULPS * float(np.spacing(largest)))
         for step in range(_NEWTON_MAX_ITER + 1):
             r = self.target.eval(z) - w
             if circle:
                 r = (r + 0.5) % 1.0 - 0.5
             # initial=0.0: an empty batch has converged, not failed
-            if np.max(np.abs(r), initial=0.0) < _NEWTON_TOL:
+            if np.max(np.abs(r), initial=0.0) < tol:
                 return z % 1.0 if circle else z
             if step == _NEWTON_MAX_ITER:
                 raise ConvergenceError(
                     f"Newton inverse residual {np.max(np.abs(r)):.3g} is still above "
-                    f"{_NEWTON_TOL} after {_NEWTON_MAX_ITER} steps"
+                    f"{tol:.3g} after {_NEWTON_MAX_ITER} steps"
                 )
             j = self.target.jacobian(z)
             if circle:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ifslab import analysis
+from ifslab import analysis, geometry
 from ifslab.analysis import (
     CANDIDATE_FOUND,
     EPS_DENSE,
@@ -28,7 +28,15 @@ from ifslab.errors import (
     ResolutionError,
     ValidationError,
 )
-from ifslab.geometry import Disk, Domain, GridSet, full_set, rasterize_disk, sample_cells
+from ifslab.geometry import (
+    Disk,
+    Domain,
+    GridSet,
+    full_set,
+    nearest_point_distances,
+    rasterize_disk,
+    sample_cells,
+)
 from ifslab.maps import (
     AffineSimilarity,
     CircleNorthSouth,
@@ -127,6 +135,126 @@ def test_minimality_budget_error():
         minimality_test(SystemSpec(gens), region, 2.0 * dom.max_cell_size, 40, 1, seed=3)
     assert exc.value.partial is not None
     assert 0 <= exc.value.partial.uncovered_fraction <= 1
+
+
+# -- the bounded uncovered count ---------------------------------------------
+# Each case compares the count with the full query it replaces, on every orbit.
+
+
+def _full_count(region, orbit, eps):
+    return int(np.count_nonzero(nearest_point_distances(region, orbit) > eps))
+
+
+@pytest.fixture
+def band_sizes(monkeypatch):
+    """Cell counts of the regions handed to the exact query, call by call."""
+    sizes = []
+
+    def recording(region, points):
+        sizes.append(region.count())
+        return nearest_point_distances(region, points)
+
+    monkeypatch.setattr(geometry, "nearest_point_distances", recording)
+    return sizes
+
+
+def _assert_counts_match(region, orbits, epsilons):
+    for eps in epsilons:
+        count = analysis._uncovered_counter(region, eps)
+        for orbit in orbits:
+            assert count(orbit) == _full_count(region, orbit, eps)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
+)
+def test_bounded_uncovered_count_matches_full_query(bounds, band_sizes):
+    dom = Domain.planar(bounds, 64)
+    rng = rng_from(31)
+    region = GridSet(dom, rng.uniform(size=dom.shape) < 0.6)
+    (xmin, xmax, ymin, ymax) = bounds
+    orbits = [
+        np.column_stack([rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n)])
+        for n in (1, 5, 40, 400)
+    ]
+    size = max(dom.cell_sizes)
+    _assert_counts_match(region, orbits, [2 * size, 3.7 * size, 9.1 * size, 0.4 * (xmax - xmin)])
+    # the band is thin: the exact query sees a small share of the region
+    assert band_sizes and max(band_sizes) < region.count() / 2
+
+
+@pytest.mark.parametrize("steps", [3, 5, 7])
+def test_bounded_uncovered_count_at_exact_ties(steps, band_sizes):
+    # orbit points on a lattice of cell centers 16 cells apart, on a chart
+    # whose centers are exact binary fractions: (3, 4, 5) triangles put many
+    # centers at exactly eps, and eps one ulp either way flips them all
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 64)
+    region = full_set(dom)
+    lattice = np.zeros(dom.shape, dtype=bool)
+    lattice[3::16, 2::16] = True
+    orbit = GridSet(dom, lattice).included_points()
+    eps = steps * dom.cell_sizes[0]
+    assert np.count_nonzero(nearest_point_distances(region, orbit) == eps) >= 32
+    below, above = np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)
+    counts = [_full_count(region, orbit, e) for e in (below, eps, above)]
+    assert counts[0] > counts[1] == counts[2]
+    _assert_counts_match(region, [orbit], [below, eps, above])
+    assert band_sizes
+
+
+def test_bounded_uncovered_count_with_empty_band(band_sizes):
+    dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
+    region = rasterize_disk(dom, Disk((0.4, 0.4), 0.3))
+    eps = 4 * dom.max_cell_size
+    # every region cell holds an orbit point: all are covered
+    dense = region.included_points()
+    # one point in the far corner: every region cell is uncovered
+    corner = np.array([[-0.99, -0.99]])
+    _assert_counts_match(region, [dense, corner], [eps])
+    assert band_sizes == []
+    assert analysis._uncovered_counter(region, eps)(corner) == region.count()
+
+
+def test_bounded_uncovered_count_with_every_cell_in_band(band_sizes):
+    dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
+    centers = dom.cell_centers()
+    eps = 0.5
+    # a ring of cells whose centers lie within a quarter cell of eps from
+    # the orbit's one point: the grid bound decides none of them
+    r = np.hypot(centers[..., 0] - 0.01, centers[..., 1] + 0.02)
+    region = GridSet(dom, np.abs(r - eps) < 0.25 * dom.max_cell_size)
+    orbit = np.array([[0.01, -0.02]])
+    _assert_counts_match(region, [orbit], [eps, np.nextafter(eps, 0.0)])
+    assert band_sizes == [region.count(), region.count()]
+
+
+def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
+    dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
+    region = rasterize_disk(dom, Disk((0.0, 0.0), 0.9))
+    inside = rng_from(37).uniform(-1.0, 1.0, size=(30, 2))
+    # the top edges are off the chart, as is anything beyond it
+    for off in ([1.0, 0.2], [0.2, 1.0], [-1.5, 0.0], [0.3, -7.0]):
+        _assert_counts_match(region, [np.vstack([inside, [off]])], [0.1, 0.37])
+    # the whole region goes to the exact query every time
+    assert band_sizes == [region.count()] * 8
+
+
+def test_bounded_uncovered_count_on_region_at_the_chart_edge(band_sizes):
+    dom = Domain.planar((-1.3, 1.9, -0.45, 0.35), 64)
+    xmin, xmax, ymin, ymax = dom.bounds
+    region = full_set(dom)
+    # points on the lower edges and just below the upper ones, where
+    # point_cells clamps a quotient that rounds up to the resolution
+    edge = np.array([
+        [xmin, ymin], [np.nextafter(xmax, 0.0), ymin], [xmin, np.nextafter(ymax, 0.0)],
+        [np.nextafter(xmax, 0.0), np.nextafter(ymax, 0.0)], [0.3, ymin], [xmax - 1e-12, 0.1],
+    ])
+    inner = rng_from(41).uniform(-0.2, 0.2, size=(5, 2))
+    size = max(dom.cell_sizes)
+    _assert_counts_match(
+        region, [edge, np.vstack([edge, inner]), edge[1:2]], [2 * size, 5.3 * size, 0.9]
+    )
+    assert band_sizes and max(band_sizes) < region.count()
 
 
 # -- invariance defect -------------------------------------------------------

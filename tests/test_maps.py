@@ -347,6 +347,18 @@ def test_newton_inverse_raises_when_not_converged(monkeypatch, m, w):
         m.inverse().eval(np.array(w))
 
 
+def test_newton_inverse_converges_at_large_coordinates():
+    # one ulp of a coordinate beyond 512 exceeds 1e-13, so a fixed absolute
+    # tolerance could never be met there
+    m = Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3)
+    xs = rng_from(23).uniform(-1, 1, size=(200, 2)) + np.array([1000.0, -1000.0])
+    w = m.eval(xs)
+    assert np.abs(w).max() > 512
+    back = m.inverse().eval(w)
+    assert np.abs(back - xs).max() < 1e-9
+    assert np.abs(m.eval(back) - w).max() <= 4 * np.spacing(np.abs(w).max())
+
+
 def test_word_det_matches_composed_log_det():
     gens = (
         Perturbed(AffineSimilarity(0.8, 150.0, (0.2, 0.0)), 0.05, seed=31),
@@ -564,6 +576,16 @@ def test_affine_eval_matches_column_vector_reference(scale, angle, anchor, shape
     t = AffineSimilarity(scale, angle, anchor)
     assert np.array_equal(t.eval(pts), ref)
     assert np.array_equal(t.jacobian(pts), np.broadcast_to(m, shape[:-1] + (2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(2,), (7, 2), (3, 5, 2)])
+def test_affine_eval_offset_matches_broadcast_add(shape):
+    # the per-axis offset adds are the same IEEE sums as a (2,) broadcast add
+    for t in (AffineSimilarity(0.76, 179.0, (0.3, -0.2)), AffineSimilarity(0.61, 77.0, (-31.7, 2.9))):
+        pts = rng_from(29).uniform(-50.0, 50.0, size=shape)
+        ref = pts @ t._rows
+        ref += t._offset
+        assert np.array_equal(t.eval(pts), ref)
 
 
 # -- the fused log-det step and the gathered cell evaluation -------------------
