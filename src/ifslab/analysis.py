@@ -68,9 +68,11 @@ class MinimalityReport:
         return asdict(self)
 
 
-def _quantize_key_planar(pts: np.ndarray, q: float) -> np.ndarray:
-    k = np.floor(pts / q).astype(np.int64)
-    return k[..., 0] * np.int64(1 << 32) + k[..., 1]
+def _pruning_keys(pts: np.ndarray, q: float, circle: bool) -> np.ndarray:
+    """The pruning cell of each point: ``floor(x % 1 / q)`` on the circle,
+    the ``floor(x / q)`` pair packed into one int64 on the plane."""
+    k = np.floor((pts % 1.0 if circle else pts) / q).astype(np.int64)
+    return k if circle else k[..., 0] * np.int64(1 << 32) + k[..., 1]
 
 
 def _orbit_points(
@@ -88,41 +90,24 @@ def _orbit_points(
     circle = sys.kind == CIRCLE
     q = (epsilon / 2.0) if circle else epsilon / (2.0 * math.sqrt(2.0))
     maps = sys.maps()
-    if circle:
-        frontier = np.atleast_1d(np.asarray(start, dtype=float))
-        keys = {int(np.floor(frontier[0] % 1.0 / q))}
-    else:
-        frontier = np.asarray(start, dtype=float).reshape(1, 2)
-        keys = {int(_quantize_key_planar(frontier, q)[0])}
-    collected = [frontier.copy()]
+    frontier = np.asarray(start, dtype=float).reshape((1,) if circle else (1, 2))
+    occupied = _pruning_keys(frontier, q, circle)  # kept sorted for searchsorted
+    collected = [frontier]
     evals = 0
     for _ in range(max_word_len):
-        if frontier.shape[0] == 0:
+        if evals + len(maps) * len(frontier) > _EVAL_BUDGET:
+            # a depth the budget cannot finish adds none of its images
+            return np.concatenate(collected), True
+        evals += len(maps) * len(frontier)
+        images = np.concatenate(tuple(m.eval(frontier) for m in maps))
+        keys, first = np.unique(_pruning_keys(images, q, circle), return_index=True)
+        at = np.searchsorted(occupied, keys)
+        fresh = occupied[np.minimum(at, len(occupied) - 1)] != keys
+        if not fresh.any():
             break
-        imgs = []
-        img_keys = []
-        for m in maps:
-            evals += frontier.shape[0]
-            if evals > _EVAL_BUDGET:
-                return np.concatenate(collected), True
-            img = m.eval(frontier)
-            imgs.append(img)
-            if circle:
-                img_keys.append(np.floor(img % 1.0 / q).astype(np.int64))
-            else:
-                img_keys.append(_quantize_key_planar(img, q))
-        cat_pts = np.concatenate(imgs)
-        cat_keys = np.concatenate(img_keys)
-        # first occurrence per cell, in map-then-point scan order
-        _, first_idx = np.unique(cat_keys, return_index=True)
-        order = np.sort(first_idx)
-        fresh = [
-            i for i, k in zip(order.tolist(), cat_keys[order].tolist()) if k not in keys
-        ]
-        if not fresh:
-            break
-        keys.update(cat_keys[fresh].tolist())
-        frontier = cat_pts[fresh]
+        occupied = np.insert(occupied, at[fresh], keys[fresh])
+        # the first point of each fresh cell, in map-then-point scan order
+        frontier = images[np.sort(first[fresh])]
         collected.append(frontier)
     return np.concatenate(collected), False
 
@@ -407,16 +392,14 @@ def _word_log_dets(maps, order: np.ndarray, pts0: np.ndarray) -> np.ndarray:
             # 0.0 on the rows of varying maps leaves their sums unchanged
             logdet += consts[col][:, None]
         for sym in np.unique(col[i <= live]):
-            m, at = maps[sym], col == sym
-            moving, last = np.flatnonzero(at & (i < live)), np.flatnonzero(at & (i == live))
-            for rows in _calls(m, moving):
+            # a row at its last varying step moves too; no later step reads it
+            m = maps[sym]
+            for rows in _calls(m, np.flatnonzero((col == sym) & (i <= live))):
                 if m.constant_log_abs_det is None:
                     pts[rows], step = m.eval_log_abs_det(pts[rows])
                     logdet[rows] += step
                 else:
                     pts[rows] = m.eval(pts[rows])
-            for rows in _calls(m, last):
-                logdet[rows] += m.log_abs_det(pts[rows])
     return logdet
 
 

@@ -150,8 +150,11 @@ class Domain:
         xmin, xmax, ymin, ymax = self.bounds
         dx, dy = self.cell_sizes
         on_chart = (x >= xmin) & (x < xmax) & (y >= ymin) & (y < ymax)
-        ix = np.asarray(np.floor((x - xmin) / dx), dtype=np.int64)
-        iy = np.asarray(np.floor((y - ymin) / dy), dtype=np.int64)
+        # a NaN, an infinity or a huge coordinate casts to an arbitrary index;
+        # it is off the chart, so it is overwritten with -1 below
+        with np.errstate(invalid="ignore"):
+            ix = np.asarray(np.floor((x - xmin) / dx), dtype=np.int64)
+            iy = np.asarray(np.floor((y - ymin) / dy), dtype=np.int64)
         # (x - xmin) / dx can round up to n for a point just below xmax; the
         # updates are in place, as each int64 copy costs 8 bytes a point
         np.minimum(ix, n - 1, out=ix)
@@ -183,6 +186,8 @@ class Disk:
             object.__setattr__(self, "center", tuple(float(c) for c in self.center))
             if len(self.center) != 2:
                 raise ValidationError("planar disk center needs 2 coordinates")
+        if not np.isfinite(np.append(self.center, self.radius)).all():
+            raise ValidationError(f"disk center and radius must be finite, got {self}")
 
     @property
     def is_circle(self) -> bool:
@@ -559,6 +564,8 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
     if maxval < 1:
         raise ValidationError("PGM maxval must be >= 1")
     if magic == b"P5":
+        if maxval > 255:
+            raise ValidationError(f"P5 PGM maxval {maxval} > 255 stores 16-bit samples; not read")
         pixels = np.frombuffer(raw[pos + 1 : pos + 1 + w * h], dtype=np.uint8)
     else:
         try:

@@ -44,6 +44,7 @@ from ifslab.maps import (
     Perturbed,
     SystemSpec,
     Word,
+    parse_system,
 )
 from ifslab.seeding import rng_from
 
@@ -135,6 +136,92 @@ def test_minimality_budget_error():
         minimality_test(SystemSpec(gens), region, 2.0 * dom.max_cell_size, 40, 1, seed=3)
     assert exc.value.partial is not None
     assert 0 <= exc.value.partial.uncovered_fraction <= 1
+
+
+# -- the orbit enumeration ----------------------------------------------------
+
+
+def reference_orbit_points(sys, start, max_word_len, epsilon):
+    """_orbit_points written out with a Python set of pruning keys and one
+    budget check per map, as it ran before the keys were a sorted array.
+    Also returns how many maps of its last depth ran before the budget ran
+    out (0 when it did not)."""
+    circle = sys.kind == "circle"
+    q = (epsilon / 2.0) if circle else epsilon / (2.0 * math.sqrt(2.0))
+
+    def key(pts):
+        if circle:
+            return np.floor(pts % 1.0 / q).astype(np.int64)
+        k = np.floor(pts / q).astype(np.int64)
+        return k[..., 0] * np.int64(1 << 32) + k[..., 1]
+
+    maps = sys.maps()
+    frontier = np.asarray(start, dtype=float).reshape((1,) if circle else (1, 2))
+    keys = {int(key(frontier)[0])}
+    collected = [frontier.copy()]
+    evals = 0
+    for _ in range(max_word_len):
+        imgs, img_keys = [], []
+        for done, m in enumerate(maps):
+            evals += frontier.shape[0]
+            if evals > analysis._EVAL_BUDGET:
+                return np.concatenate(collected), True, done
+            imgs.append(m.eval(frontier))
+            img_keys.append(key(imgs[-1]))
+        cat_pts, cat_keys = np.concatenate(imgs), np.concatenate(img_keys)
+        _, first_idx = np.unique(cat_keys, return_index=True)
+        order = np.sort(first_idx)
+        fresh = [i for i, k in zip(order.tolist(), cat_keys[order].tolist()) if k not in keys]
+        if not fresh:
+            break
+        keys.update(cat_keys[fresh].tolist())
+        frontier = cat_pts[fresh]
+        collected.append(frontier)
+    return np.concatenate(collected), False, 0
+
+
+# the probes benchmark's family: eight similarities kappa = 0.76 at 179
+# degrees, each C1-perturbed with amplitude 0.01; its attractor's diameter
+# is about 11.7, so epsilon = 0.02 * diam is about 0.234
+_PROBES_FAMILY = "\n".join(
+    ["affine kappa=0.76 theta=179.0 anchor=0.0,0.0"]
+    + [f"affine kappa=0.76 theta=179.0 anchor={0.75 * math.cos(a)!r},{0.75 * math.sin(a)!r}"
+       for a in 2.0 * np.pi * np.arange(7) / 7]
+    + [f"perturb base={i} amp=0.01 seed={40 + i}" for i in range(1, 9)]
+)
+_ORBIT_SYSTEMS = {
+    "probes": (lambda: parse_system(_PROBES_FAMILY), [(0.1, -0.2), (2.5, 1.0), (-3.0, 4.0)],
+               0.234, 25),
+    "circle-pair": (lambda: SystemSpec((CircleNorthSouth(0.7, 0.0), CircleRotation(GOLD))),
+                    [0.0, 0.3, 0.999], 0.01, 60),
+    "perturbed-circle-pair": (
+        lambda: SystemSpec((Perturbed(CircleNorthSouth(0.7, 0.0), 0.02, seed=4),
+                            Perturbed(CircleRotation(GOLD), 0.02, seed=5))),
+        [0.0, 0.3, 0.999], 0.01, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_SYSTEMS))
+def test_orbit_points_match_set_based_loop(monkeypatch, name):
+    make, starts, eps, word_len = _ORBIT_SYSTEMS[name]
+    sys = make()
+    for start in starts:
+        orbit, exhausted = analysis._orbit_points(sys, start, word_len, eps)
+        expected, expected_exhausted, _ = reference_orbit_points(sys, start, word_len, eps)
+        assert not exhausted and not expected_exhausted
+        assert orbit.shape[0] > 100
+        assert np.array_equal(orbit, expected)
+    partway = 0
+    for budget in (1, 2, 9, 50, 333, 1000, 4321):
+        monkeypatch.setattr(analysis, "_EVAL_BUDGET", budget)
+        orbit, exhausted = analysis._orbit_points(sys, starts[0], word_len, eps)
+        expected, expected_exhausted, done = reference_orbit_points(
+            sys, starts[0], word_len, eps)
+        assert exhausted == expected_exhausted
+        assert np.array_equal(orbit, expected)
+        partway += done > 0
+    # some budgets run out after a depth's first map: its images are dropped
+    assert partway >= 2
 
 
 # -- the bounded uncovered count ---------------------------------------------

@@ -208,6 +208,27 @@ def test_packing_verify_instance(tmp_path):
     assert doc["margins"][2] < 0
 
 
+@pytest.mark.parametrize(
+    "key, value", [("cx", float("nan")), ("r", float("inf"))], ids=["cx-nan", "r-infinity"]
+)
+def test_packing_verify_rejects_non_finite_family_disk(tmp_path, capsys, key, value):
+    # both exited 0 with a verdict before Disk checked finiteness
+    from ifslab.geometry import Disk
+    from ifslab.packing import PackingInstance, write_instance
+
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 64)
+    inst = PackingInstance(Disk((0.5, 0.5), 0.4), empty_set(dom), (Disk((0.5, 0.5), 0.2),))
+    write_instance(inst, tmp_path / "inst.json", tmp_path / "target.pgm")
+    doc = json.loads((tmp_path / "inst.json").read_text())
+    doc["family"][0][key] = value
+    # json writes NaN and Infinity, and json.load reads them back
+    (tmp_path / "inst.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["packing", "verify", "--instance", tmp_path / "inst.json",
+                "--out", tmp_path / "pv"]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_packing_greedy_and_exit_codes(tmp_path):
     dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 256)
     target = tmp_path / "target.pgm"

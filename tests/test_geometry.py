@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,11 @@ def test_disk_validation():
         Disk((0.0, 0.0), 0.0)
     with pytest.raises(ValidationError):
         Disk(0.3, 0.6)  # circle arc radius >= 1/2
+    # json.load reads NaN and Infinity from an instance file
+    for center, radius in (((np.nan, 0.5), 0.1), ((0.5, -np.inf), 0.1), ((0.5, 0.5), np.inf),
+                           (np.nan, 0.1)):
+        with pytest.raises(ValidationError):
+            Disk(center, radius)
 
 
 def test_volume_empty_and_full(square):
@@ -475,6 +481,16 @@ def test_cell_edge_belongs_to_the_cell_above():
     assert dom.point_cells(edges).tolist() == [k * 16 + k for k in range(16)] + [-1]
 
 
+def test_point_cells_of_non_finite_and_huge_coordinates_warn_nothing():
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 16)
+    off = [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf],
+           [1e300, 0.5], [0.5, -1e300], [1e19, 1e19], [-1e19, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = dom.point_cells(np.array([[0.03, 0.97], [0.5, 0.5]] + off))
+    assert cells.tolist() == [15, 8 * 16 + 8] + [-1] * len(off)
+
+
 def test_lookup_single_point():
     # one planar point has shape (2,), so its cell index is a 0-d array
     s = GridSet(Domain.planar((0.0, 1.0, 0.0, 1.0), 16), np.eye(16, dtype=bool))
@@ -604,6 +620,16 @@ def test_pgm_roundtrip_property(tmp_path_factory, circle, res, binary, density, 
 def test_pgm_pixel_not_a_number(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P2\n4 4\n1\n" + b"0 " * 7 + b"x " + b"1 " * 8)
+    with pytest.raises(ValidationError):
+        read_pgm(path)
+
+
+def test_pgm_rejects_16_bit_samples(tmp_path):
+    # maxval above 255 makes a P5 sample two bytes wide, big-endian
+    image = np.zeros((16, 16), dtype=">u2")
+    image[:, :8] = 1000
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n16 16\n1000\n" + image.tobytes())
     with pytest.raises(ValidationError):
         read_pgm(path)
 
