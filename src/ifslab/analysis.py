@@ -42,6 +42,7 @@ NOT_EPS_DENSE = "not-eps-dense"
 
 CANDIDATE_FOUND = "candidate invariant set found"
 NO_CANDIDATE = "no intermediate invariant set found at this resolution"
+UNRESOLVED = "no iterate resolved at this resolution"
 
 
 def _require_positive(**counts: int) -> None:
@@ -236,19 +237,18 @@ def invariance_defect(sys: SystemSpec, a: GridSet, direction: str = "image") -> 
     """
     if direction not in ("image", "preimage"):
         raise ValidationError(f"direction must be image or preimage, got {direction!r}")
-    centers = a.domain.cell_centers()
     if direction == "image":
         # a cell is in m(A) iff its center pulls back into A; exact for
         # expanding members too, unlike a forward push of cell centers
         union = np.zeros(a.domain.shape, dtype=bool)
         for m in sys.maps():
-            union |= a.lookup(m.inverse().eval(centers))
+            union |= a.pull(m.inverse().cell_map(a.domain))
         return float(np.mean(a.bitmap ^ union))
     worst = 0.0
     for m in sys.maps():
         if not m.invertible:
             raise InvertibilityError("preimage invariance needs invertible generators")
-        pre = a.lookup(m.eval(centers))
+        pre = a.pull(m.cell_map(a.domain))
         worst = max(worst, float(np.mean(a.bitmap ^ pre)))
     return worst
 
@@ -612,7 +612,8 @@ def ergodicity_probe(
     below 3x its one-cell-ring volume (invariance up to rasterization).
     Candidates are ranked by (defect, distance of volume from 1/2);
     absence of any qualifier is reported as consistency with ergodicity at
-    this resolution, not as a proof.
+    this resolution, not as a proof; with no resolved iterate at all, the
+    verdict is :data:`UNRESOLVED`.
     """
     _require_positive(seed_sets=seed_sets)
     if refine_steps < 0:
@@ -629,9 +630,8 @@ def ergodicity_probe(
         raise ValidationError("explicit domain resolution must match the probe resolution")
 
     maps = sys.maps()
-    centers = domain.cell_centers()
     # g^-1(B) holds a cell iff B holds the cell of g(cell center)
-    pre_cells = [domain.point_cells(m.eval(centers)) for m in maps]
+    pre_cells = [m.cell_map(domain) for m in maps]
     majority_needed = (len(maps) + 1) // 2 + 1
     lo_vol, hi_vol = _VOLUME_WINDOW
 
@@ -673,7 +673,7 @@ def ergodicity_probe(
         resolution=resolution,
         best_defect=defect,
         best_volume=vol,
-        verdict=CANDIDATE_FOUND if found else NO_CANDIDATE,
+        verdict=CANDIDATE_FOUND if found else UNRESOLVED if best is None else NO_CANDIDATE,
         candidate=GridSet(domain, bits) if found else None,
         candidate_ring_volume=ring,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analysis import EPS_DENSE, NO_CANDIDATE, ergodicity_probe, minimality_test
+from .analysis import CANDIDATE_FOUND, EPS_DENSE, NO_CANDIDATE, ergodicity_probe, minimality_test
 from .errors import MultiplierError, ValidationError
 from .geometry import Domain, full_set
 from .maps import CircleNorthSouth, CircleRotation, Perturbed, SystemSpec, circle_position
@@ -113,8 +113,10 @@ def rational_substitution_experiment(
     pair = probe(pair_sys)
     single_ns = probe(SystemSpec((f1,)))
     single_rot = probe(SystemSpec((rot,)))
+    # a single fails the ergodicity probe only by a candidate it found, not
+    # by a probe that resolved nothing
     singles_fail_both = all(
-        not r["minimal"] and not r["ergodic_consistent"]
+        not r["minimal"] and r["ergodicity"]["verdict"] == CANDIDATE_FOUND
         for r in (single_ns, single_rot)
     )
     return {
@@ -155,7 +157,7 @@ def robustness_sweep(
         row = probe(build_circle_example(replace(p, perturb_amplitude=amp)))
         unchanged = (
             row["minimal"] == baseline["minimal"]
-            and row["ergodic_consistent"] == baseline["ergodic_consistent"]
+            and row["ergodicity"]["verdict"] == baseline["ergodicity"]["verdict"]
         )
         rows.append(
             {

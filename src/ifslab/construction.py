@@ -209,7 +209,14 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def hutchinson_step(sys: SystemSpec, a: GridSet, within: GridSet | None = None) -> GridSet:
+def cell_maps(sys: SystemSpec, n: GridSet) -> tuple[GridSet, list[np.ndarray]]:
+    """N with each member's int32 cell map over N's cells, for :func:`hutchinson_step`."""
+    index = np.nonzero(n.bitmap)
+    maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
+    return n, [m.cell_map(n.domain, index).astype(np.int32) for m in maps]
+
+
+def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> GridSet:
     """One application of the set operator A -> union of member images.
 
     Members with closed-form inverses are rasterized exactly by the
@@ -218,30 +225,30 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, within: GridSet | None = None) 
     cell centers are marked, which draws the image to within one cell when
     the member contracts, as the families iterated here do.
 
-    ``within``, when given, must contain the image: only its cells are
-    pulled back, and every other cell reads as outside.
+    ``cells``, when given, is :func:`cell_maps` of a set N holding A and
+    A's image; the step then gathers and scatters through it, evaluating no map.
     """
-    if within is not None and within.domain != a.domain:
-        raise ValidationError("within lives on another domain than the set it bounds")
-    maps = sys.maps()
-    pulled = [m for m in maps if m.closed_form_inverse]
-    pushed = [m for m in maps if not m.closed_form_inverse]
-    out = np.zeros(a.domain.shape, dtype=bool)
-    if pulled:
-        if within is None:
-            centers, hits = a.domain.cell_centers(), out
+    dom, maps = a.domain, sys.maps()
+    # the spare last slot reads a -1 index as outside and takes its writes
+    bits = np.append(a.bitmap.ravel(), False)
+    out = np.zeros_like(bits)
+    if cells is None:
+        at, live, cached = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
+    else:
+        n, cached = cells
+        if not a.minus(n).is_empty():
+            raise ValidationError("the cell maps do not cover the set they step")
+        at = np.flatnonzero(n.bitmap)
+        live = bits[at]
+    hits = np.zeros_like(out[at])
+    # no name holds a cell map, so only one is alive at a time
+    for m, c in zip(maps, cached):
+        if m.closed_form_inverse:
+            hits |= bits[m.inverse().cell_map(dom).ravel() if c is None else c]
         else:
-            centers = within.included_points()
-            hits = np.zeros(len(centers), dtype=bool)
-        for m in pulled:
-            hits |= a.lookup(m.inverse().eval(centers))
-        if within is not None:
-            out[within.bitmap] = hits
-    if pushed:
-        cells = np.nonzero(a.bitmap)
-        for m in pushed:
-            out |= geometry.points_to_gridset(a.domain, m.eval_cells(a.domain, cells)).bitmap
-    return GridSet(a.domain, out)
+            out[m.cell_map(dom, live) if c is None else c[live]] = True
+    out[at] |= hits
+    return GridSet(dom, out[:-1].reshape(dom.shape))
 
 
 @dataclass(frozen=True)
@@ -275,17 +282,17 @@ def attractor(
     dom = geometry.ball_domain(u, resolution)
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
-    # The cell-center operator is monotone, so once an iterate lies inside
-    # the one before it, every later iterate does too: from then on the
-    # current iterate bounds the next one's image.
-    nested = False
+    # The operator is monotone: once an iterate lies inside the one before it,
+    # so do all later iterates and their images, and its cell maps serve them.
+    cells = None
     for it in range(1, max_iter + 1):
-        stepped = hutchinson_step(sys, current, within=current if nested else None)
-        nested = nested or stepped.minus(current).is_empty()
+        stepped = hutchinson_step(sys, current, cells)
         last = geometry.hausdorff_distance(stepped, current)
-        current = stepped
         if last <= tol:
-            return AttractorResult(current, it, last)
+            return AttractorResult(stepped, it, last)
+        if cells is None and stepped.minus(current).is_empty():
+            cells = cell_maps(sys, stepped)
+        current = stepped
     raise ConvergenceError(
         f"attractor iteration did not stabilize in {max_iter} steps "
         f"(last distance {last:.4g})",

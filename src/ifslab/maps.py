@@ -81,9 +81,16 @@ class Map:
     def eval(self, x):
         raise NotImplementedError
 
-    def eval_cells(self, domain, index):
-        """Images of the centers of the domain cells at ``np.nonzero`` index arrays."""
-        return self.eval(domain.centers_at(index))
+    def eval_cells(self, domain, index=None):
+        """Images of the centers of every cell, or of the cells at ``np.nonzero`` index arrays."""
+        return self.eval(domain.cell_centers() if index is None else domain.centers_at(index))
+
+    def cell_map(self, domain, index=None):
+        """:meth:`Domain.point_cells` of the images of the cell centers that
+        :meth:`eval_cells` takes: the one rule from a map to cells."""
+        if self.kind != domain.kind:
+            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
+        return domain.point_cells(self.eval_cells(domain, index))
 
     def eval_log_abs_det(self, x):
         """(eval(x), log_abs_det(x)), for a caller that needs both at x."""
@@ -303,8 +310,8 @@ class Perturbed(Map):
         args = self._arguments(pts[..., 0], pts[..., 1])
         return self._add_bump(self.base.eval(pts), ((np.sin(a), np.sin(b)) for a, b in args))
 
-    def eval_cells(self, domain, index):
-        if self.kind == "circle":
+    def eval_cells(self, domain, index=None):
+        if self.kind == "circle" or index is None:
             return super().eval_cells(domain, index)
         # each sine is taken on the n axis values and gathered per cell; the
         # gathered entry had the same float as input, so the bits agree

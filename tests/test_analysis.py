@@ -9,6 +9,7 @@ from ifslab.analysis import (
     EPS_DENSE,
     NO_CANDIDATE,
     NOT_EPS_DENSE,
+    UNRESOLVED,
     contraction_factor,
     distortion_bound,
     distortion_report,
@@ -22,6 +23,7 @@ from ifslab.analysis import (
 from ifslab.construction import ConstructionParams, attractor, build_construction
 from ifslab.errors import (
     BudgetExceededError,
+    DimensionError,
     DomainError,
     HorizonError,
     NotAContractionError,
@@ -387,6 +389,18 @@ def test_invariance_defect_validation(reference, reference_attractor):
         invariance_defect(reference.system, reference_attractor, "sideways")
 
 
+def test_probes_reject_maps_of_the_other_chart_kind(reference):
+    circle_sys = SystemSpec((CircleRotation(1 / 3),))
+    planar = Domain.planar((0, 1, 0, 1), 64)
+    circle = Domain.circle(64)
+    for sys, dom in ((circle_sys, planar), (reference.system, circle)):
+        for direction in ("image", "preimage"):
+            with pytest.raises(DimensionError):
+                invariance_defect(sys, full_set(dom), direction)
+        with pytest.raises(DimensionError):
+            ergodicity_probe(sys, 64, seed_sets=2, refine_steps=1, domain=dom)
+
+
 # -- Hoelder constant and contraction factor ---------------------------------
 
 
@@ -550,10 +564,10 @@ def test_ergodicity_golden_rotation_no_candidate():
 
 def test_ergodicity_unresolved_grid_reports_worst_defect():
     # at 16 cells every one-cell ring outweighs 1/16 of the volume, so no
-    # iterate is resolved and the probe reports the worst possible defect
+    # iterate is resolved: the probe says so and reports the worst defect
     sys = SystemSpec((CircleRotation(1.0 / 3.0),))
     rep = ergodicity_probe(sys, 16, seed_sets=4, refine_steps=3)
-    assert rep.verdict == NO_CANDIDATE
+    assert rep.verdict == UNRESOLVED
     assert rep.candidate is None
     assert (rep.best_defect, rep.best_volume, rep.candidate_ring_volume) == (1.0, 0.0, 0.0)
 

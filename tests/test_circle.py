@@ -11,7 +11,7 @@ from ifslab.circle import (
 )
 from ifslab.errors import MultiplierError, ValidationError
 from ifslab.geometry import Domain, full_set
-from ifslab.analysis import EPS_DENSE, NOT_EPS_DENSE, minimality_test
+from ifslab.analysis import EPS_DENSE, NOT_EPS_DENSE, UNRESOLVED, minimality_test
 from ifslab.maps import CircleNorthSouth, CircleRotation, SystemSpec
 
 
@@ -110,6 +110,19 @@ def test_substitution_half_and_zero():
         CircleExampleParams(multiplier=0.7, rational_approx=(0, 1), seed=3)
     )
     assert not rep0["pair"]["minimal"]
+
+
+def test_substitution_unresolved_probes_read_as_neither_pass_nor_fail():
+    # at 32 cells no ergodicity iterate is resolved, so no probe may read as
+    # consistent with ergodicity, nor as a single generator failing it
+    p = CircleExampleParams(multiplier=0.625, rational_approx=(5, 8))
+    rep = rational_substitution_experiment(
+        p, epsilon=0.1, max_word_len=40, samples=4, resolution=32
+    )
+    for entry in (rep["pair"], rep["single_north_south"], rep["single_rotation"]):
+        assert entry["ergodicity"]["verdict"] == UNRESOLVED
+        assert not entry["ergodic_consistent"]
+    assert not rep["pair_passes_both"] and not rep["singles_fail_both"]
 
 
 def test_substitution_requires_rational():

@@ -6,21 +6,32 @@ from ifslab.construction import (
     ConstructionParams,
     attractor,
     build_construction,
+    cell_maps,
     check_absorbing,
     construction_report,
     hutchinson_step,
 )
-from ifslab.errors import ConstructionError, ValidationError
+from ifslab.errors import ConstructionError, DimensionError, ValidationError
 from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
     ball_domain,
     diameter,
+    full_set,
+    hausdorff_distance,
+    points_to_gridset,
     rasterize_disk,
     sample_cells,
 )
-from ifslab.maps import SystemSpec, complex_eigenvalue_check
+from ifslab.maps import (
+    AffineSimilarity,
+    CircleNorthSouth,
+    CircleRotation,
+    Perturbed,
+    SystemSpec,
+    complex_eigenvalue_check,
+)
 from ifslab.seeding import rng_from
 
 RES = 512
@@ -267,7 +278,114 @@ def test_construction_report_fields(reference, reference_attractor):
     assert report["cover_verified"] and report["absorbing_verified"]
 
 
-# -- the restricted step: pulling back only the cells of a set that holds the image
+# -- the restricted step: gathers and scatters through the cell maps of a set
+# that holds the set and its image, against the step that evaluates every member
+
+
+def reference_hutchinson_step(sys, a, within=None):
+    """hutchinson_step written out as it ran before cell maps: members with
+    closed-form inverses pulled back by ``lookup`` (only the cells of
+    ``within``, a set holding the image, when given), every other member
+    pushed forward by ``points_to_gridset``."""
+    if within is not None and within.domain != a.domain:
+        raise ValidationError("within lives on another domain than the set it bounds")
+    maps = sys.maps()
+    pulled = [m for m in maps if m.closed_form_inverse]
+    pushed = [m for m in maps if not m.closed_form_inverse]
+    out = np.zeros(a.domain.shape, dtype=bool)
+    if pulled:
+        if within is None:
+            centers, hits = a.domain.cell_centers(), out
+        else:
+            centers = within.included_points()
+            hits = np.zeros(len(centers), dtype=bool)
+        for m in pulled:
+            hits |= a.lookup(m.inverse().eval(centers))
+        if within is not None:
+            out[within.bitmap] = hits
+    if pushed:
+        cells = np.nonzero(a.bitmap)
+        for m in pushed:
+            out |= points_to_gridset(a.domain, m.eval_cells(a.domain, cells)).bitmap
+    return GridSet(a.domain, out)
+
+
+def reference_iterates(sys, current, tol, max_iter):
+    """attractor's loop as it ran before cell maps, from any start set: every
+    step evaluates every member, and once an iterate lies inside the one
+    before it, each step pulls back only the current iterate's cells.
+    Returns (iterate, iterations, last distance, whether it ever nested)."""
+    nested = False
+    for it in range(1, max_iter + 1):
+        stepped = reference_hutchinson_step(sys, current, within=current if nested else None)
+        nested = nested or stepped.minus(current).is_empty()
+        last = hausdorff_distance(stepped, current)
+        current = stepped
+        if last <= tol:
+            return current, it, last, nested
+    raise AssertionError("the reference loop did not stabilize")
+
+
+def _perturbed(gens, seed):
+    return tuple(Perturbed(g, 0.01, seed + i) for i, g in enumerate(gens))
+
+
+@pytest.mark.parametrize("family", ["affine", "mixed", "perturbed"])
+def test_attractor_matches_per_step_loop(family):
+    res = 128
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    gens, ball = built.system.generators, built.absorbing_ball
+    sys = {
+        "affine": built.system,
+        # the pinned mixed family, and every member perturbed as in the probes benchmark
+        "mixed": SystemSpec(gens[:4] + _perturbed(gens[4:], 7)),
+        "perturbed": SystemSpec(_perturbed(gens, 8)),
+    }[family]
+    tol = 2 * ball_domain(ball, res).cell_sizes[0]
+    got = attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
+    start = rasterize_disk(ball_domain(ball, res), ball)
+    want, iterations, last, nested = reference_iterates(sys, start, tol, 200)
+    assert nested and got.attractor.equals(want)
+    assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
+
+
+def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
+    # a half turn about a point off U's center moves every image across the
+    # one before it, so no iterate lies inside its predecessor
+    import ifslab.construction as construction
+
+    def unexpected(*args):
+        raise AssertionError("cell maps built for iterates that never nest")
+
+    monkeypatch.setattr(construction, "cell_maps", unexpected)
+    res, ball = 256, Disk((0.0, 0.0), 16.0)
+    sys = SystemSpec((AffineSimilarity(0.9, 180.0, (3.2, 0.0)),))
+    tol = 2 * ball_domain(ball, res).cell_sizes[0]
+    got = attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
+    start = rasterize_disk(ball_domain(ball, res), ball)
+    want, iterations, last, nested = reference_iterates(sys, start, tol, 200)
+    assert not nested and got.attractor.equals(want)
+    assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
+
+
+def test_cached_steps_match_per_step_loop_on_circle_pair():
+    # attractor takes a planar ball, so the circle pair's steps are chained
+    # here as attractor chains them; the iterates nest once they fill the circle
+    sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
+    dom = Domain.circle(4096)
+    a = ref = rasterize_disk(dom, Disk(0.1, 0.05))
+    cells = within = None
+    for _ in range(12):
+        stepped = hutchinson_step(sys, a, cells)
+        ref_stepped = reference_hutchinson_step(sys, ref, within)
+        assert stepped.equals(ref_stepped)
+        assert hausdorff_distance(stepped, a) == hausdorff_distance(ref_stepped, ref)
+        if cells is None and stepped.minus(a).is_empty():
+            cells = cell_maps(sys, stepped)
+        if within is not None or ref_stepped.minus(ref).is_empty():
+            within = ref_stepped
+        a, ref = stepped, ref_stepped
+    assert cells is not None
 
 
 def _blob(dom, rng, density):
@@ -275,10 +393,14 @@ def _blob(dom, rng, density):
 
 
 def _check_restricted_step(sys, a, rng):
-    """hutchinson_step with any ``within`` holding the image equals the full step."""
+    """hutchinson_step through the cell maps of any set holding A and its
+    image equals both the uncached step and the reference step."""
     full = hutchinson_step(sys, a)
+    assert full.equals(reference_hutchinson_step(sys, a))
     for within in (full, full.union(_blob(a.domain, rng, 0.3)), full.union(a)):
-        assert hutchinson_step(sys, a, within).equals(full)
+        n = within.union(a)
+        assert hutchinson_step(sys, a, cell_maps(sys, n)).equals(full)
+        assert reference_hutchinson_step(sys, a, n).equals(full)
 
 
 def test_restricted_step_planar_affine(reference):
@@ -291,8 +413,6 @@ def test_restricted_step_planar_affine(reference):
 
 
 def test_restricted_step_mixed_affine_and_perturbed(reference):
-    from ifslab.maps import Perturbed
-
     gens = reference.system.generators
     mixed = SystemSpec(gens[:3] + tuple(Perturbed(g, 0.01, 50 + i) for i, g in enumerate(gens[3:])))
     dom = _ball_dom(reference, 128)
@@ -303,9 +423,6 @@ def test_restricted_step_mixed_affine_and_perturbed(reference):
 
 
 def test_restricted_step_circle_north_south_and_rotation():
-    from ifslab.geometry import Domain
-    from ifslab.maps import CircleNorthSouth, CircleRotation
-
     sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
     dom = Domain.circle(4096)
     rng = rng_from(47)
@@ -317,7 +434,25 @@ def test_restricted_step_rejects_another_domain(reference):
     u = rasterize_disk(_ball_dom(reference, 128), reference.absorbing_ball)
     other = rasterize_disk(_ball_dom(reference, 64), reference.absorbing_ball)
     with pytest.raises(ValidationError):
-        hutchinson_step(reference.system, u, other)
+        hutchinson_step(reference.system, u, cell_maps(reference.system, other))
+
+
+def test_restricted_step_rejects_maps_that_miss_a_cell_of_the_set(reference):
+    u = rasterize_disk(_ball_dom(reference, 128), reference.absorbing_ball)
+    inner = hutchinson_step(reference.system, u)
+    with pytest.raises(ValidationError):
+        hutchinson_step(reference.system, u, cell_maps(reference.system, inner))
+
+
+def test_step_rejects_maps_of_the_other_chart_kind(reference):
+    circle_sys = SystemSpec((CircleRotation(1 / 3),))
+    planar = full_set(Domain.planar((0, 1, 0, 1), 64))
+    circle = full_set(Domain.circle(64))
+    for sys, a in ((circle_sys, planar), (reference.system, circle)):
+        with pytest.raises(DimensionError):
+            hutchinson_step(sys, a)
+        with pytest.raises(DimensionError):
+            cell_maps(sys, a)
 
 
 # Recorded at the commit before attractor restricted its steps to the current
