@@ -35,6 +35,7 @@ from .seeding import rng_from, spawn_rngs
 _EVAL_BUDGET = 10**7
 _CHUNK_POINTS = 2**18  # points pushed per chunk of words in empirical_distortion
 _VOLUME_WINDOW = (0.05, 0.95)  # candidate volumes the ergodicity probe scores
+_SEED_BLOCK = 16  # ergodicity seeds refined together, one per bit of a uint16 word
 _BAND_SLACK = 1e-9  # minimality's epsilon band margin, relative to the chart's scale
 
 EPS_DENSE = "eps-dense"
@@ -243,13 +244,13 @@ def invariance_defect(sys: SystemSpec, a: GridSet, direction: str = "image") -> 
         union = np.zeros(a.domain.shape, dtype=bool)
         for m in sys.maps():
             union |= a.pull(m.inverse().cell_map(a.domain))
-        return float(np.mean(a.bitmap ^ union))
+        return geometry.volume(a.bitmap ^ union, union.size)
     worst = 0.0
     for m in sys.maps():
         if not m.invertible:
             raise InvertibilityError("preimage invariance needs invertible generators")
         pre = a.pull(m.cell_map(a.domain))
-        worst = max(worst, float(np.mean(a.bitmap ^ pre)))
+        worst = max(worst, geometry.volume(a.bitmap ^ pre, pre.size))
     return worst
 
 
@@ -592,6 +593,42 @@ def _seed_bitmaps(domain: Domain, count: int, rngs) -> list[np.ndarray]:
     return seeds[:count]
 
 
+def _words(flat: np.ndarray) -> np.ndarray:
+    """Packed seed words with a spare 0 at the end, so that the -1 of a cell
+    map reads as outside."""
+    words = np.zeros(flat.size + 1, dtype=np.uint16)
+    words[:-1] = flat
+    return words
+
+
+def _at_least(planes: list[np.ndarray], threshold: int) -> np.ndarray:
+    """Bitwise vote over packed words: bit b of the result is set where at
+    least ``threshold`` >= 0 of the ``planes`` set bit b.
+
+    The per-bit count is held bit-sliced, one word array per binary digit
+    (Knuth, TAOCP 4A, 7.1.3), so no per-bit integer array is built.
+    """
+    if threshold > len(planes):
+        return np.zeros_like(planes[0])
+    digits: list[np.ndarray] = []  # least significant first
+    for count, x in enumerate(planes, 1):
+        carry = x
+        for i, d in enumerate(digits):
+            digits[i], carry = d ^ carry, d & carry
+        if count.bit_length() > len(digits):
+            digits.append(carry)
+    # count >= threshold, decided from the most significant digit down
+    above = np.zeros_like(planes[0])
+    equal = ~above
+    for i in reversed(range(len(digits))):
+        if threshold >> i & 1:
+            equal = equal & digits[i]
+        else:
+            above = above | (equal & digits[i])
+            equal = equal & ~digits[i]
+    return above | equal
+
+
 def ergodicity_probe(
     sys: SystemSpec,
     resolution: int,
@@ -634,46 +671,66 @@ def ergodicity_probe(
     pre_cells = [m.cell_map(domain) for m in maps]
     majority_needed = (len(maps) + 1) // 2 + 1
     lo_vol, hi_vol = _VOLUME_WINDOW
+    n = math.prod(domain.shape)
 
-    best_resolved = None  # (defect, |vol-1/2|), vol, ring, bits
+    # entries are ((key, seed), vol, ring, words, bit); ranking by (key, seed)
+    # with strict < keeps the first best in seed-then-step order, the choice
+    # of refining the seeds one after another
+    best_resolved = None
     best_qualifying = None
 
-    rngs = spawn_rngs(seed, seed_sets)
-    for bits in _seed_bitmaps(domain, seed_sets, rngs):
-        current = bits.copy()
-        for _ in range(refine_steps + 1):
-            current_set = GridSet(domain, current)
-            pres = [current_set.pull(cells) for cells in pre_cells]
-            vol = float(current.mean())
-            if lo_vol < vol < hi_vol:
-                ring = geometry.one_cell_ring_volume(current_set)
-                if ring <= min(vol, 1.0 - vol) / 16.0:
-                    defect = max(float(np.mean(current ^ p)) for p in pres)
-                    key = (defect, abs(vol - 0.5))
-                    entry = (key, vol, ring, current.copy())
-                    if best_resolved is None or key < best_resolved[0]:
-                        best_resolved = entry
-                    if defect <= 3.0 * ring and (
-                        best_qualifying is None or key < best_qualifying[0]
-                    ):
-                        best_qualifying = entry
-            votes = current.astype(np.int16)
-            for p in pres:
-                votes += p
-            new = votes >= majority_needed
-            if np.array_equal(new, current):
+    seeds = _seed_bitmaps(domain, seed_sets, spawn_rngs(seed, seed_sets))
+    for first in range(0, seed_sets, _SEED_BLOCK):
+        block = seeds[first:first + _SEED_BLOCK]
+        words = _words(sum(bits.ravel().astype(np.uint16) << b for b, bits in enumerate(block)))
+        live = range(len(block))  # the seeds not yet at a fixed point
+        for step in range(refine_steps + 1):
+            current = words[:n].reshape(domain.shape)
+            pres = [words[cells] for cells in pre_cells]
+            edge = diffs = None
+            for b in live:
+                vol = geometry.volume(current & (1 << b), n)
+                if not lo_vol < vol < hi_vol:
+                    continue
+                if edge is None:
+                    edge = current & ~geometry.all_neighbours(current, domain.kind)
+                ring = int(np.count_nonzero(edge & (1 << b))) * domain.cell_volume
+                if ring > min(vol, 1.0 - vol) / 16.0:
+                    continue
+                if diffs is None:
+                    diffs = [current ^ p for p in pres]
+                defect = max(geometry.volume(d & (1 << b), n) for d in diffs)
+                rank = ((defect, abs(vol - 0.5)), first + b)
+                entry = (rank, vol, ring, words, b)
+                if best_resolved is None or rank < best_resolved[0]:
+                    best_resolved = entry
+                if defect <= 3.0 * ring and (
+                    best_qualifying is None or rank < best_qualifying[0]
+                ):
+                    best_qualifying = entry
+            if step == refine_steps:
                 break
-            current = new
+            new = _at_least([current, *pres], majority_needed)
+            # a seed whose step changes none of its bits is a fixed point:
+            # its bits stay put, and it is scored no more
+            changed = int(np.bitwise_or.reduce(new ^ current, axis=None))
+            live = [b for b in live if changed >> b & 1]
+            if not live:
+                break
+            words = _words(new.ravel())
 
     best = best_qualifying or best_resolved
     found = best is not None and best is best_qualifying
     # with no resolved iterate at all, report the worst possible defect
-    (defect, _), vol, ring, bits = best or ((1.0, 0.0), 0.0, 0.0, None)
+    ((defect, _), _), vol, ring, words, b = best or (((1.0, 0.0), 0), 0.0, 0.0, None, 0)
     return ErgodicityReport(
         resolution=resolution,
         best_defect=defect,
         best_volume=vol,
         verdict=CANDIDATE_FOUND if found else UNRESOLVED if best is None else NO_CANDIDATE,
-        candidate=GridSet(domain, bits) if found else None,
+        candidate=(
+            GridSet(domain, (words[:n] & (1 << b)).astype(bool).reshape(domain.shape))
+            if found else None
+        ),
         candidate_ring_volume=ring,
     )

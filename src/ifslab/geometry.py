@@ -237,7 +237,7 @@ class GridSet:
         return not self.bitmap.any()
 
     def count(self) -> int:
-        return int(self.bitmap.sum())
+        return int(np.count_nonzero(self.bitmap))
 
     def _check_same_domain(self, other: "GridSet"):
         if self.domain != other.domain:
@@ -264,6 +264,13 @@ def full_set(domain: Domain) -> GridSet:
 
 def empty_set(domain: Domain) -> GridSet:
     return GridSet(domain, np.zeros(domain.shape, dtype=bool))
+
+
+def volume(bits: np.ndarray, cells: int) -> float:
+    """Normalized volume of the nonzero entries of ``bits`` on a chart of
+    ``cells`` cells: a correctly rounded count / cells, the same float as
+    the full bool bitmap's mean()."""
+    return int(np.count_nonzero(bits)) / cells
 
 
 def ball_domain(u: Disk, resolution: int) -> Domain:
@@ -477,21 +484,22 @@ def _circle_neighbours(pos: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray
     return pos[(idx - 1) % len(pos)], pos[idx % len(pos)]
 
 
-def boundary_cell_count(s: GridSet) -> int:
-    """Included cells with at least one excluded 4-neighbor.
+def all_neighbours(bits: np.ndarray, kind: str) -> np.ndarray:
+    """Bitwise AND of each cell's neighbors (four on the plane, two on the
+    circle), for a bool bitmap or for packed integer words alike.
 
-    Planar neighbors beyond the chart edge count as excluded; circle
+    Planar neighbors beyond the chart edge count as excluded (0); circle
     neighbors wrap.
     """
-    bm = s.bitmap
-    if s.domain.kind == CIRCLE:
-        nb_all = np.roll(bm, 1) & np.roll(bm, -1)
-        return int(np.count_nonzero(bm & ~nb_all))
-    padded = np.pad(bm, 1, constant_values=False)
-    nb_all = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return int(np.count_nonzero(bm & ~nb_all))
+    if kind == CIRCLE:
+        return np.roll(bits, 1) & np.roll(bits, -1)
+    padded = np.pad(bits, 1)
+    return padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+
+
+def boundary_cell_count(s: GridSet) -> int:
+    """Included cells with at least one excluded 4-neighbor."""
+    return int(np.count_nonzero(s.bitmap & ~all_neighbours(s.bitmap, s.domain.kind)))
 
 
 def one_cell_ring_volume(s: GridSet) -> float:

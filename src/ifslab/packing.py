@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ValidationError
-from .geometry import Disk, Domain, GridSet
+from .geometry import Disk, Domain, GridSet, volume
 
 DENSITY_PREMISE_THRESHOLD = 0.75  # target density above which packing must fail
 COVER_FRACTION = 2.0 / 3.0  # condition (3) threshold
@@ -82,11 +82,6 @@ def _ring_volume(domain: Domain, d: Disk) -> float:
     return (2.0 * np.pi * d.radius / dx + 8.0) * domain.cell_volume
 
 
-def _volume(bits: np.ndarray, cells: int) -> float:
-    # a correctly rounded count / N: the same float as the full bitmap's mean()
-    return int(np.count_nonzero(bits)) / cells
-
-
 def verify_conditions(inst: PackingInstance) -> PackingReport:
     """Check the four packing conditions on the grid, with signed margins.
 
@@ -104,7 +99,7 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     target = inst.target.bitmap
     amb = geometry.rasterize_disk(dom, inst.ambient).bitmap
     n = amb.size
-    vol_amb = _volume(amb, n)
+    vol_amb = volume(amb, n)
     if vol_amb == 0:
         raise ValidationError("ambient disk rasterizes to nothing")
     disks = [geometry.disk_cells(dom, d) for d in inst.family]
@@ -114,7 +109,7 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     rings = [_ring_volume(dom, d) for d in inst.family]
 
     # (1) each disk inside the ambient ball
-    outside = [_volume(bits & ~amb[window], n) for window, bits in disks]
+    outside = [volume(bits & ~amb[window], n) for window, bits in disks]
     m1 = min([0.0] + [-o / vol_amb for o in outside])
     c1 = all(o <= ring for o, ring in zip(outside, rings))
 
@@ -127,19 +122,19 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
         canvas[wi] = bi
         for j in range(i + 1, len(disks)):
             wj, bj = disks[j]
-            overlap = _volume(bj & canvas[wj], n)
+            overlap = volume(bj & canvas[wj], n)
             m2 = min(m2, -overlap / vol_amb)
             if overlap > rings[i] + rings[j]:
                 c2 = False
         canvas[wi] = False
 
     # (3) union volume above 2/3 of the ambient volume
-    vol_union = _volume(union, n)
+    vol_union = volume(union, n)
     m3 = (vol_union - COVER_FRACTION * vol_amb) / vol_amb
     c3 = vol_union > COVER_FRACTION * vol_amb - sum(rings)
 
     # (4) each disk more than half filled by the complement of the target
-    filled = [(_volume(bits & ~target[window], n), _volume(bits, n)) for window, bits in disks]
+    filled = [(volume(bits & ~target[window], n), volume(bits, n)) for window, bits in disks]
     m4 = min(((w - COMPLEMENT_FRACTION * vd) / vol_amb for w, vd in filled), default=0.0)
     c4 = all(w > COMPLEMENT_FRACTION * vd - ring for (w, vd), ring in zip(filled, rings))
 
@@ -178,15 +173,15 @@ def contradiction_bound(grids: FullGrids) -> dict:
     """
     target, amb, union, vol_amb, vol_union = grids
     n = amb.size
-    density_ratio = _volume(target & amb, n) / vol_amb
+    density_ratio = volume(target & amb, n) / vol_amb
     lower_bound = 0.5 * vol_union
-    actual = _volume(amb & ~target, n)
+    actual = volume(amb & ~target, n)
     return {
         "lower_bound": lower_bound,
         "actual_complement_in_ambient": actual,
         "lower_bound_fraction": lower_bound / vol_amb,
         "actual_fraction": actual / vol_amb,
-        "complement_in_union": _volume(union & ~target, n),
+        "complement_in_union": volume(union & ~target, n),
         "union_volume": vol_union,
         "density_ratio": density_ratio,
         "premise_holds": density_ratio > DENSITY_PREMISE_THRESHOLD,
@@ -234,14 +229,14 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
     centers = dom.cell_centers()
     # largest radius at each cell honoring (1) and (2)
     avail = ambient.radius - geometry.point_distance(dom.kind, centers, ambient.center)
-    amb_vol = _volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
+    amb_vol = volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
 
     placed: list[Disk] = []
     union = np.zeros(dom.shape, dtype=bool)
     blocked = np.zeros(dom.shape, dtype=bool)
 
     while len(placed) < max_disks:
-        if union.mean() > COVER_FRACTION * amb_vol:
+        if volume(union, union.size) > COVER_FRACTION * amb_vol:
             break
         mask = (avail >= min_radius) & ~blocked
         if not mask.any():

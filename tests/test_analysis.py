@@ -34,6 +34,7 @@ from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
+    ball_domain,
     full_set,
     nearest_point_distances,
     rasterize_disk,
@@ -48,7 +49,7 @@ from ifslab.maps import (
     Word,
     parse_system,
 )
-from ifslab.seeding import rng_from
+from ifslab.seeding import rng_from, spawn_rngs
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 RES = 512
@@ -595,6 +596,160 @@ def test_ergodicity_minimal_system_candidates_are_dense_if_found():
             assert gaps.max() <= eps
     else:
         assert rep.verdict == NO_CANDIDATE
+
+
+def reference_ergodicity_probe(sys, resolution, seed_sets, refine_steps, seed, domain=None):
+    """ergodicity_probe's refinement written out seed by seed on bool
+    bitmaps, as it ran before the seeds were packed into words: one pull per
+    generator per seed per step, an int16 vote and a mean() per volume."""
+    if domain is None:
+        domain = Domain.circle(resolution)
+    maps = sys.maps()
+    pre_cells = [m.cell_map(domain) for m in maps]
+    majority_needed = (len(maps) + 1) // 2 + 1
+    lo_vol, hi_vol = analysis._VOLUME_WINDOW
+    best_resolved = best_qualifying = None
+    for bits in analysis._seed_bitmaps(domain, seed_sets, spawn_rngs(seed, seed_sets)):
+        current = bits.copy()
+        for _ in range(refine_steps + 1):
+            current_set = GridSet(domain, current)
+            pres = [current_set.pull(cells) for cells in pre_cells]
+            vol = float(current.mean())
+            if lo_vol < vol < hi_vol:
+                ring = geometry.one_cell_ring_volume(current_set)
+                if ring <= min(vol, 1.0 - vol) / 16.0:
+                    defect = max(float(np.mean(current ^ p)) for p in pres)
+                    key = (defect, abs(vol - 0.5))
+                    entry = (key, vol, ring, current.copy())
+                    if best_resolved is None or key < best_resolved[0]:
+                        best_resolved = entry
+                    if defect <= 3.0 * ring and (
+                        best_qualifying is None or key < best_qualifying[0]
+                    ):
+                        best_qualifying = entry
+            votes = current.astype(np.int16)
+            for p in pres:
+                votes += p
+            new = votes >= majority_needed
+            if np.array_equal(new, current):
+                break
+            current = new
+    best = best_qualifying or best_resolved
+    found = best is not None and best is best_qualifying
+    (defect, _), vol, ring, bits = best or ((1.0, 0.0), 0.0, 0.0, None)
+    verdict = CANDIDATE_FOUND if found else UNRESOLVED if best is None else NO_CANDIDATE
+    return defect, vol, verdict, bits if found else None, ring
+
+
+_NORTH_SOUTH = CircleNorthSouth(0.7, 0.0)
+_SQUARE_96 = Domain.planar((-2.0, 2.0, -2.0, 2.0), 96)
+# (system, resolution, seed_sets, refine_steps, seed, planar chart or None)
+_ERGODICITY_CASES = {
+    "third-candidate": (lambda: SystemSpec((CircleRotation(1.0 / 3.0),)), 3072, 16, 12, 7, None),
+    "north-south-candidate": (lambda: SystemSpec((_NORTH_SOUTH,)), 1024, 16, 12, 7, None),
+    "golden": (lambda: SystemSpec((CircleRotation(GOLD),)), 1024, 16, 12, 7, None),
+    "unresolved": (lambda: SystemSpec((CircleRotation(1.0 / 3.0),)), 16, 4, 3, 0, None),
+    # seed counts on either side of a 16-seed block
+    "one-seed": (lambda: SystemSpec((_NORTH_SOUTH,)), 2048, 1, 8, 2, None),
+    "five-seeds": (lambda: SystemSpec((_NORTH_SOUTH, CircleRotation(GOLD))), 1024, 5, 12, 9,
+                   None),
+    "seventeen-seeds": (lambda: SystemSpec((_NORTH_SOUTH,)), 2048, 17, 8, 2, None),
+    "forty-seeds": (lambda: SystemSpec((_NORTH_SOUTH, CircleRotation(GOLD))), 4096, 40, 24, 1,
+                    None),
+    "no-refinement": (lambda: SystemSpec((CircleRotation(1.0 / 3.0),)), 3072, 20, 0, 7, None),
+    # 1, 2, 3 and 8 generators: a vote of 2 of 2, 2 of 3, 3 of 4 and 5 of 9
+    "two-generators": (lambda: SystemSpec((_NORTH_SOUTH, CircleRotation(GOLD))), 2048, 16, 16,
+                       7, None),
+    "three-generators": (
+        lambda: SystemSpec((_NORTH_SOUTH, CircleRotation(GOLD), CircleRotation(1.0 / 3.0))),
+        1024, 16, 12, 5, None),
+    "perturbed-pair": (
+        lambda: SystemSpec((Perturbed(_NORTH_SOUTH, 0.02, seed=4), CircleRotation(5.0 / 8.0))),
+        4096, 16, 24, 5, None),
+    "probes": (lambda: parse_system(_PROBES_FAMILY), 128, 16, 24, 3,
+               lambda: ball_domain(Disk((0.0, 0.0), 16.0), 128)),
+    # an expanding member sends the outer cells off the chart, which reads
+    # as outside
+    "planar-off-chart-candidate": (lambda: SystemSpec((AffineSimilarity(1.1, 0.0),)),
+                                   96, 18, 10, 4, lambda: _SQUARE_96),
+    "planar-off-chart": (
+        lambda: SystemSpec((AffineSimilarity(1.1, 90.0), AffineSimilarity(0.9, 0.0, (0.2, 0.0)))),
+        96, 18, 10, 4, lambda: _SQUARE_96),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERGODICITY_CASES))
+def test_ergodicity_probe_matches_seed_by_seed_loop(name):
+    make, res, seed_sets, steps, seed, chart = _ERGODICITY_CASES[name]
+    sys = make()
+    dom = chart() if chart else None
+    rep = ergodicity_probe(sys, res, seed_sets, steps, seed, domain=dom)
+    defect, vol, verdict, bits, ring = reference_ergodicity_probe(
+        sys, res, seed_sets, steps, seed, domain=dom)
+    assert (rep.best_defect, rep.best_volume, rep.verdict, rep.candidate_ring_volume) == (
+        defect, vol, verdict, ring)
+    assert {type(rep.best_defect), type(rep.best_volume), type(rep.candidate_ring_volume)} == {
+        float}
+    if bits is None:
+        assert rep.candidate is None
+    else:
+        assert np.array_equal(rep.candidate.bitmap, bits)
+
+
+def _quarter_turn_seed(*runs):
+    """A seed on 4096 circle cells for the quarter turn, whose vote of 2 of 2
+    is B & g^-1(B).  Each orbit {x, x + 1024, x + 2048, x + 3072} holds 0-4
+    consecutive cells, given as runs of (cells held, orbits) along x.  A
+    partly held orbit loses one cell per step and adds 2 to the defect
+    count; a full one is invariant."""
+    held = np.zeros((4, 1024), dtype=bool)
+    x = 0
+    for size, orbits in runs:
+        held[:size, x:x + orbits] = True
+        x += orbits
+    return held.ravel()
+
+
+def _probe_and_reference(sys, seed_sets, refine_steps):
+    rep = ergodicity_probe(sys, 4096, seed_sets, refine_steps)
+    defect, vol, verdict, bits, ring = reference_ergodicity_probe(
+        sys, 4096, seed_sets, refine_steps, 0)
+    assert (rep.best_defect, rep.best_volume, rep.verdict, rep.candidate_ring_volume) == (
+        defect, vol, verdict, ring)
+    assert rep.verdict == CANDIDATE_FOUND
+    assert np.array_equal(rep.candidate.bitmap, bits)
+    return rep
+
+
+def test_ergodicity_ties_keep_the_first_seed_then_step(monkeypatch):
+    sys = SystemSpec((CircleRotation(0.25),))
+    # seed 1 reaches the best key (4, 1020) / 4096 at step 1 only; seeds 2
+    # and 16 (bit 0 of the next block) hold that key at step 0, with other
+    # bitmaps; the empty seeds are never scored
+    first = _quarter_turn_seed((4, 256), (3, 2), (1, 1))
+    empty = np.zeros(4096, dtype=bool)
+    seeds = ([empty, first, _quarter_turn_seed((4, 256), (0, 10), (2, 2))] + [empty] * 13
+             + [_quarter_turn_seed((4, 256), (0, 20), (2, 2))])
+    monkeypatch.setattr(analysis, "_seed_bitmaps", lambda domain, count, rngs: seeds[:count])
+    rep = _probe_and_reference(sys, len(seeds), 1)
+    assert (rep.best_defect, rep.best_volume) == (4 / 4096, 1028 / 4096)
+    assert np.array_equal(rep.candidate.bitmap, first & np.roll(first, -1024))
+    # one seed with the best key at steps 0 and 1: volumes 2050 and 2046
+    seeds = [_quarter_turn_seed((4, 510), (3, 2), (2, 2))]
+    rep = _probe_and_reference(sys, 1, 1)
+    assert (rep.best_defect, rep.best_volume) == (8 / 4096, 2050 / 4096)
+    assert np.array_equal(rep.candidate.bitmap, seeds[0])
+
+
+@pytest.mark.parametrize("count", range(1, 10))
+def test_bit_sliced_vote_matches_integer_count(count):
+    planes = rng_from(count).integers(0, 1 << 16, size=(count, 999), dtype=np.uint16)
+    shifts = np.arange(16, dtype=np.uint16)
+    per_bit = ((planes[..., None] >> shifts) & 1).sum(axis=0)  # (999, 16) counts
+    for threshold in range(count + 2):
+        got = analysis._at_least(list(planes), threshold)
+        assert got.dtype == np.uint16
+        assert np.array_equal((got[:, None] >> shifts) & 1, per_bit >= threshold)
 
 
 def test_ergodicity_planar_needs_domain(reference):

@@ -24,6 +24,7 @@ from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
+    all_neighbours,
     boundary_cell_count,
     density_points,
     diameter,
@@ -38,6 +39,7 @@ from ifslab.geometry import (
     rasterize_disk,
     read_pgm,
     write_pgm,
+    volume,
     write_points_csv,
 )
 from ifslab.seeding import rng_from
@@ -350,6 +352,25 @@ def test_boundary_ring(square):
     expected = 2 * np.pi * 0.2 / square.max_cell_size
     assert 0.5 * expected < count < 3 * expected
     assert one_cell_ring_volume(d) == count * square.cell_volume
+
+
+@pytest.mark.parametrize("domain", [Domain.planar((0.0, 1.0, 0.0, 1.0), 33), Domain.circle(257)],
+                         ids=["planar", "circle"])
+def test_boundary_rule_on_packed_words_matches_each_bitmap(domain):
+    # bit b of each uint16 word is one set; the edges and the wrap must
+    # give each bit the boundary its own bool bitmap has
+    words = rng_from(3).integers(0, 1 << 16, size=domain.shape, dtype=np.uint16)
+    words |= words >> 1  # bits 0-14 in 3/4 of the cells, so that some are interior
+    edge = words & ~all_neighbours(words, domain.kind)
+    for b in range(16):
+        bits = (words & (1 << b)).astype(bool)
+        assert 0 < np.count_nonzero(edge & (1 << b)) == boundary_cell_count(
+            GridSet(domain, bits)) < bits.sum()
+
+
+def test_volume_is_the_bitmap_mean():
+    bits = rng_from(4).random((512, 512)) < 0.37
+    assert volume(bits, bits.size) == float(bits.mean())
 
 
 def test_pgm_roundtrip_planar(tmp_path, square):
