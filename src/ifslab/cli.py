@@ -10,6 +10,7 @@ probe runs out of budget or fails to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -229,7 +230,9 @@ def _cmd_packing_greedy(args, out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parse_args fills a fresh namespace per call."""
     parser = _Parser(prog="ifslab", description=__doc__)
     parser.add_argument("--config", help="key=value file; flags override its entries")
     sub = parser.add_subparsers(dest="command", required=True)

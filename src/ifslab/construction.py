@@ -216,6 +216,21 @@ def cell_maps(sys: SystemSpec, n: GridSet) -> tuple[GridSet, list[np.ndarray]]:
     return n, [m.cell_map(n.domain, index).astype(np.int32) for m in maps]
 
 
+def restrict_cell_maps(cells: tuple, m: GridSet) -> tuple[GridSet, list[np.ndarray]]:
+    """:func:`cell_maps` of M, a subset of the cached set N, read off N's maps.
+
+    The list is updated in place, one map at a time, so only one extra map
+    is alive at once.
+    """
+    n, maps = cells
+    if not m.minus(n).is_empty():
+        raise ValidationError("the cell maps do not cover the set they are restricted to")
+    keep = m.bitmap.ravel()[np.flatnonzero(n.bitmap)]
+    for j, c in enumerate(maps):
+        maps[j] = c[keep]
+    return m, maps
+
+
 def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> GridSet:
     """One application of the set operator A -> union of member images.
 
@@ -273,6 +288,8 @@ def attractor(
     the comparison is <=); raises :class:`ConvergenceError` with the last
     distance if ``max_iter`` is hit first.
     """
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     if verify_absorbing:
         chk = check_absorbing(sys, u, resolution)
         if not chk.absorbed:
@@ -283,14 +300,17 @@ def attractor(
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
     # The operator is monotone: once an iterate lies inside the one before it,
-    # so do all later iterates and their images, and its cell maps serve them.
+    # so do all later iterates and their images, and its cell maps serve them,
+    # restricted to each new iterate as it shrinks.
     cells = None
     for it in range(1, max_iter + 1):
         stepped = hutchinson_step(sys, current, cells)
         last = geometry.hausdorff_distance(stepped, current)
         if last <= tol:
             return AttractorResult(stepped, it, last)
-        if cells is None and stepped.minus(current).is_empty():
+        if cells is not None:
+            cells = restrict_cell_maps(cells, stepped)
+        elif stepped.minus(current).is_empty():
             cells = cell_maps(sys, stepped)
         current = stepped
     raise ConvergenceError(

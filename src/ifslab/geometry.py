@@ -332,28 +332,35 @@ def rasterize_disk(domain: Domain, d: Disk) -> GridSet:
 # ---------------------------------------------------------------------------
 
 
-def local_density(a: GridSet, radius: float) -> np.ndarray:
-    """Per-cell ratio vol(a ∩ B(center, radius)) / vol(B) over the grid.
-
-    The ball is a stack of runs, one per kernel column: cell offsets (i, j)
-    with (i*dx)**2 + (j*dy)**2 <= radius**2 on the plane, and the
-    2*floor(radius/dx) + 1 cells of one column on the circle.  Each count is
-    exact: a sum of run sums read off one integer cumsum along the last axis
-    of the bitmap, padded with wraparound on the circle and with zeros on the
-    plane, where the chart truncates the ball; this only penalizes boundary
-    cells.
-    """
-    dx, dy = a.domain.cell_sizes
-    if a.domain.kind == CIRCLE:
-        runs, mode = np.array([2 * int(np.floor(radius / dx)) + 1]), "wrap"
+def _ball_kernel(domain: Domain, radius: float) -> np.ndarray:
+    """The density ball as a centred bool mask over cell offsets: (i, j) with
+    (i*dx)**2 + (j*dy)**2 <= radius**2 on the plane, and one row of the
+    2*floor(radius/dx) + 1 cells of an arc on the circle."""
+    dx, dy = domain.cell_sizes
+    if domain.kind == CIRCLE:
+        kernel = np.ones((1, 2 * int(np.floor(radius / dx)) + 1), dtype=bool)
     else:
         mx, my = int(np.floor(radius / dx)), int(np.floor(radius / dy))
         ox = (np.arange(-mx, mx + 1) * dx)[:, None]
         oy = (np.arange(-my, my + 1) * dy)[None, :]
-        runs, mode = (ox**2 + oy**2 <= radius**2).sum(axis=1), "constant"
-    ksum = runs.sum()
-    if ksum <= 1:
+        kernel = ox**2 + oy**2 <= radius**2
+    if np.count_nonzero(kernel) <= 1:
         raise ResolutionError("density radius is below the grid scale")
+    return kernel
+
+
+def local_density(a: GridSet, radius: float) -> np.ndarray:
+    """Per-cell ratio vol(a ∩ B(center, radius)) / vol(B) over the grid.
+
+    The ball (:func:`_ball_kernel`) is a stack of runs, one per kernel row.
+    Each count is exact: a sum of run sums read off one integer cumsum along
+    the last axis of the bitmap, padded with wraparound on the circle and with
+    zeros on the plane, where the chart truncates the ball; this only
+    penalizes boundary cells.
+    """
+    runs = _ball_kernel(a.domain, radius).sum(axis=1)
+    mode = "wrap" if a.domain.kind == CIRCLE else "constant"
+    ksum = runs.sum()
     n = a.domain.resolution
     bits = a.bitmap.reshape(-1, n)
     # runs are odd and centred; one leading pad cell makes cum[k] - cum[k - run]
@@ -370,6 +377,19 @@ def local_density(a: GridSet, radius: float) -> np.ndarray:
     return (counts / ksum).reshape(a.domain.shape)
 
 
+def _check_density_args(domain: Domain, radius: float, threshold: float) -> None:
+    if radius < 2 * domain.max_cell_size:
+        raise ResolutionError("density radius must be at least 2 cell widths")
+    if not 0.5 < threshold <= 1.0:
+        raise ValidationError("threshold must lie in (0.5, 1]")
+
+
+def _dense(ratio: np.ndarray, threshold: float) -> np.ndarray:
+    # counts are exact integers over the kernel, so a tiny slack only guards
+    # against decimal-representation dust in threshold itself
+    return ratio >= threshold - 1e-12
+
+
 def density_points(a: GridSet, radius: float, threshold: float) -> GridSet:
     """Approximate Lebesgue density points of ``a``.
 
@@ -378,14 +398,35 @@ def density_points(a: GridSet, radius: float, threshold: float) -> GridSet:
     reaches the threshold — the radius is the proxy for the r -> 0 limit.
     """
     radius = float(radius)
-    if radius < 2 * a.domain.max_cell_size:
-        raise ResolutionError("density radius must be at least 2 cell widths")
-    if not 0.5 < threshold <= 1.0:
-        raise ValidationError("threshold must lie in (0.5, 1]")
-    ratio = local_density(a, radius)
-    # counts are exact integers over the kernel, so a tiny slack only guards
-    # against decimal-representation dust in threshold itself
-    return GridSet(a.domain, ratio >= threshold - 1e-12)
+    _check_density_args(a.domain, radius, threshold)
+    return GridSet(a.domain, _dense(local_density(a, radius), threshold))
+
+
+def density_points_at(a: GridSet, radius: float, threshold: float,
+                      points: np.ndarray) -> np.ndarray:
+    """``density_points(a, radius, threshold).lookup(points)``, counting the
+    ball only at the cells holding the points.
+
+    Each count is the same exact integer :func:`local_density` finds there:
+    kernel cells off the planar chart count as outside, and arcs wrap on the
+    circle.  A point off the chart is not a density point.
+    """
+    radius = float(radius)
+    _check_density_args(a.domain, radius, threshold)
+    kernel = _ball_kernel(a.domain, radius)
+    n = a.domain.resolution
+    bits = a.bitmap.reshape(-1, n)
+    cells = a.domain.point_cells(points)
+    ki, kj = np.nonzero(kernel)
+    rows, cols = np.divmod(cells, n)
+    i = rows[:, None] + (ki - kernel.shape[0] // 2)
+    j = cols[:, None] + (kj - kernel.shape[1] // 2)
+    if a.domain.kind == CIRCLE:
+        j %= n
+    on_chart = (i >= 0) & (i < len(bits)) & (j >= 0) & (j < n)
+    hits = bits[np.clip(i, 0, len(bits) - 1), np.clip(j, 0, n - 1)] & on_chart
+    ratio = np.count_nonzero(hits, axis=1) / len(ki)
+    return _dense(ratio, threshold) & (cells >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,13 +67,13 @@ class PackingReport:
 
 
 class FullGrids(NamedTuple):
-    """The full-grid bitmaps of one instance and the two volumes they give."""
+    """The full-grid bitmaps of one instance and the cell counts of two."""
 
     target: np.ndarray
     ambient: np.ndarray
     union: np.ndarray
-    vol_ambient: float
-    vol_union: float
+    ambient_cells: int
+    union_cells: int
 
 
 def _ring_volume(domain: Domain, d: Disk) -> float:
@@ -91,15 +91,17 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
     separate flag records whether every family center lies in the
     rasterized density points of the complement of the target (threshold
     3/4), which is the packing problem's premise rather than a numbered
-    condition.  The instance is rasterized once: only the ambient disk and
-    the union span the whole grid, and each family disk is measured on its
-    own ``disk_cells`` window.
+    condition; the complement's ball is counted at the centers' cells only
+    (:func:`geometry.density_points_at`).  The instance is rasterized once:
+    only the ambient disk and the union span the whole grid, and each family
+    disk is measured on its own ``disk_cells`` window.
     """
     dom = inst.target.domain
     target = inst.target.bitmap
     amb = geometry.rasterize_disk(dom, inst.ambient).bitmap
     n = amb.size
-    vol_amb = volume(amb, n)
+    amb_cells = int(np.count_nonzero(amb))
+    vol_amb = amb_cells / n
     if vol_amb == 0:
         raise ValidationError("ambient disk rasterizes to nothing")
     disks = [geometry.disk_cells(dom, d) for d in inst.family]
@@ -129,7 +131,8 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
         canvas[wi] = False
 
     # (3) union volume above 2/3 of the ambient volume
-    vol_union = volume(union, n)
+    union_cells = int(np.count_nonzero(union))
+    vol_union = union_cells / n
     m3 = (vol_union - COVER_FRACTION * vol_amb) / vol_amb
     c3 = vol_union > COVER_FRACTION * vol_amb - sum(rings)
 
@@ -140,13 +143,13 @@ def verify_conditions(inst: PackingInstance) -> PackingReport:
 
     if inst.family:
         dp_radius = DP_RADIUS_CELLS * dom.max_cell_size
-        dp = geometry.density_points(inst.target.complement(), dp_radius, DP_THRESHOLD)
         centers = np.array([d.center for d in inst.family])
-        centers_ok = bool(dp.lookup(centers).all())
+        centers_ok = bool(geometry.density_points_at(
+            inst.target.complement(), dp_radius, DP_THRESHOLD, centers).all())
     else:
         centers_ok = True
 
-    chain = contradiction_bound(FullGrids(target, amb, union, vol_amb, vol_union))
+    chain = contradiction_bound(FullGrids(target, amb, union, amb_cells, union_cells))
     return PackingReport(
         cond1=c1,
         cond2=c2,
@@ -171,17 +174,20 @@ def contradiction_bound(grids: FullGrids) -> dict:
     of the ambient ball the complement is below 1/4 < 1/3, so no family
     can satisfy all four conditions; ``forced_infeasible`` flags that case.
     """
-    target, amb, union, vol_amb, vol_union = grids
+    target, amb, union, amb_cells, union_cells = grids
     n = amb.size
-    density_ratio = volume(target & amb, n) / vol_amb
+    vol_amb, vol_union = amb_cells / n, union_cells / n
+    # a set's cells off the target are its cells less those on it
+    amb_in_target = int(np.count_nonzero(target & amb))
+    density_ratio = amb_in_target / n / vol_amb
     lower_bound = 0.5 * vol_union
-    actual = volume(amb & ~target, n)
+    actual = (amb_cells - amb_in_target) / n
     return {
         "lower_bound": lower_bound,
         "actual_complement_in_ambient": actual,
         "lower_bound_fraction": lower_bound / vol_amb,
         "actual_fraction": actual / vol_amb,
-        "complement_in_union": volume(union & ~target, n),
+        "complement_in_union": (union_cells - int(np.count_nonzero(union & target))) / n,
         "union_volume": vol_union,
         "density_ratio": density_ratio,
         "premise_holds": density_ratio > DENSITY_PREMISE_THRESHOLD,
@@ -214,6 +220,8 @@ def greedy_pack(
         raise ValidationError("greedy packing is planar")
     if min_radius < 4.0 * dom.max_cell_size:
         raise ValidationError("min_radius must be at least 4 cell widths")
+    if max_disks < 0:
+        raise ValidationError(f"max_disks must be >= 0, got {max_disks}")
     family = _greedy_family(target, ambient, min_radius, max_disks)
     # the search's full-grid fields are freed by now, before the check builds its own
     inst = PackingInstance(ambient=ambient, target=target, family=family)
@@ -225,30 +233,30 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
     """The disks :func:`greedy_pack` places, in placement order."""
     dom = target.domain
     comp = target.complement()
-    comp_density = geometry.local_density(comp, min_radius)
-    centers = dom.cell_centers()
+    # every field is flat, indexed like the raveled bitmap
+    centers = dom.cell_centers().reshape(-1, 2)
     # largest radius at each cell honoring (1) and (2)
     avail = ambient.radius - geometry.point_distance(dom.kind, centers, ambient.center)
     amb_vol = volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
+    # the ranked score is the complement density on live cells and -1 on the
+    # rest; a cell is live while avail >= min_radius and it is not blocked.
+    # avail only falls, so a cell that leaves is never read again, and avail
+    # is updated on live cells only
+    score = np.where(avail >= min_radius, geometry.local_density(comp, min_radius).ravel(), -1.0)
 
     placed: list[Disk] = []
     union = np.zeros(dom.shape, dtype=bool)
-    blocked = np.zeros(dom.shape, dtype=bool)
-
     while len(placed) < max_disks:
         if volume(union, union.size) > COVER_FRACTION * amb_vol:
             break
-        mask = (avail >= min_radius) & ~blocked
-        if not mask.any():
+        if score.max() < 0:
             break
-        flat_density = np.where(mask, comp_density, -1.0)
-        order = np.argsort(flat_density, axis=None)[::-1][:CANDIDATES_PER_ROUND]
-        for flat_idx in order:
-            ix, iy = np.unravel_index(flat_idx, dom.shape)
-            if not mask[ix, iy]:
+        order = np.argsort(score)[::-1][:CANDIDATES_PER_ROUND]
+        for k in order:
+            if score[k] < 0:
                 continue
-            center = centers[ix, iy]
-            r = float(avail[ix, iy])
+            center = centers[k]
+            r = float(avail[k])
             # shrink until the half-complement condition holds; total >= 1 (center cell)
             while r >= min_radius:
                 disk = Disk(center, r)
@@ -260,12 +268,15 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
                     break
                 r *= 0.8
             if r < min_radius:
-                blocked[ix, iy] = True
+                score[k] = -1.0  # blocked
                 continue
             placed.append(disk)
             union[window] |= bits
-            d_new = geometry.point_distance(dom.kind, centers, center) - r
-            avail = np.minimum(avail, d_new)
+            at = np.flatnonzero(score >= 0)
+            # np.take gathers the (m, 2) rows several times faster than centers[at]
+            d_new = geometry.point_distance(dom.kind, np.take(centers, at, axis=0), center) - r
+            avail[at] = left = np.minimum(avail[at], d_new)
+            score[at[left < min_radius]] = -1.0
             break
         else:
             break

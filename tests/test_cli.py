@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ifslab
+from ifslab import cli
 from ifslab.cli import main
 from ifslab.geometry import Domain, GridSet, empty_set, read_pgm, write_pgm
 
@@ -25,6 +26,17 @@ def gold_system_file(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_parser_is_built_once_and_fills_a_fresh_namespace():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    argv = ["packing", "greedy", "--target-pgm", "t.pgm", "--ambient", "0.5,0.5,0.4",
+            "--min-radius", "0.1"]
+    first = parser.parse_args(argv + ["--max-disks", "3", "--seed", "7"])
+    second = parser.parse_args(argv)
+    assert (first.max_disks, first.seed) == (3, 7)
+    assert (second.max_disks, second.seed) == (256, 0)
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -359,6 +371,8 @@ def test_shrink_horizon_exit_two(tmp_path):
           "--resolution", "64", "--bounds=-5,5,-5,5"], None, "rotation angle=0.618\n"),
         (["ergodicity", "--system", "{file}", "--resolution", "64", "--bounds=-5,5,-5,5"],
          None, "rotation angle=0.618\n"),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4", "--max-disks", "-1"], None, None),
+        (["construct", "--kappa", "0.76", "--tol-cells", "-1", "--resolution", "64"], None, None),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -369,7 +383,8 @@ def test_shrink_horizon_exit_two(tmp_path):
          "instance-target-null", "instance-target-zero", "instance-target-true",
          "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative",
          "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct",
-         "bounds-on-circle-minimality", "bounds-on-circle-ergodicity"],
+         "bounds-on-circle-minimality", "bounds-on-circle-ergodicity",
+         "max-disks-negative", "tol-cells-negative"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;

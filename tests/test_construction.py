@@ -10,6 +10,7 @@ from ifslab.construction import (
     check_absorbing,
     construction_report,
     hutchinson_step,
+    restrict_cell_maps,
 )
 from ifslab.errors import ConstructionError, DimensionError, ValidationError
 from ifslab.geometry import (
@@ -219,6 +220,11 @@ def test_attractor_iteration_count_bound(reference):
     assert res.iterations <= bound
 
 
+def test_attractor_rejects_a_negative_tolerance(reference):
+    with pytest.raises(ValidationError):
+        attractor(reference.system, reference.absorbing_ball, tol=-1.0, resolution=64)
+
+
 def test_attractor_contains_interior_disk(reference, reference_attractor):
     cell = reference_attractor.attractor.domain.max_cell_size
     probe = rasterize_disk(reference_attractor.attractor.domain, Disk((0.0, 0.0), 4 * cell))
@@ -380,7 +386,9 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
         ref_stepped = reference_hutchinson_step(sys, ref, within)
         assert stepped.equals(ref_stepped)
         assert hausdorff_distance(stepped, a) == hausdorff_distance(ref_stepped, ref)
-        if cells is None and stepped.minus(a).is_empty():
+        if cells is not None:
+            cells = restrict_cell_maps(cells, stepped)
+        elif stepped.minus(a).is_empty():
             cells = cell_maps(sys, stepped)
         if within is not None or ref_stepped.minus(ref).is_empty():
             within = ref_stepped
@@ -442,6 +450,29 @@ def test_restricted_step_rejects_maps_that_miss_a_cell_of_the_set(reference):
     inner = hutchinson_step(reference.system, u)
     with pytest.raises(ValidationError):
         hutchinson_step(reference.system, u, cell_maps(reference.system, inner))
+
+
+@pytest.mark.parametrize("family", ["affine", "mixed"])
+def test_restricted_cell_maps_equal_cell_maps_of_the_subset(reference, family):
+    gens = reference.system.generators
+    sys = {"affine": reference.system,
+           "mixed": SystemSpec(gens[:3] + _perturbed(gens[3:], 60))}[family]
+    dom = _ball_dom(reference, 128)
+    rng = rng_from(53)
+    n = _blob(dom, rng, 0.6)
+    for m in (n, n.intersection(_blob(dom, rng, 0.5)), GridSet(dom, np.zeros(dom.shape, bool))):
+        got_n, got = restrict_cell_maps(cell_maps(sys, n), m)
+        want_n, want = cell_maps(sys, m)
+        assert got_n is m
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_restricted_cell_maps_reject_a_set_outside_the_cached_one(reference):
+    dom = _ball_dom(reference, 128)
+    u = rasterize_disk(dom, reference.absorbing_ball)
+    inner = hutchinson_step(reference.system, u)
+    with pytest.raises(ValidationError):
+        restrict_cell_maps(cell_maps(reference.system, inner), u)
 
 
 def test_step_rejects_maps_of_the_other_chart_kind(reference):

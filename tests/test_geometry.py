@@ -27,6 +27,7 @@ from ifslab.geometry import (
     all_neighbours,
     boundary_cell_count,
     density_points,
+    density_points_at,
     diameter,
     empty_set,
     full_set,
@@ -139,6 +140,25 @@ def test_density_points_preconditions(square):
         density_points(a, 0.5 * h, 0.9)
     with pytest.raises(ValidationError):
         density_points(a, 4 * h, 0.4)
+    points = np.array([[0.5, 0.5]])
+    with pytest.raises(ResolutionError):
+        density_points_at(a, 0.5 * h, 0.9, points)
+    with pytest.raises(ValidationError):
+        density_points_at(a, 4 * h, 0.4, points)
+
+
+@pytest.mark.parametrize("threshold", [0.75, 1.0])
+def test_density_points_at_matches_full_grid_lookup_on_the_circle(threshold):
+    # arcs wrap across 0, so positions near either end count both sides
+    dom = Domain.circle(512)
+    rng = rng_from(29)
+    a = GridSet(dom, rng.random(dom.shape) < 0.8)
+    h = dom.max_cell_size
+    points = np.concatenate([rng.uniform(0, 1, 64), rng.uniform(0, 5 * h, 16),
+                             1 - rng.uniform(1e-9, 5 * h, 16), [0.0, 1.0, -0.25, 1.5]])
+    for radius in (2 * h, 4.5 * h, 9 * h):
+        want = density_points(a, radius, threshold).lookup(points)
+        assert np.array_equal(density_points_at(a, radius, threshold, points), want)
 
 
 def _density_by_offsets(a, radius):

@@ -3,15 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
+from ifslab import packing
 from ifslab.errors import ValidationError
 from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
     density_points,
+    density_points_at,
+    disk_cells,
     empty_set,
     full_set,
+    local_density,
+    point_distance,
     rasterize_disk,
+    volume,
 )
 from ifslab.packing import (
     COVER_FRACTION,
@@ -181,6 +187,13 @@ def test_greedy_checkerboard_infeasible(dom, ambient):
 def test_greedy_min_radius_precondition(dom, ambient):
     with pytest.raises(ValidationError):
         greedy_pack(empty_set(dom), ambient, 1 / RES, 10)
+
+
+def test_greedy_rejects_a_negative_disk_budget(dom, ambient):
+    with pytest.raises(ValidationError):
+        greedy_pack(empty_set(dom), ambient, 8 / RES, -1)
+    inst, _ = greedy_pack(empty_set(dom), ambient, 8 / RES, 0)
+    assert inst.family == ()
 
 
 def test_greedy_output_satisfies_chain(dom, ambient):
@@ -389,3 +402,110 @@ def test_greedy_stops_once_cover_passes():
     assert rep.covered_fraction > COVER_FRACTION
     short = verify_conditions(PackingInstance(ambient, target, inst.family[:-1]))
     assert short.covered_fraction <= COVER_FRACTION
+
+
+# -- centers-only density points and live-cell greedy updates, against the
+# full-grid computations they replace
+
+
+def smooth_blob(dom, rng, density):
+    field = rng.normal(size=dom.shape)
+    for axis in (0, 1):
+        for shift in (1, -1, 2, -2, 4, -4):
+            field = field + np.roll(field, shift, axis=axis)
+    return GridSet(dom, field > np.quantile(field, 1.0 - density))
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (-2.0, 1.0, 0.5, 1.25)])
+@pytest.mark.parametrize("threshold", [0.75, 37 / 49, 0.9, 1.0])
+def test_density_points_at_matches_full_grid_lookup(bounds, threshold):
+    dom = Domain.planar(bounds, 96)
+    xmin, xmax, ymin, ymax = bounds
+    dx, dy = dom.cell_sizes
+    rng = rng_from(71)
+    radius = 4 * dom.max_cell_size
+    # deep inside, within the kernel radius of each edge and corner, on the
+    # upper edges (off the half-open chart) and off the chart
+    xs = np.concatenate([
+        rng.uniform(xmin + 8 * dx, xmax - 8 * dx, 40),
+        xmin + rng.uniform(0, 6 * dx, 20), xmax - rng.uniform(1e-9, 6 * dx, 20),
+        [xmin, xmax, xmin - dx, xmax + 3 * dx, np.nextafter(xmax, xmin)],
+    ])
+    ys = np.concatenate([
+        rng.uniform(ymin + 8 * dy, ymax - 8 * dy, 40),
+        ymax - rng.uniform(1e-9, 6 * dy, 20), ymin + rng.uniform(0, 6 * dy, 20),
+        [ymax, ymin, 0.5 * (ymin + ymax), ymin, np.nextafter(ymax, ymin)],
+    ])
+    points = np.stack(
+        [np.concatenate([xs, rng.permutation(xs)]), np.concatenate([ys, ys])], axis=-1
+    )
+    targets = [smooth_blob(dom, rng, d) for d in (0.1, 0.3, 0.5)]
+    targets += [GridSet(dom, rng.random(dom.shape) < 0.2), empty_set(dom), full_set(dom)]
+    for target in targets:
+        comp = target.complement()
+        want = density_points(comp, radius, threshold).lookup(points)
+        assert np.array_equal(density_points_at(comp, radius, threshold, points), want)
+
+
+def full_grid_greedy_family(target, ambient, min_radius, max_disks):
+    """_greedy_family as it ran with a full-grid distance update after every
+    placement; returns the family and the number of candidates it blocked."""
+    dom = target.domain
+    comp = target.complement()
+    comp_density = local_density(comp, min_radius)
+    centers = dom.cell_centers()
+    avail = ambient.radius - point_distance(dom.kind, centers, ambient.center)
+    amb_vol = volume(disk_cells(dom, ambient)[1], comp.bitmap.size)
+    placed = []
+    union = np.zeros(dom.shape, dtype=bool)
+    blocked = np.zeros(dom.shape, dtype=bool)
+    while len(placed) < max_disks:
+        if volume(union, union.size) > COVER_FRACTION * amb_vol:
+            break
+        mask = (avail >= min_radius) & ~blocked
+        if not mask.any():
+            break
+        flat_density = np.where(mask, comp_density, -1.0)
+        order = np.argsort(flat_density, axis=None)[::-1][:packing.CANDIDATES_PER_ROUND]
+        for flat_idx in order:
+            ix, iy = np.unravel_index(flat_idx, dom.shape)
+            if not mask[ix, iy]:
+                continue
+            center = centers[ix, iy]
+            r = float(avail[ix, iy])
+            while r >= min_radius:
+                disk = Disk(center, r)
+                window, bits = disk_cells(dom, disk)
+                total = int(bits.sum())
+                inside = int((bits & comp.bitmap[window]).sum())
+                slack = packing._ring_volume(dom, disk) / (total * dom.cell_volume)
+                if inside / total > packing.COMPLEMENT_FRACTION - slack:
+                    break
+                r *= 0.8
+            if r < min_radius:
+                blocked[ix, iy] = True
+                continue
+            placed.append(disk)
+            union[window] |= bits
+            d_new = point_distance(dom.kind, centers, center) - r
+            avail = np.minimum(avail, d_new)
+            break
+        else:
+            break
+    return tuple(placed), int(blocked.sum())
+
+
+def test_greedy_family_matches_full_grid_loop():
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 128)
+    ambient = Disk((0.5, 0.5), 0.4)
+    rng = rng_from(83)
+    cases = [(smooth_blob(dom, rng, d), 40) for d in (0.05, 0.2, 0.35, 0.5, 0.6, 0.7)]
+    cases += [(checkerboard(dom), 10), (empty_set(dom), 5), (empty_set(dom), 0)]
+    found = []
+    for target, max_disks in cases:
+        want, blocked = full_grid_greedy_family(target, ambient, 5 / 128, max_disks)
+        assert packing._greedy_family(target, ambient, 5 / 128, max_disks) == want
+        found.append((len(want), blocked))
+    # the densest blob blocks top-ranked candidates between placements
+    placed, blocked = found[5]
+    assert placed > 0 and blocked > 0
