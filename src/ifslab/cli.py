@@ -105,6 +105,10 @@ def _cmd_construct(args, out_dir: Path) -> dict:
     absorbing = construction.check_absorbing(
         result.system, result.absorbing_ball, args.resolution
     )
+    if not absorbing.absorbed:
+        raise ValidationError(
+            f"ball is not absorbing (escape distance {absorbing.escape_distance:.4g})"
+        )
     cell = geometry.ball_domain(result.absorbing_ball, args.resolution).cell_sizes[0]
     attr = construction.attractor(
         result.system,

@@ -209,26 +209,11 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def cell_maps(sys: SystemSpec, n: GridSet) -> tuple[GridSet, list[np.ndarray]]:
-    """N with each member's int32 cell map over N's cells, for :func:`hutchinson_step`."""
-    index = np.nonzero(n.bitmap)
+def cell_maps(sys: SystemSpec, a: GridSet) -> tuple[GridSet, list[np.ndarray]]:
+    """A with each member's int32 cell map over A's own cells, for :func:`hutchinson_step`."""
+    index = np.nonzero(a.bitmap)
     maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
-    return n, [m.cell_map(n.domain, index).astype(np.int32) for m in maps]
-
-
-def restrict_cell_maps(cells: tuple, m: GridSet) -> tuple[GridSet, list[np.ndarray]]:
-    """:func:`cell_maps` of M, a subset of the cached set N, read off N's maps.
-
-    The list is updated in place, one map at a time, so only one extra map
-    is alive at once.
-    """
-    n, maps = cells
-    if not m.minus(n).is_empty():
-        raise ValidationError("the cell maps do not cover the set they are restricted to")
-    keep = m.bitmap.ravel()[np.flatnonzero(n.bitmap)]
-    for j, c in enumerate(maps):
-        maps[j] = c[keep]
-    return m, maps
+    return a, [m.cell_map(a.domain, index).astype(np.int32) for m in maps]
 
 
 def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> GridSet:
@@ -240,28 +225,27 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> 
     cell centers are marked, which draws the image to within one cell when
     the member contracts, as the families iterated here do.
 
-    ``cells``, when given, is :func:`cell_maps` of a set N holding A and
-    A's image; the step then gathers and scatters through it, evaluating no map.
+    ``cells``, when given, is :func:`cell_maps` of A itself, and A holds its
+    own image; the step then gathers and scatters over A's cells through
+    them, evaluating no map.
     """
     dom, maps = a.domain, sys.maps()
     # the spare last slot reads a -1 index as outside and takes its writes
     bits = np.append(a.bitmap.ravel(), False)
     out = np.zeros_like(bits)
     if cells is None:
-        at, live, cached = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
+        at, index, cached = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
     else:
-        n, cached = cells
-        if not a.minus(n).is_empty():
-            raise ValidationError("the cell maps do not cover the set they step")
-        at = np.flatnonzero(n.bitmap)
-        live = bits[at]
+        if not cells[0].equals(a):
+            raise ValidationError("the cell maps are not those of the set they step")
+        at, cached = np.flatnonzero(a.bitmap), cells[1]
     hits = np.zeros_like(out[at])
     # no name holds a cell map, so only one is alive at a time
     for m, c in zip(maps, cached):
         if m.closed_form_inverse:
             hits |= bits[m.inverse().cell_map(dom).ravel() if c is None else c]
         else:
-            out[m.cell_map(dom, live) if c is None else c[live]] = True
+            out[m.cell_map(dom, index) if c is None else c] = True
     out[at] |= hits
     return GridSet(dom, out[:-1].reshape(dom.shape))
 
@@ -300,8 +284,9 @@ def attractor(
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
     # The operator is monotone: once an iterate lies inside the one before it,
-    # so do all later iterates and their images, and its cell maps serve them,
-    # restricted to each new iterate as it shrinks.
+    # so does every later iterate, each holding its own image, and the first
+    # such iterate's cell maps serve them all, cut down to each new iterate's
+    # cells one map at a time, so only one extra map is alive at once.
     cells = None
     for it in range(1, max_iter + 1):
         stepped = hutchinson_step(sys, current, cells)
@@ -309,7 +294,10 @@ def attractor(
         if last <= tol:
             return AttractorResult(stepped, it, last)
         if cells is not None:
-            cells = restrict_cell_maps(cells, stepped)
+            keep, maps = stepped.bitmap.ravel()[np.flatnonzero(current.bitmap)], cells[1]
+            for j, c in enumerate(maps):
+                maps[j] = c[keep]
+            cells = stepped, maps
         elif stepped.minus(current).is_empty():
             cells = cell_maps(sys, stepped)
         current = stepped

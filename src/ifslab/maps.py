@@ -341,12 +341,6 @@ class Perturbed(Map):
         )
         return j
 
-    def jacobian_det(self, x):
-        if self.kind == "circle":
-            return super().jacobian_det(x)
-        pts = _planar_points(x)
-        return _det_of_entries(*self._jacobian_entries(pts, *self._trig(pts)))
-
     def inverse(self) -> "Map":
         if not self.invertible:
             raise InvertibilityError("base map is not invertible")

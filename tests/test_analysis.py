@@ -204,6 +204,7 @@ _ORBIT_SYSTEMS = {
 }
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("name", sorted(_ORBIT_SYSTEMS))
 def test_orbit_points_match_set_based_loop(monkeypatch, name):
     make, starts, eps, word_len = _ORBIT_SYSTEMS[name]
@@ -255,6 +256,7 @@ def _assert_counts_match(region, orbits, epsilons):
             assert count(orbit) == _full_count(region, orbit, eps)
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize(
     "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
 )
@@ -273,6 +275,7 @@ def test_bounded_uncovered_count_matches_full_query(bounds, band_sizes):
     assert band_sizes and max(band_sizes) < region.count() / 2
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("steps", [3, 5, 7])
 def test_bounded_uncovered_count_at_exact_ties(steps, band_sizes):
     # orbit points on a lattice of cell centers 16 cells apart, on a chart
@@ -292,6 +295,7 @@ def test_bounded_uncovered_count_at_exact_ties(steps, band_sizes):
     assert band_sizes
 
 
+@pytest.mark.baseline_dispatch
 def test_bounded_uncovered_count_with_empty_band(band_sizes):
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     region = rasterize_disk(dom, Disk((0.4, 0.4), 0.3))
@@ -305,6 +309,7 @@ def test_bounded_uncovered_count_with_empty_band(band_sizes):
     assert analysis._uncovered_counter(region, eps)(corner) == region.count()
 
 
+@pytest.mark.baseline_dispatch
 def test_bounded_uncovered_count_with_every_cell_in_band(band_sizes):
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     centers = dom.cell_centers()
@@ -318,6 +323,7 @@ def test_bounded_uncovered_count_with_every_cell_in_band(band_sizes):
     assert band_sizes == [region.count(), region.count()]
 
 
+@pytest.mark.baseline_dispatch
 def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     region = rasterize_disk(dom, Disk((0.0, 0.0), 0.9))
@@ -329,6 +335,7 @@ def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
     assert band_sizes == [region.count()] * 8
 
 
+@pytest.mark.baseline_dispatch
 def test_bounded_uncovered_count_on_region_at_the_chart_edge(band_sizes):
     dom = Domain.planar((-1.3, 1.9, -0.45, 0.35), 64)
     xmin, xmax, ymin, ymax = dom.bounds
@@ -678,6 +685,7 @@ _ERGODICITY_CASES = {
 }
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("name", sorted(_ERGODICITY_CASES))
 def test_ergodicity_probe_matches_seed_by_seed_loop(name):
     make, res, seed_sets, steps, seed, chart = _ERGODICITY_CASES[name]
@@ -721,6 +729,7 @@ def _probe_and_reference(sys, seed_sets, refine_steps):
     return rep
 
 
+@pytest.mark.baseline_dispatch
 def test_ergodicity_ties_keep_the_first_seed_then_step(monkeypatch):
     sys = SystemSpec((CircleRotation(0.25),))
     # seed 1 reaches the best key (4, 1020) / 4096 at step 1 only; seeds 2
@@ -741,6 +750,7 @@ def test_ergodicity_ties_keep_the_first_seed_then_step(monkeypatch):
     assert np.array_equal(rep.candidate.bitmap, seeds[0])
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("count", range(1, 10))
 def test_bit_sliced_vote_matches_integer_count(count):
     planes = rng_from(count).integers(0, 1 << 16, size=(count, 999), dtype=np.uint16)
@@ -925,6 +935,7 @@ _DISTORTION_FAMILIES = {
 }
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("chunk_points", [None, 24])
 @pytest.mark.parametrize(
     "word_length, word_count, pair_count",

@@ -373,6 +373,7 @@ def test_shrink_horizon_exit_two(tmp_path):
          None, "rotation angle=0.618\n"),
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4", "--max-disks", "-1"], None, None),
         (["construct", "--kappa", "0.76", "--tol-cells", "-1", "--resolution", "64"], None, None),
+        (["construct", "--kappa", "0.76", "--u-factor", "1.5", "--resolution", "256"], None, None),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -384,7 +385,7 @@ def test_shrink_horizon_exit_two(tmp_path):
          "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative",
          "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct",
          "bounds-on-circle-minimality", "bounds-on-circle-ergodicity",
-         "max-disks-negative", "tol-cells-negative"],
+         "max-disks-negative", "tol-cells-negative", "ball-not-absorbing"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;
@@ -410,3 +411,4 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert not any((tmp_path / "o").glob("*"))

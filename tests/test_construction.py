@@ -10,7 +10,6 @@ from ifslab.construction import (
     check_absorbing,
     construction_report,
     hutchinson_step,
-    restrict_cell_maps,
 )
 from ifslab.errors import ConstructionError, DimensionError, ValidationError
 from ifslab.geometry import (
@@ -284,8 +283,9 @@ def test_construction_report_fields(reference, reference_attractor):
     assert report["cover_verified"] and report["absorbing_verified"]
 
 
-# -- the restricted step: gathers and scatters through the cell maps of a set
-# that holds the set and its image, against the step that evaluates every member
+# -- the restricted step: on a set holding its own image, gathers and scatters
+# over the set's cells through its cell maps, against the step that evaluates
+# every member
 
 
 def reference_hutchinson_step(sys, a, within=None):
@@ -336,6 +336,7 @@ def _perturbed(gens, seed):
     return tuple(Perturbed(g, 0.01, seed + i) for i, g in enumerate(gens))
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("family", ["affine", "mixed", "perturbed"])
 def test_attractor_matches_per_step_loop(family):
     res = 128
@@ -355,6 +356,7 @@ def test_attractor_matches_per_step_loop(family):
     assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
 
 
+@pytest.mark.baseline_dispatch
 def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
     # a half turn about a point off U's center moves every image across the
     # one before it, so no iterate lies inside its predecessor
@@ -374,6 +376,7 @@ def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
     assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
 
 
+@pytest.mark.baseline_dispatch
 def test_cached_steps_match_per_step_loop_on_circle_pair():
     # attractor takes a planar ball, so the circle pair's steps are chained
     # here as attractor chains them; the iterates nest once they fill the circle
@@ -386,9 +389,7 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
         ref_stepped = reference_hutchinson_step(sys, ref, within)
         assert stepped.equals(ref_stepped)
         assert hausdorff_distance(stepped, a) == hausdorff_distance(ref_stepped, ref)
-        if cells is not None:
-            cells = restrict_cell_maps(cells, stepped)
-        elif stepped.minus(a).is_empty():
+        if cells is not None or stepped.minus(a).is_empty():
             cells = cell_maps(sys, stepped)
         if within is not None or ref_stepped.minus(ref).is_empty():
             within = ref_stepped
@@ -396,46 +397,82 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
     assert cells is not None
 
 
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("family", ["affine", "perturbed"])
+def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, family):
+    import ifslab.construction as construction
+
+    step, stepped_cached = construction.hutchinson_step, []
+
+    def checked(sys, a, cells=None):
+        if cells is not None:
+            n, maps = cells
+            assert n is a
+            want = cell_maps(sys, a)[1]
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(maps, want))
+            stepped_cached.append(a)
+        return step(sys, a, cells)
+
+    monkeypatch.setattr(construction, "hutchinson_step", checked)
+    res = 128
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    sys = {"affine": built.system, "perturbed": SystemSpec(_perturbed(built.system.generators, 8))}[family]
+    ball = built.absorbing_ball
+    tol = 2 * ball_domain(ball, res).cell_sizes[0]
+    attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
+    assert stepped_cached
+
+
 def _blob(dom, rng, density):
     return GridSet(dom, rng.random(dom.shape) < density)
 
 
-def _check_restricted_step(sys, a, rng):
-    """hutchinson_step through the cell maps of any set holding A and its
-    image equals both the uncached step and the reference step."""
+def _closure(sys, a):
+    """The least set holding A and its own image: A joined with its image
+    until it stops growing."""
+    while not (grown := a.union(hutchinson_step(sys, a))).equals(a):
+        a = grown
+    return a
+
+
+def _check_restricted_step(sys, a):
+    """On a set holding its own image, the step through the set's cell maps
+    equals both the uncached step and the reference step."""
     full = hutchinson_step(sys, a)
+    assert full.minus(a).is_empty()
     assert full.equals(reference_hutchinson_step(sys, a))
-    for within in (full, full.union(_blob(a.domain, rng, 0.3)), full.union(a)):
-        n = within.union(a)
-        assert hutchinson_step(sys, a, cell_maps(sys, n)).equals(full)
-        assert reference_hutchinson_step(sys, a, n).equals(full)
+    assert reference_hutchinson_step(sys, a, a).equals(full)
+    assert hutchinson_step(sys, a, cell_maps(sys, a)).equals(full)
 
 
+@pytest.mark.baseline_dispatch
 def test_restricted_step_planar_affine(reference):
     dom = _ball_dom(reference, 128)
-    rng = rng_from(41)
+    sys, rng = reference.system, rng_from(41)
     u = rasterize_disk(dom, reference.absorbing_ball)
-    stepped = hutchinson_step(reference.system, u)
-    for a in (u, stepped, _blob(dom, rng, 0.5), GridSet(dom, np.zeros(dom.shape, bool))):
-        _check_restricted_step(reference.system, a, rng)
+    for a in (u, hutchinson_step(sys, u), _closure(sys, _blob(dom, rng, 0.02)),
+              full_set(dom), GridSet(dom, np.zeros(dom.shape, bool))):
+        _check_restricted_step(sys, a)
 
 
+@pytest.mark.baseline_dispatch
 def test_restricted_step_mixed_affine_and_perturbed(reference):
     gens = reference.system.generators
     mixed = SystemSpec(gens[:3] + tuple(Perturbed(g, 0.01, 50 + i) for i, g in enumerate(gens[3:])))
     dom = _ball_dom(reference, 128)
     rng = rng_from(43)
     u = rasterize_disk(dom, reference.absorbing_ball)
-    for a in (u, hutchinson_step(mixed, u), _blob(dom, rng, 0.5)):
-        _check_restricted_step(mixed, a, rng)
+    for a in (u, hutchinson_step(mixed, u), _closure(mixed, _blob(dom, rng, 0.02))):
+        _check_restricted_step(mixed, a)
 
 
+@pytest.mark.baseline_dispatch
 def test_restricted_step_circle_north_south_and_rotation():
     sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
     dom = Domain.circle(4096)
-    rng = rng_from(47)
-    for a in (rasterize_disk(dom, Disk(0.95, 0.2)), _blob(dom, rng, 0.5)):
-        _check_restricted_step(sys, a, rng)
+    # the rotation's orbits fill the circle, so no other set holds its own image
+    for a in (full_set(dom), GridSet(dom, np.zeros(dom.shape, bool))):
+        _check_restricted_step(sys, a)
 
 
 def test_restricted_step_rejects_another_domain(reference):
@@ -452,27 +489,13 @@ def test_restricted_step_rejects_maps_that_miss_a_cell_of_the_set(reference):
         hutchinson_step(reference.system, u, cell_maps(reference.system, inner))
 
 
-@pytest.mark.parametrize("family", ["affine", "mixed"])
-def test_restricted_cell_maps_equal_cell_maps_of_the_subset(reference, family):
-    gens = reference.system.generators
-    sys = {"affine": reference.system,
-           "mixed": SystemSpec(gens[:3] + _perturbed(gens[3:], 60))}[family]
-    dom = _ball_dom(reference, 128)
-    rng = rng_from(53)
-    n = _blob(dom, rng, 0.6)
-    for m in (n, n.intersection(_blob(dom, rng, 0.5)), GridSet(dom, np.zeros(dom.shape, bool))):
-        got_n, got = restrict_cell_maps(cell_maps(sys, n), m)
-        want_n, want = cell_maps(sys, m)
-        assert got_n is m
-        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_restricted_cell_maps_reject_a_set_outside_the_cached_one(reference):
-    dom = _ball_dom(reference, 128)
-    u = rasterize_disk(dom, reference.absorbing_ball)
+def test_restricted_step_rejects_maps_of_a_larger_set(reference):
+    # the step runs over the cells its maps were made for, so the maps of a
+    # set that holds A as well as other cells are not A's
+    u = rasterize_disk(_ball_dom(reference, 128), reference.absorbing_ball)
     inner = hutchinson_step(reference.system, u)
     with pytest.raises(ValidationError):
-        restrict_cell_maps(cell_maps(reference.system, inner), u)
+        hutchinson_step(reference.system, inner, cell_maps(reference.system, u))
 
 
 def test_step_rejects_maps_of_the_other_chart_kind(reference):

@@ -147,6 +147,7 @@ def test_density_points_preconditions(square):
         density_points_at(a, 4 * h, 0.4, points)
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("threshold", [0.75, 1.0])
 def test_density_points_at_matches_full_grid_lookup_on_the_circle(threshold):
     # arcs wrap across 0, so positions near either end count both sides

@@ -505,9 +505,13 @@ def test_word_jacobian_det_pinned():
             Perturbed(CircleRotation(GOLD), 0.01, seed=5),
         )
     )
+    perturbed = SystemSpec((PINNED_PLANAR, AffineSimilarity(0.9, 45.0, (0.3, -0.2))))
     w = Word((1, 2, 2, 1, 2), "reverse")
     assert word_jacobian_det(affine, w, PINNED_POINTS).tolist() == [0.17730028175616006] * 3
     w = Word((1, 2, 1, 1, 2), "forward")
+    assert word_jacobian_det(perturbed, w, PINNED_POINTS).tolist() == [
+        0.16573451404195483, 0.16804531556986377, 0.16707434432842372,
+    ]
     assert word_jacobian_det(circle, w, PINNED_ARCS).tolist() == [
         0.7591901106352215, 0.7151796742470781, 1.394209460023535,
     ]
@@ -578,6 +582,7 @@ def test_affine_eval_matches_column_vector_reference(scale, angle, anchor, shape
     assert np.array_equal(t.jacobian(pts), np.broadcast_to(m, shape[:-1] + (2, 2)))
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("shape", [(2,), (7, 2), (3, 5, 2)])
 def test_affine_eval_offset_matches_broadcast_add(shape):
     # the per-axis offset adds are the same IEEE sums as a (2,) broadcast add
@@ -658,6 +663,7 @@ def test_fused_and_gathered_steps_match_eval_property(seed, amplitude, circle, i
 # -- batch invariance: a stacked call equals its blocks' calls, bit for bit ----
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize(
     "m",
     [

@@ -416,6 +416,7 @@ def smooth_blob(dom, rng, density):
     return GridSet(dom, field > np.quantile(field, 1.0 - density))
 
 
+@pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (-2.0, 1.0, 0.5, 1.25)])
 @pytest.mark.parametrize("threshold", [0.75, 37 / 49, 0.9, 1.0])
 def test_density_points_at_matches_full_grid_lookup(bounds, threshold):
@@ -495,6 +496,7 @@ def full_grid_greedy_family(target, ambient, min_radius, max_disks):
     return tuple(placed), int(blocked.sum())
 
 
+@pytest.mark.baseline_dispatch
 def test_greedy_family_matches_full_grid_loop():
     dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 128)
     ambient = Disk((0.5, 0.5), 0.4)
