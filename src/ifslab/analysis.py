@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from . import geometry
 from .errors import (
@@ -115,58 +114,33 @@ def _orbit_points(
 
 
 def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
-    dists = geometry.nearest_point_distances(region, orbit)
-    return int(np.count_nonzero(dists > epsilon))
+    """The count of region cells beyond ``epsilon`` of every orbit point.
 
-
-def _uncovered_counter(region: GridSet, epsilon: float):
-    """The count of region cells beyond ``epsilon`` of an orbit, as a
-    function of the orbit, equal to :func:`_uncovered_count` bit for bit.
-
-    On the plane each orbit point lies within half a cell diagonal ``h`` of
-    the center of the cell holding it, so a cell whose grid distance ``d``
-    to the nearest such center has ``d - h > epsilon`` is uncovered and one
-    with ``d + h < epsilon`` is covered.  Only the cells in between, the
-    epsilon band, get exact point distances, which are the same floats as
-    the full query's: cKDTree answers each cell center on its own.
+    Each orbit point lies within half a cell diagonal ``h`` of the center
+    of the cell holding it, so a cell whose grid distance ``d`` to the
+    nearest such center has ``d - h > epsilon`` is uncovered and one with
+    ``d + h < epsilon`` is covered.  Only the cells in between, the epsilon
+    band, get exact point distances, which are the same floats as a full
+    query's: each cell center is answered on its own.  An orbit with a
+    point off the chart has no cell to bound that point's distances with,
+    so the whole region is its band.
     """
     domain = region.domain
-    if domain.kind == CIRCLE:
-        return lambda orbit: _uncovered_count(region, orbit, epsilon)
-    rows = np.flatnonzero(region.bitmap.any(axis=1))
-    cols = np.flatnonzero(region.bitmap.any(axis=0))
-    xmin, xmax, ymin, ymax = domain.bounds
-    dx, dy = domain.cell_sizes
-    h = 0.5 * math.hypot(dx, dy)
-    # covers the rounding of the centers, of the cell indices (point_cells'
-    # floor and its clamp at the top edge) and of both distances
-    slack = _BAND_SLACK * (max(abs(b) for b in domain.bounds) + epsilon)
-    far, near = epsilon + slack, epsilon - slack
-
-    def count(orbit: np.ndarray) -> int:
-        lo, hi = orbit.min(axis=0), orbit.max(axis=0)
-        # point_cells' chart: a point off it has no cell to bound with
-        if not (lo[0] >= xmin and hi[0] < xmax and lo[1] >= ymin and hi[1] < ymax):
-            return _uncovered_count(region, orbit, epsilon)
-        ix, iy = np.divmod(domain.point_cells(orbit), domain.resolution)
-        r0, r1 = min(rows[0], ix.min()), max(rows[-1], ix.max()) + 1
-        c0, c1 = min(cols[0], iy.min()), max(cols[-1], iy.max()) + 1
-        # every orbit cell lies in the box, so its transform equals the
-        # whole chart's (the box argument of geometry._farthest_cell)
-        marked = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        marked[ix - r0, iy - c0] = True
-        d = distance_transform_edt(~marked, sampling=(dx, dy))
-        inside = region.bitmap[r0:r1, c0:c1]
-        beyond = inside & (d - h > far)
-        band = inside & ~beyond & ~(d + h < near)
+    band, total = region, 0
+    if (domain.point_cells(orbit) >= 0).all():
+        d = geometry.grid_distances(geometry.points_to_gridset(domain, orbit), region)
+        h = 0.5 * math.hypot(*domain.cell_sizes)
+        # covers the rounding of the centers, of the cell indices (point_cells'
+        # floor and its clamp at the top edge) and of both distances
+        slack = _BAND_SLACK * (max(map(abs, domain.bounds or (1.0,))) + epsilon)
+        beyond = d - h > epsilon + slack
         total = int(np.count_nonzero(beyond))
-        if band.any():
-            bits = np.zeros(domain.shape, dtype=bool)
-            bits[r0:r1, c0:c1] = band
-            total += _uncovered_count(GridSet(domain, bits), orbit, epsilon)
+        bits = np.zeros_like(region.bitmap)
+        bits[region.bitmap] = ~beyond & ~(d + h < epsilon - slack)
+        band = GridSet(domain, bits)
+    if band.is_empty():
         return total
-
-    return count
+    return total + int(np.count_nonzero(geometry.nearest_point_distances(band, orbit) > epsilon))
 
 
 def minimality_test(
@@ -181,7 +155,7 @@ def minimality_test(
 
     For each seeded start cell the word tree is explored breadth-first up
     to ``max_word_len`` with proximity pruning, and the region cells beyond
-    ``epsilon`` of the orbit are counted exactly.  On the plane a grid
+    ``epsilon`` of the orbit are counted exactly.  A grid
     distance transform to the cells holding orbit points bounds every
     cell's distance to within half a cell diagonal and settles every cell
     outside that band around ``epsilon``; only the band's cells get exact
@@ -200,7 +174,6 @@ def minimality_test(
         raise EmptySetError("minimality region is empty")
     rng = rng_from(seed)
     starts = geometry.sample_cells(region, samples, rng)
-    uncovered = _uncovered_counter(region, epsilon)
     worst = 0
 
     def report(done: int) -> MinimalityReport:
@@ -214,7 +187,7 @@ def minimality_test(
 
     for i in range(samples):
         orbit, exhausted = _orbit_points(sys, starts[i], max_word_len, epsilon)
-        worst = max(worst, uncovered(orbit))
+        worst = max(worst, _uncovered_count(region, orbit, epsilon))
         if exhausted:
             raise BudgetExceededError(
                 f"word budget of {_EVAL_BUDGET} evaluations exhausted "

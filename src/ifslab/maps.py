@@ -46,11 +46,13 @@ def _planar_points(x) -> np.ndarray:
 
 
 def circle_position(x: float) -> float:
-    """x mod 1 as a float in [0, 1).
+    """x mod 1 as a float in [0, 1); a non-finite x raises ValidationError.
 
     For a tiny negative x, ``x % 1.0`` rounds up to 1.0, which names the
     same circle point as 0.0 but is not the canonical coordinate.
     """
+    if not math.isfinite(x):
+        raise ValidationError(f"circle position must be finite, got {x}")
     w = float(x) % 1.0
     return w if w < 1.0 else 0.0
 
@@ -143,6 +145,10 @@ class AffineSimilarity(Map):
                 f"similarity scale must be positive and finite, got {self.scale}"
             )
         object.__setattr__(self, "anchor", tuple(float(a) for a in self.anchor))
+        if not np.isfinite((self.angle_deg,) + self.anchor).all():
+            raise ValidationError(
+                f"similarity angle and anchor must be finite, got {self.angle_deg}, {self.anchor}"
+            )
         object.__setattr__(self, "constant_log_abs_det", 2.0 * math.log(self.scale))
         th = np.deg2rad(self.angle_deg)
         c, s = np.cos(th), np.sin(th)
@@ -211,10 +217,12 @@ class CircleNorthSouth(Map):
     closed_form_inverse = True
 
     def __post_init__(self):
-        if not (self.multiplier > 0 and self.multiplier != 1.0):
+        if not (0 < self.multiplier < math.inf and self.multiplier != 1.0):
             raise ValidationError(
-                f"multiplier must be positive and != 1, got {self.multiplier}"
+                f"multiplier must be positive, finite and != 1, got {self.multiplier}"
             )
+        if not math.isfinite(self.pole):
+            raise ValidationError(f"pole must be finite, got {self.pole}")
 
     def eval(self, x):
         s = np.asarray(x, dtype=float) - self.pole
@@ -247,8 +255,10 @@ class Perturbed(Map):
     seed: int = 0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValidationError("perturbation amplitude must be >= 0")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValidationError(
+                f"perturbation amplitude must be finite and >= 0, got {self.amplitude}"
+            )
         rng = rng_from(self.seed)
         if self.base.kind == "circle":
             object.__setattr__(self, "_phase", float(rng.uniform(0, 2 * np.pi)))

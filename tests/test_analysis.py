@@ -251,9 +251,8 @@ def band_sizes(monkeypatch):
 
 def _assert_counts_match(region, orbits, epsilons):
     for eps in epsilons:
-        count = analysis._uncovered_counter(region, eps)
         for orbit in orbits:
-            assert count(orbit) == _full_count(region, orbit, eps)
+            assert analysis._uncovered_count(region, orbit, eps) == _full_count(region, orbit, eps)
 
 
 @pytest.mark.baseline_dispatch
@@ -306,7 +305,7 @@ def test_bounded_uncovered_count_with_empty_band(band_sizes):
     corner = np.array([[-0.99, -0.99]])
     _assert_counts_match(region, [dense, corner], [eps])
     assert band_sizes == []
-    assert analysis._uncovered_counter(region, eps)(corner) == region.count()
+    assert analysis._uncovered_count(region, corner, eps) == region.count()
 
 
 @pytest.mark.baseline_dispatch
@@ -352,6 +351,24 @@ def test_bounded_uncovered_count_on_region_at_the_chart_edge(band_sizes):
         region, [edge, np.vstack([edge, inner]), edge[1:2]], [2 * size, 5.3 * size, 0.9]
     )
     assert band_sizes and max(band_sizes) < region.count()
+
+
+@pytest.mark.baseline_dispatch
+def test_bounded_uncovered_count_on_the_circle(band_sizes):
+    dom = Domain.circle(256)
+    rng = rng_from(47)
+    region = GridSet(dom, rng.uniform(size=dom.shape) < 0.6)
+    h = dom.cell_sizes[0]
+    # points on both sides of the wrap at 0, a turn away from their cell,
+    # on cell edges and at random
+    wrap = np.array([0.0, np.nextafter(1.0, 0.0), -1e-18, 2.5 * h, -3.0 + 17 * h, 0.5])
+    orbits = [wrap, rng.uniform(0.0, 1.0, 7), np.concatenate([wrap, rng.uniform(-2.0, 2.0, 60)])]
+    _assert_counts_match(region, orbits, [2 * h, 5.5 * h, 0.1, 0.3])
+    assert band_sizes and max(band_sizes) < region.count() / 2
+    # a point with no cell sends the whole region to the exact query
+    band_sizes.clear()
+    _assert_counts_match(region, [np.append(wrap, np.nan)], [0.1])
+    assert band_sizes == [region.count()]
 
 
 # -- invariance defect -------------------------------------------------------

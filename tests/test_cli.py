@@ -374,6 +374,18 @@ def test_shrink_horizon_exit_two(tmp_path):
         (["packing", "greedy", "--ambient", "0.5,0.5,0.4", "--max-disks", "-1"], None, None),
         (["construct", "--kappa", "0.76", "--tol-cells", "-1", "--resolution", "64"], None, None),
         (["construct", "--kappa", "0.76", "--u-factor", "1.5", "--resolution", "256"], None, None),
+        (["ergodicity", "--system", "{file}", "--resolution", "64"],
+         None, "rotation angle=0.3\nperturb base=1 amp=inf\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "0.05", "--max-word-len", "3",
+          "--resolution", "64"], None, "rotation angle=0.3\nperturb base=1 amp=inf\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "0.05", "--max-word-len", "3",
+          "--resolution", "64"], None, "rotation angle=nan\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "0.2", "--max-word-len", "3",
+          "--resolution", "64"], None, "affine kappa=0.76 theta=nan\n"),
+        (["ergodicity", "--system", "{file}", "--resolution", "64", "--bounds=-2,2,-2,2"],
+         None, "affine kappa=0.76 theta=179 anchor=inf,0\n"),
+        (["ergodicity", "--system", "{file}", "--resolution", "64", "--bounds=-2,2,-2,2"],
+         None, "affine kappa=0.76 theta=179\nperturb base=1 amp=nan\n"),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -385,7 +397,10 @@ def test_shrink_horizon_exit_two(tmp_path):
          "amplitude-not-a-number", "word-length-zero", "shrink-max-r-negative",
          "epsilon-nan", "delta-inf", "amplitude-inf", "bounds-on-construct",
          "bounds-on-circle-minimality", "bounds-on-circle-ergodicity",
-         "max-disks-negative", "tol-cells-negative", "ball-not-absorbing"],
+         "max-disks-negative", "tol-cells-negative", "ball-not-absorbing",
+         "circle-amplitude-inf-ergodicity", "circle-amplitude-inf-minimality",
+         "rotation-angle-nan", "affine-theta-nan", "affine-anchor-inf",
+         "planar-amplitude-nan"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;

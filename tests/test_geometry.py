@@ -31,6 +31,7 @@ from ifslab.geometry import (
     diameter,
     empty_set,
     full_set,
+    grid_distances,
     hausdorff_distance,
     local_density,
     nearest_point_distances,
@@ -531,6 +532,16 @@ def test_point_cells_of_non_finite_and_huge_coordinates_warn_nothing():
         warnings.simplefilter("error")
         cells = dom.point_cells(np.array([[0.03, 0.97], [0.5, 0.5]] + off))
     assert cells.tolist() == [15, 8 * 16 + 8] + [-1] * len(off)
+    # circle points wrap, so only a NaN or an infinity has no cell
+    circle = Domain.circle(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = circle.point_cells(np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.53]))
+        assert circle.point_cells(np.float64(np.nan)) == -1
+        assert not full_set(circle).lookup([np.nan]).any()
+        assert points_to_gridset(circle, [np.inf, -np.inf]).is_empty()
+    assert cells[:3].tolist() == [-1, -1, -1]
+    assert 0 <= cells[3] < 16 and 0 <= cells[4] < 16 and cells[5] == 8
 
 
 def test_lookup_single_point():
@@ -556,6 +567,50 @@ def test_circle_cell_index_wraps(res, ps, seed):
     wrapped = dom.point_cells(np.array([0.75, 0.25]))
     assert dom.point_cells(points[6:8]).tolist() == wrapped.tolist()
     _check_cell_index(dom, points, rng_from(seed).random(dom.shape) < 0.5)
+
+
+# -- the one box distance transform against the whole chart's
+
+
+def _one_cell(dom, *index):
+    bits = np.zeros(dom.shape, bool)
+    bits[index] = True
+    return GridSet(dom, bits)
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize(
+    "dom",
+    [Domain.planar((-1.0, 1.0, -1.0, 1.0), 48), Domain.planar((-1.3, 1.9, -0.45, 0.35), 40),
+     Domain.circle(64)],
+    ids=["square", "wide", "circle"],
+)
+def test_grid_distances_match_the_whole_chart_transform(dom):
+    n, (dx, dy) = dom.resolution, dom.cell_sizes
+    rng = rng_from(53)
+    blob = GridSet(dom, rng.random(dom.shape) < 0.3)
+    sparse = GridSet(dom, rng.random(dom.shape) < 0.02)
+    if dom.kind == CIRCLE:
+        edge = GridSet(dom, np.isin(np.arange(n), [0, 1, n - 1]))  # an arc across 0
+        ends = [_one_cell(dom, 0), _one_cell(dom, n - 1), _one_cell(dom, n // 3)]
+    else:
+        bits = np.zeros(dom.shape, bool)
+        bits[0, :] = bits[:, n - 1] = True  # two sides of the chart
+        edge = GridSet(dom, bits)
+        ends = [_one_cell(dom, 0, 0), _one_cell(dom, n - 1, n - 1), _one_cell(dom, 0, n - 1),
+                _one_cell(dom, n // 3, n // 2)]
+
+    def transform(target):
+        if dom.kind == CIRCLE:
+            return ndi.distance_transform_edt(~np.tile(target.bitmap, 3), sampling=dx)[n : 2 * n]
+        return ndi.distance_transform_edt(~target.bitmap, sampling=(dx, dy))
+
+    sets = [blob, sparse, edge, full_set(dom)] + ends
+    for target in sets:
+        want = transform(target)
+        for cells in sets:
+            got = grid_distances(target, cells)
+            assert got.dtype == want.dtype and np.array_equal(got, want[cells.bitmap])
 
 
 # -- Hausdorff distance against two whole-chart distance transforms

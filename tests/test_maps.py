@@ -106,6 +106,24 @@ def test_affine_rejects_scale_outside_positive_reals(scale):
         AffineSimilarity(scale, 10.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: AffineSimilarity(0.5, math.nan), lambda: AffineSimilarity(0.5, math.inf),
+     lambda: AffineSimilarity(0.5, 10.0, (math.inf, 0.0)),
+     lambda: AffineSimilarity(0.5, 10.0, (0.0, math.nan)),
+     lambda: CircleNorthSouth(math.inf), lambda: CircleNorthSouth(0.7, math.nan),
+     lambda: Perturbed(AffineSimilarity(0.5, 10.0), math.inf),
+     lambda: Perturbed(CircleRotation(0.3), math.nan),
+     lambda: maps.circle_position(math.nan), lambda: maps.circle_position(-math.inf)],
+    ids=["affine-angle-nan", "affine-angle-inf", "affine-anchor-inf", "affine-anchor-nan",
+         "north-south-multiplier-inf", "north-south-pole-nan", "perturbed-amplitude-inf",
+         "perturbed-amplitude-nan", "circle-position-nan", "circle-position-inf"],
+)
+def test_maps_reject_non_finite_parameters(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_constant_log_abs_det_declared_by_the_map():
     t = AffineSimilarity(0.76, 179.0)
     assert t.constant_log_abs_det == 2.0 * math.log(0.76)
