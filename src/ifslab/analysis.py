@@ -23,6 +23,7 @@ from .errors import (
     EmptySetError,
     HorizonError,
     InvertibilityError,
+    NonFiniteError,
     NotAContractionError,
     ResolutionError,
     ValidationError,
@@ -127,8 +128,11 @@ def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
     """
     domain = region.domain
     band, total = region, 0
-    if (domain.point_cells(orbit) >= 0).all():
-        d = geometry.grid_distances(geometry.points_to_gridset(domain, orbit), region)
+    cells = domain.point_cells(orbit)
+    if (cells >= 0).all():
+        marks = np.zeros(domain.shape, dtype=bool)
+        marks.reshape(-1)[cells] = True
+        d = geometry.grid_distances(GridSet(domain, marks), region)
         h = 0.5 * math.hypot(*domain.cell_sizes)
         # covers the rounding of the centers, of the cell indices (point_cells'
         # floor and its clamp at the top edge) and of both distances
@@ -300,6 +304,7 @@ class EmpiricalDistortion:
     words: int
     word_length: int
     pairs: int
+    dropped: int  # words whose ratios hold a NaN, which neither extreme reads
 
 
 def empirical_distortion(
@@ -320,7 +325,10 @@ def empirical_distortion(
     word for a map that is not batch-invariant.  Each row sees the same
     operations as it would alone, so the ratios do not depend on the
     chunking.  A word whose maps all have constant log-dets gives every
-    point the same sum, hence ratios of exactly 1, and is skipped.
+    point the same sum, hence ratios of exactly 1, and is skipped.  A word
+    whose ratios hold a NaN (an orbit that overflowed) is dropped and
+    counted; when every word whose log-det varies is dropped, the probe has
+    measured nothing and raises :class:`NonFiniteError`.
     """
     _require_positive(word_count=word_count, pair_count=pair_count)
     rng = rng_from(seed)
@@ -335,17 +343,25 @@ def empirical_distortion(
     order = symbols[:, ::-1]
     order = order[varies[order].any(axis=1)]
     per_chunk = max(1, _CHUNK_POINTS // pts0.shape[0])
-    lo, hi = 1.0, 1.0
+    lo, hi, dropped = 1.0, 1.0, 0
     for start in range(0, order.shape[0], per_chunk):
         logdet = _word_log_dets(maps, order[start:start + per_chunk], pts0)
         ratios = np.exp(logdet[:, :pair_count] - logdet[:, pair_count:])
-        # fmin/fmax drop a word whose ratios hold a NaN, as a word-by-word
-        # min(lo, ...) fold does, so the extremes do not depend on the chunking
-        lo = min(lo, float(np.fmin.reduce(ratios.min(axis=1))))
+        # a row's min is NaN iff the row holds one; fmin/fmax drop such a
+        # word, as a word-by-word min(lo, ...) fold does, so the extremes do
+        # not depend on the chunking
+        least = ratios.min(axis=1)
+        dropped += int(np.count_nonzero(np.isnan(least)))
+        lo = min(lo, float(np.fmin.reduce(least)))
         hi = max(hi, float(np.fmax.reduce(ratios.max(axis=1))))
+    if dropped and dropped == order.shape[0]:
+        raise NonFiniteError(
+            f"every one of the {dropped} words whose log-det varies gave a NaN "
+            "determinant ratio; no word was scored"
+        )
     return EmpiricalDistortion(
         emp_min=lo, emp_max=hi, words=word_count,
-        word_length=word_length, pairs=pair_count,
+        word_length=word_length, pairs=pair_count, dropped=dropped,
     )
 
 
@@ -659,7 +675,8 @@ def ergodicity_probe(
         live = range(len(block))  # the seeds not yet at a fixed point
         for step in range(refine_steps + 1):
             current = words[:n].reshape(domain.shape)
-            pres = [words[cells] for cells in pre_cells]
+            # take casts the int32 maps faster than indexing does
+            pres = [words.take(cells) for cells in pre_cells]
             edge = diffs = None
             for b in live:
                 vol = geometry.volume(current & (1 << b), n)

@@ -91,8 +91,10 @@ def _family(params: ConstructionParams, anchors) -> SystemSpec:
     return SystemSpec(gens)
 
 
-def _uncovered_fraction(params: ConstructionParams, anchors, resolution: int) -> float:
-    """Fraction of closure(V) cells missed by the union of member images.
+def _cover_check(params: ConstructionParams, resolution: int):
+    """The fraction of closure(V) cells missed by the union of member
+    images, as a function of the anchors.  V's cells and T's image test do
+    not depend on the anchors, so they are taken once.
 
     Images of the ball V under similarities are again balls, so coverage is
     an exact distance test against each image ball at cell centers.
@@ -109,20 +111,22 @@ def _uncovered_fraction(params: ConstructionParams, anchors, resolution: int) ->
     image_r = params.kappa * delta
     th = np.deg2rad(params.theta_deg)
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    centers = [(0.0, 0.0)]
     eye = np.eye(2)
-    for y in anchors:
-        c = (eye - params.kappa * rot) @ np.array(y)  # S_y(0) = y - T(y)
-        centers.append((float(c[0]), float(c[1])))
-
-    alive = np.arange(total)
     r2 = image_r * image_r
-    for cx, cy in centers:
-        if alive.size == 0:
-            break
-        d2 = (px[alive] - cx) ** 2 + (py[alive] - cy) ** 2
-        alive = alive[d2 >= r2]
-    return alive.size / total
+    left = px**2 + py**2 >= r2  # T fixes the origin, the center of its image ball
+    px, py = px[left], py[left]
+
+    def uncovered(anchors) -> float:
+        alive = np.arange(px.size)
+        for y in anchors:
+            if alive.size == 0:
+                break
+            c = (eye - params.kappa * rot) @ np.array(y)  # S_y(0) = y - T(y)
+            d2 = (px[alive] - float(c[0])) ** 2 + (py[alive] - float(c[1])) ** 2
+            alive = alive[d2 >= r2]
+        return alive.size / total
+
+    return uncovered
 
 
 def build_construction(
@@ -138,10 +142,11 @@ def build_construction(
     carrying the uncovered fraction at the largest count tried.
     """
     tried: dict[int, float] = {}
+    cover = _cover_check(params, resolution)
 
     def uncovered(count: int) -> float:
         if count not in tried:
-            tried[count] = _uncovered_fraction(params, _anchor_points(params, count), resolution)
+            tried[count] = cover(_anchor_points(params, count))
         return tried[count]
 
     passing = None
@@ -225,7 +230,7 @@ def _cell_maps(sys: SystemSpec, a: GridSet) -> list[np.ndarray]:
     """Each member's int32 cell map over A's own cells, in :func:`_step`'s order."""
     index = np.nonzero(a.bitmap)
     maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
-    return [m.cell_map(a.domain, index).astype(np.int32) for m in maps]
+    return [m.cell_map(a.domain, index) for m in maps]
 
 
 def _step(sys: SystemSpec, a: GridSet, cells: list | None) -> GridSet:

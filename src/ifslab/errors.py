@@ -78,6 +78,10 @@ class HorizonError(ProbeError):
     """A search did not reach its target within the allowed horizon."""
 
 
+class NonFiniteError(ProbeError):
+    """Every sample of a probe came out non-finite, so it measured nothing."""
+
+
 class ConstructionError(IfslabError, RuntimeError):
     """A cover/absorption construction failed; carries the uncovered fraction."""
 

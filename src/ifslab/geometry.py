@@ -652,10 +652,14 @@ def read_pgm(path, domain: Domain | None = None) -> GridSet:
 def write_points_csv(points: np.ndarray, path) -> None:
     """Point cloud as CSV: x,y for planar points, x for circle positions."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 2:
-        lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in pts.tolist()]
-    else:
-        lines = ["x"] + [repr(x) for x in pts.tolist()]
+    columns = []
+    for column in np.atleast_2d(pts.T):
+        # repr once per distinct value, told apart by its bits so that -0.0
+        # and each NaN keep their own text; a grid cloud repeats its values
+        keys, at = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+        columns.append(text[at].tolist())
+    lines = ["x,y" if pts.ndim == 2 else "x"] + list(map(",".join, zip(*columns)))
     # csv's line ending, closing the last row too
     with open(path, "w", newline="") as f:
         f.write("\r\n".join(lines) + "\r\n")

@@ -36,6 +36,7 @@ REVERSE = "reverse"
 _NEWTON_TOL = 1e-13
 _NEWTON_ULPS = 4  # the tolerance is at least this many ulps of the largest coordinate
 _NEWTON_MAX_ITER = 80
+_BLOCK_CELLS = 2**14  # cells per block of Map.cell_map: its arrays stay in cache
 
 
 def _planar_points(x) -> np.ndarray:
@@ -83,16 +84,34 @@ class Map:
     def eval(self, x):
         raise NotImplementedError
 
-    def eval_cells(self, domain, index=None):
-        """Images of the centers of every cell, or of the cells at ``np.nonzero`` index arrays."""
-        return self.eval(domain.cell_centers() if index is None else domain.centers_at(index))
+    def eval_cells(self, domain, index):
+        """Images of the centers of the cells at ``np.nonzero``-style index arrays."""
+        return self.eval(domain.centers_at(index))
 
     def cell_map(self, domain, index=None):
-        """:meth:`Domain.point_cells` of the images of the cell centers that
-        :meth:`eval_cells` takes: the one rule from a map to cells."""
+        """int32 :meth:`Domain.point_cells` of the images of the centers of
+        every cell (shaped like the domain) or of the cells at ``np.nonzero``
+        index arrays (flat): the one rule from a map to cells.
+
+        The cells go through :meth:`eval_cells` in cache-sized blocks, whole
+        grid rows or slices of the index, so no array spans the grid; a map
+        that is not batch-invariant takes them all in one block.
+        """
         if self.kind != domain.kind:
             raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
-        return domain.point_cells(self.eval_cells(domain, index))
+        whole = index is None
+        row = math.prod(domain.shape[1:]) if whole else 1  # cells per grid row
+        out = np.empty(math.prod(domain.shape) if whole else len(index[0]), dtype=np.int32)
+        step = max(_BLOCK_CELLS // row, 1) * row if self.batch_invariant else max(out.size, 1)
+        for start in range(0, out.size, step):
+            if whole:
+                block = np.indices((min(step, out.size - start) // row,) + domain.shape[1:])
+                block = block.reshape(len(domain.shape), -1)
+                block[0] += start // row
+            else:
+                block = [i[start:start + step] for i in index]
+            out[start:start + step] = domain.point_cells(self.eval_cells(domain, tuple(block)))
+        return out.reshape(domain.shape) if whole else out
 
     def eval_log_abs_det(self, x):
         """(eval(x), log_abs_det(x)), for a caller that needs both at x."""
@@ -320,8 +339,8 @@ class Perturbed(Map):
         args = self._arguments(pts[..., 0], pts[..., 1])
         return self._add_bump(self.base.eval(pts), ((np.sin(a), np.sin(b)) for a, b in args))
 
-    def eval_cells(self, domain, index=None):
-        if self.kind == "circle" or index is None:
+    def eval_cells(self, domain, index):
+        if self.kind == "circle":
             return super().eval_cells(domain, index)
         # each sine is taken on the n axis values and gathered per cell; the
         # gathered entry had the same float as input, so the bits agree

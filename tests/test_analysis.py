@@ -26,7 +26,9 @@ from ifslab.errors import (
     DimensionError,
     DomainError,
     HorizonError,
+    NonFiniteError,
     NotAContractionError,
+    ProbeError,
     ResolutionError,
     ValidationError,
 )
@@ -484,6 +486,48 @@ def test_empirical_distortion_affine_identity(reference, reference_attractor):
 def test_empirical_distortion_word_length_zero(reference, reference_attractor):
     emp = empirical_distortion(reference.system, reference_attractor, 0, 10, 16, seed=6)
     assert emp.emp_min == emp.emp_max == 1.0
+
+
+def test_constant_log_det_distortion_is_one_and_drops_nothing(reference, reference_attractor):
+    # every word of a similarity family is skipped, not dropped
+    emp = empirical_distortion(reference.system, reference_attractor, 25, 200, 64, seed=6)
+    assert (emp.emp_min, emp.emp_max, emp.dropped) == (1.0, 1.0, 0)
+
+
+def _two_perturbed_similarities(scales):
+    return SystemSpec(tuple(
+        Perturbed(AffineSimilarity(scale, angle, anchor), 0.01, seed)
+        for scale, angle, anchor, seed in zip(scales, (10.0, 30.0), ((0.0, 0.0), (0.1, 0.0)), (1, 2))
+    ))
+
+
+_OVERFLOW_REGION = rasterize_disk(Domain.planar((-1.0, 1.0, -1.0, 1.0), 128), Disk((0.0, 0.0), 0.5))
+
+
+def test_distortion_whose_every_orbit_overflows_raises():
+    # both members expand, so by depth 1000 every orbit has overflowed and
+    # every ratio is NaN: there is no distortion to report, not a ratio of 1
+    assert issubclass(NonFiniteError, ProbeError)  # the CLI exits 2 on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="20 words"):
+            empirical_distortion(
+                _two_perturbed_similarities((3.0, 2.5)), _OVERFLOW_REGION, 1000, 20, 16, seed=1
+            )
+
+
+@pytest.mark.parametrize("chunk_points", [None, 96])
+def test_distortion_counts_the_words_it_drops(monkeypatch, chunk_points):
+    # one member expands and one contracts, so a word overflows when it draws
+    # enough of the first: at depth 360 some words overflow and the rest are
+    # scored; a 96-point chunk holds three words, so the last chunk is partial
+    if chunk_points is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_POINTS", chunk_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        emp = empirical_distortion(
+            _two_perturbed_similarities((100.0, 0.5)), _OVERFLOW_REGION, 360, 20, 16, seed=1
+        )
+    assert 0 < emp.dropped < emp.words
+    assert np.isfinite([emp.emp_min, emp.emp_max]).all()
 
 
 def test_distortion_report_perturbed_consistent(reference, reference_attractor):

@@ -750,8 +750,11 @@ def reference_points_csv(points, path):
         np.array([[0.5, -0.0]]),
         np.array([[5e-324, -2.5e-310], [1e300, np.inf]]),
         np.arange(4),
+        np.array([[0.0, np.nan], [-0.0, -np.nan], [0.0, np.inf], [-0.0, np.nan]]),
+        np.repeat(rng_from(5).normal(size=(7, 2)), 3, axis=0),
     ],
-    ids=["planar", "circle", "empty", "one-row", "subnormal-and-huge", "integers"],
+    ids=["planar", "circle", "empty", "one-row", "subnormal-and-huge", "integers",
+         "signed-zeros-and-nans", "repeated-values"],
 )
 def test_points_csv_bytes_match_csv_writer(tmp_path, points):
     write_points_csv(points, tmp_path / "a.csv")

@@ -637,8 +637,7 @@ def _check_fused_and_gathered(m, domain):
 _PLANAR_CHART = Domain.planar((-1.5, 1.0, -0.5, 2.0), 48)
 _CIRCLE_CHART = Domain.circle(256)
 
-
-@pytest.mark.parametrize(
+_EVERY_KIND = pytest.mark.parametrize(
     "m",
     [
         AffineSimilarity(0.8, 120.0, (0.1, 0.1)),
@@ -655,6 +654,9 @@ _CIRCLE_CHART = Domain.circle(256)
         "perturbed-circle", "newton", "newton-circle",
     ],
 )
+
+
+@_EVERY_KIND
 def test_fused_and_gathered_steps_match_eval(m):
     domain = _CIRCLE_CHART if m.kind == "circle" else _PLANAR_CHART
     _check_fused_and_gathered(m, domain)
@@ -663,6 +665,48 @@ def test_fused_and_gathered_steps_match_eval(m):
     image, logdet = m.eval_log_abs_det(x)
     assert np.array_equal(image, m.eval(x))
     assert np.array_equal(logdet, m.log_abs_det(x))
+
+
+# -- blocked cell maps: the same bits as one whole-grid evaluation -------------
+
+
+@pytest.mark.baseline_dispatch
+@_EVERY_KIND
+# 5 cells cut the index inside rows and make one-row planar blocks; 96 and
+# 100 cells make two-row planar blocks and cut the full index on a row
+# boundary and inside a row
+@pytest.mark.parametrize("block", [5, 96, 100])
+def test_blocked_cell_map_matches_one_evaluation(monkeypatch, m, block):
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", block)
+    domain = _CIRCLE_CHART if m.kind == "circle" else _PLANAR_CHART
+    got = m.cell_map(domain)
+    assert got.dtype == np.int32 and got.shape == domain.shape
+    assert np.array_equal(got, domain.point_cells(m.eval(domain.cell_centers())))
+    for bits in _cell_sets(domain):
+        index = np.nonzero(bits)
+        got = m.cell_map(domain, index)
+        assert got.dtype == np.int32 and got.shape == (np.count_nonzero(bits),)
+        assert np.array_equal(got, domain.point_cells(m.eval(domain.centers_at(index))))
+
+
+def test_newton_cell_map_is_one_evaluation(monkeypatch):
+    # a Newton inverse's bits depend on its batch, so the whole map is one call
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 5)
+    calls = []
+    solve = maps._NewtonInverse.eval
+
+    def counted(self, w):
+        calls.append(len(w))
+        return solve(self, w)
+
+    monkeypatch.setattr(maps._NewtonInverse, "eval", counted)
+    for base, domain in ((AffineSimilarity(0.8, 120.0, (0.1, 0.1)), _PLANAR_CHART),
+                         (CircleNorthSouth(0.7, 0.0), _CIRCLE_CHART)):
+        m = Perturbed(base, 0.02, seed=3).inverse()
+        for index in (None, np.nonzero(_cell_sets(domain)[2])):
+            calls.clear()
+            cells = m.cell_map(domain, index)
+            assert calls == [cells.size]
 
 
 @settings(max_examples=40, deadline=None)
