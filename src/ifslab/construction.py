@@ -249,7 +249,7 @@ def _step(sys: SystemSpec, a: GridSet, cells: list | None) -> GridSet:
     # no name holds a cell map, so only one is alive at a time
     for m, c in zip(maps, cells):
         if m.closed_form_inverse:
-            hits |= bits[m.inverse().cell_map(dom).ravel() if c is None else c]
+            hits |= bits.take(m.inverse().cell_map(dom).ravel() if c is None else c)
         else:
             out[m.cell_map(dom, index) if c is None else c] = True
     out[at] |= hits
@@ -276,7 +276,8 @@ def attractor(
     Stops when the Hausdorff distance between successive iterates reaches
     ``tol`` (a length; grid distances are quantized to cell multiples, so
     the comparison is <=); raises :class:`ConvergenceError` with the last
-    distance if ``max_iter`` is hit first.
+    distance if ``max_iter`` is hit first.  Intermediate distances above
+    ``tol`` are not computed, only found to exceed it.
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
@@ -297,7 +298,8 @@ def attractor(
     for it in range(1, max_iter + 1):
         # an uncached step is the public one, whose calls perfbench traces
         stepped = hutchinson_step(sys, current) if cells is None else _step(sys, current, cells)
-        last = geometry.hausdorff_distance(stepped, current)
+        # only the last step's distance is needed beyond tol, for the error
+        last = geometry.hausdorff_distance(stepped, current, tol if it < max_iter else np.inf)
         if last <= tol:
             return AttractorResult(stepped, it, last)
         if cells is not None:

@@ -12,7 +12,7 @@ from ifslab.construction import (
     construction_report,
     hutchinson_step,
 )
-from ifslab.errors import ConstructionError, DimensionError, ValidationError
+from ifslab.errors import ConstructionError, ConvergenceError, DimensionError, ValidationError
 from ifslab.geometry import (
     Disk,
     Domain,
@@ -375,6 +375,49 @@ def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
     want, iterations, last, nested = reference_iterates(sys, start, tol, 200)
     assert not nested and got.attractor.equals(want)
     assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
+
+
+def exact_distance_iterates(sys, ball, res, tol, max_iter):
+    """attractor's loop with the public step and the exact Hausdorff
+    distance at every step: (iterate or None at max_iter, iterations, last
+    distance)."""
+    current = rasterize_disk(ball_domain(ball, res), ball)
+    last = np.inf
+    for it in range(1, max_iter + 1):
+        stepped = hutchinson_step(sys, current)
+        last = hausdorff_distance(stepped, current)
+        if last <= tol:
+            return stepped, it, last
+        current = stepped
+    return None, max_iter, last
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("tol_cells", [0.0, 0.25, 1.0, 2.0, 8.0, np.inf])
+@pytest.mark.parametrize("family", ["affine", "never-nests"])
+def test_attractor_matches_exact_distance_loop(family, tol_cells):
+    res = 96
+    if family == "affine":
+        built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+        sys, ball = built.system, built.absorbing_ball
+    else:
+        # the half turn of test_attractor_that_never_nests_builds_no_cell_maps
+        sys, ball = SystemSpec((AffineSimilarity(0.9, 180.0, (3.2, 0.0)),)), Disk((0.0, 0.0), 16.0)
+    tol = tol_cells * ball_domain(ball, res).cell_sizes[0]
+    for max_iter in (40, 3):
+        want, iterations, last = exact_distance_iterates(sys, ball, res, tol, max_iter)
+        if want is None:
+            with pytest.raises(ConvergenceError) as err:
+                attractor(sys, ball, tol=tol, max_iter=max_iter, resolution=res,
+                          verify_absorbing=False)
+            assert repr(err.value.last_distance) == repr(last)
+            assert str(err.value) == (f"attractor iteration did not stabilize in {max_iter} "
+                                      f"steps (last distance {last:.4g})")
+            continue
+        got = attractor(sys, ball, tol=tol, max_iter=max_iter, resolution=res,
+                        verify_absorbing=False)
+        assert got.attractor.equals(want)
+        assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
 
 
 @pytest.mark.baseline_dispatch

@@ -690,6 +690,122 @@ def test_hausdorff_matches_two_transform_reference(
     assert hausdorff_distance(outer, outer) == 0.0
 
 
+# -- the bounded Hausdorff search against the exact form
+
+
+def _blob(dom, rng, count):
+    """A union of ``count`` random disks (arcs on the circle), one cell at least."""
+    n, bits = dom.resolution, np.zeros(dom.shape, bool)
+    for _ in range(count):
+        if dom.kind == CIRCLE:
+            bits |= rasterize_disk(dom, Disk(rng.random(), rng.uniform(0.02, 0.2))).bitmap
+        else:
+            xmin, xmax, ymin, ymax = dom.bounds
+            c = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+            r = rng.uniform(0.02, 0.25) * min(xmax - xmin, ymax - ymin)
+            bits |= rasterize_disk(dom, Disk(c, r)).bitmap
+    bits.flat[rng.integers(n)] = True
+    return bits
+
+
+def _blob_pair(dom, relation, seed):
+    rng = rng_from(seed)
+    a = _blob(dom, rng, 3)
+    b = {
+        "b-in-a": lambda: a & _blob(dom, rng, 4),
+        "a-in-b": lambda: a | _blob(dom, rng, 2),
+        "overlapping": lambda: (a & ~_blob(dom, rng, 2)) | _blob(dom, rng, 2),
+        "equal": lambda: a.copy(),
+    }[relation]()
+    b.flat[np.flatnonzero(a)[0]] = True  # b holds a cell of a, so both are nonempty
+    return GridSet(dom, a), GridSet(dom, b)
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("search", ["default", "small-blocks-no-budget"])
+@pytest.mark.parametrize("relation", ["b-in-a", "a-in-b", "overlapping", "equal"])
+@pytest.mark.parametrize(
+    "dom",
+    [Domain.planar((-1.3, 1.9, -0.45, 0.35), 40), Domain.planar((0.0, 1.0, 0.0, 1.0), 48),
+     Domain.circle(96)],
+    ids=["wide", "square", "circle"],
+)
+def test_bounded_hausdorff_matches_exact(dom, relation, search, monkeypatch):
+    # blocks only move where a block ends, and a spent budget hands the
+    # answer to the transform; without a budget the search decides it
+    import ifslab.geometry as geometry
+
+    if search != "default":
+        monkeypatch.setattr(geometry, "_SEARCH_BLOCK", 37)
+        monkeypatch.setattr(geometry, "_SEARCH_BUDGET", math.inf)
+    cell = dom.max_cell_size
+    beyond = 1.01 * math.hypot(*(s * dom.resolution for s in dom.cell_sizes))
+    for seed in range(4):
+        a, b = _blob_pair(dom, relation, seed)
+        exact = hausdorff_distance(a, b)
+        assert (exact == 0.0) == (relation == "equal")
+        limits = [0.0, 0.3 * cell, cell, 2 * cell, 8 * cell, beyond, math.inf,
+                  exact, np.nextafter(exact, 0.0)]
+        for limit in limits:
+            want = exact if exact <= limit else math.inf
+            for got in (hausdorff_distance(a, b, limit), hausdorff_distance(b, a, limit)):
+                assert type(got) is float and repr(got) == repr(want), (seed, limit)
+
+
+# Three cells of one set about a fourth at offsets (-5, 0), (-4, 3) and
+# (0, -5) on square cells of 0.0195503558363399: the offsets' distances are
+# mathematically equal but round 1 ulp apart, and the transform (scipy 1.17)
+# takes the larger, so the search must not read the nearest one.
+@pytest.mark.baseline_dispatch
+def test_bounded_hausdorff_reads_the_transform_at_rounding_ties(monkeypatch):
+    import ifslab.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_SEARCH_BUDGET", math.inf)  # the search, not the budget, decides
+    h = 0.0195503558363399
+    dom = Domain.planar((0.0, 40 * h, 0.0, 40 * h), 40)
+    bits = np.zeros(dom.shape, bool)
+    bits[3, 25] = bits[4, 28] = bits[8, 20] = True
+    three = GridSet(dom, bits.copy())
+    bits[8, 25] = True
+    four = GridSet(dom, bits)
+    exact = hausdorff_distance(three, four)
+    nearest = min(float(np.sqrt(np.add.reduce((np.array(o, float) * h) ** 2)))
+                  for o in ((-5, 0), (-4, 3), (0, -5)))
+    assert nearest <= exact <= np.nextafter(nearest, 1.0)
+    for limit in (5 * h, 6 * h, nearest, exact):
+        want = exact if exact <= limit else math.inf
+        assert repr(hausdorff_distance(three, four, limit)) == repr(want), limit
+
+
+def test_bounded_hausdorff_gives_way_to_the_transform(monkeypatch):
+    import ifslab.geometry as geometry
+
+    transforms = []
+    monkeypatch.setattr(geometry, "grid_distances",
+                        lambda *sets: transforms.append(1) or grid_distances(*sets))
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 64)
+    cell, disk = dom.max_cell_size, rasterize_disk(dom, Disk((0.5, 0.5), 0.4))
+    rim = rasterize_disk(dom, Disk((0.5, 0.5), 0.4 + 1.5 * cell))
+    core = rasterize_disk(dom, Disk((0.5, 0.5), 0.1))
+    # the rim's cells lie within two cells of the disk: the search decides
+    bounded = hausdorff_distance(rim, disk, 2 * cell)
+    assert not transforms and bounded == hausdorff_distance(disk, rim)
+    # the ring around the core lies up to 19 cells from it, past the budget's
+    # worth of gathers at 30 cells; past the chart no table is built at all
+    for limit, budget in ((30 * cell, geometry._SEARCH_BUDGET), (200 * cell, math.inf)):
+        monkeypatch.setattr(geometry, "_SEARCH_BUDGET", budget)
+        transforms.clear()
+        bounded = hausdorff_distance(disk, core, limit)
+        assert len(transforms) == 1 and bounded == hausdorff_distance(disk, core)
+
+
+def test_bounded_hausdorff_rejects_a_negative_or_nan_limit(square):
+    a = rasterize_disk(square, Disk((0.5, 0.5), 0.2))
+    for limit in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            hausdorff_distance(a, a, limit)
+
+
 # -- PGM round trip
 
 
