@@ -117,26 +117,26 @@ def _orbit_points(
 def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
     """The count of region cells beyond ``epsilon`` of every orbit point.
 
-    Each orbit point lies within half a cell diagonal ``h`` of the center
-    of the cell holding it, so a cell whose grid distance ``d`` to the
-    nearest such center has ``d - h > epsilon`` is uncovered and one with
-    ``d + h < epsilon`` is covered.  Only the cells in between, the epsilon
-    band, get exact point distances, which are the same floats as a full
-    query's: each cell center is answered on its own.  An orbit with a
-    point off the chart has no cell to bound that point's distances with,
-    so the whole region is its band.
+    On the plane each orbit point lies within half a cell diagonal ``h``
+    of the center of the cell holding it, so a cell whose grid distance
+    ``d`` to the nearest such center has ``d - h > epsilon`` is uncovered
+    and one with ``d + h < epsilon`` is covered.  Only the cells in
+    between, the epsilon band, get exact point distances, the same floats
+    as a full query's, as each cell center is answered on its own.  A
+    circle region (its exact query is one sorted-neighbour scan), or an
+    orbit with a point off the chart, is all band.
     """
     domain = region.domain
     band, total = region, 0
-    cells = domain.point_cells(orbit)
-    if (cells >= 0).all():
+    cells = domain.point_cells(orbit) if domain.kind != CIRCLE else None
+    if cells is not None and (cells >= 0).all():
         marks = np.zeros(domain.shape, dtype=bool)
         marks.reshape(-1)[cells] = True
         d = geometry.grid_distances(GridSet(domain, marks), region)
         h = 0.5 * math.hypot(*domain.cell_sizes)
         # covers the rounding of the centers, of the cell indices (point_cells'
         # floor and its clamp at the top edge) and of both distances
-        slack = _BAND_SLACK * (max(map(abs, domain.bounds or (1.0,))) + epsilon)
+        slack = _BAND_SLACK * (max(map(abs, domain.bounds)) + epsilon)
         beyond = d - h > epsilon + slack
         total = int(np.count_nonzero(beyond))
         bits = np.zeros_like(region.bitmap)
@@ -159,11 +159,11 @@ def minimality_test(
 
     For each seeded start cell the word tree is explored breadth-first up
     to ``max_word_len`` with proximity pruning, and the region cells beyond
-    ``epsilon`` of the orbit are counted exactly.  A grid
-    distance transform to the cells holding orbit points bounds every
-    cell's distance to within half a cell diagonal and settles every cell
-    outside that band around ``epsilon``; only the band's cells get exact
-    point distances, so the count equals a full nearest-point query.  The
+    ``epsilon`` of the orbit are counted exactly: on the circle by one
+    full nearest-point query; on the plane a grid distance transform to
+    the cells holding orbit points bounds every cell's distance to within
+    half a cell diagonal and settles every cell outside that band around
+    ``epsilon``, and only the band's cells get exact point distances.  The
     verdict is eps-dense iff no start point leaves any region cell
     uncovered.  Exceeding the enumeration budget of 10^7 map evaluations
     for any single start point raises :class:`BudgetExceededError`
@@ -321,9 +321,8 @@ def empirical_distortion(
     from the attractor set) are pushed through every word, accumulating
     log|det D| along the reverse orbit.  Words are pushed together, up to
     ``_CHUNK_POINTS`` points per chunk: at each depth every symbol makes
-    one call on the rows of the words that apply it there, or one call per
-    word for a map that is not batch-invariant.  Each row sees the same
-    operations as it would alone, so the ratios do not depend on the
+    one call on the rows of the words that apply it there.  Each point's
+    bits depend on that point alone, so the ratios do not depend on the
     chunking.  A word whose maps all have constant log-dets gives every
     point the same sum, hence ratios of exactly 1, and is skipped.  A word
     whose ratios hold a NaN (an orbit that overflowed) is dropped and
@@ -384,21 +383,13 @@ def _word_log_dets(maps, order: np.ndarray, pts0: np.ndarray) -> np.ndarray:
         for sym in np.unique(col[i <= live]):
             # a row at its last varying step moves too; no later step reads it
             m = maps[sym]
-            for rows in _calls(m, np.flatnonzero((col == sym) & (i <= live))):
-                if m.constant_log_abs_det is None:
-                    pts[rows], step = m.eval_log_abs_det(pts[rows])
-                    logdet[rows] += step
-                else:
-                    pts[rows] = m.eval(pts[rows])
+            rows = np.flatnonzero((col == sym) & (i <= live))
+            if m.constant_log_abs_det is None:
+                pts[rows], step = m.eval_log_abs_det(pts[rows])
+                logdet[rows] += step
+            else:
+                pts[rows] = m.eval(pts[rows])
     return logdet
-
-
-def _calls(m, rows: np.ndarray):
-    """The row groups to evaluate ``m`` on: all rows at once when ``m`` is
-    batch-invariant, else one word per call."""
-    if not rows.size:
-        return ()
-    return (rows,) if m.batch_invariant else rows[:, None]
 
 
 _CONSISTENCY_SLACK = 0.05

@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProbeError as exc:
         print(f"probe error: {exc}", file=_sys.stderr)
         return 2
-    except (IfslabError, OSError, json.JSONDecodeError) as exc:
+    except (IfslabError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

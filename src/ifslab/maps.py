@@ -4,9 +4,9 @@ Every map evaluates single points or numpy arrays of points — shape
 ``(..., 2)`` for planar maps, any shape for circle maps — and exposes an
 exact Jacobian (a 2x2 matrix field for planar maps, a scalar derivative
 field on the circle).  Each point's result depends on that point alone,
-except under a Newton inverse, which stops on the whole batch's residual
-(see ``Map.batch_invariant``).  Circle maps act on [0, 1) and commute with
-integer shifts, so values are always reported mod 1.
+so a batch gives the same bits as its points one at a time; a Newton
+inverse stops each point on its own residual.  Circle maps act on [0, 1)
+and commute with integer shifts, so values are always reported mod 1.
 
 Word semantics: a word w = (w1, ..., wr) applied *forward* composes the
 corresponding generators with the first symbol innermost, i.e. the orbit
@@ -34,7 +34,7 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 _NEWTON_TOL = 1e-13
-_NEWTON_ULPS = 4  # the tolerance is at least this many ulps of the largest coordinate
+_NEWTON_ULPS = 4  # a point's tolerance is at least this many ulps of its largest coordinate
 _NEWTON_MAX_ITER = 80
 _BLOCK_CELLS = 2**14  # cells per block of Map.cell_map: its arrays stay in cache
 
@@ -58,6 +58,11 @@ def circle_position(x: float) -> float:
     return w if w < 1.0 else 0.0
 
 
+def _largest_abs(a, circle):
+    """The largest |coordinate| of each point: |a| on the circle."""
+    return np.abs(a) if circle else np.maximum(np.abs(a[..., 0]), np.abs(a[..., 1]))
+
+
 def _det(j):
     """Determinants of a field of 2x2 matrices with shape (..., 2, 2)."""
     return _det_of_entries(j[..., 0, 0], j[..., 0, 1], j[..., 1, 0], j[..., 1, 1])
@@ -77,9 +82,6 @@ class Map:
     constant_log_abs_det: float | None = None
     # True when inverse() is exact rather than a Newton iteration
     closed_form_inverse: bool = False
-    # True when every result at a point has the same bits whatever other
-    # points share its call, so callers may stack batches into one call
-    batch_invariant: bool = True
 
     def eval(self, x):
         raise NotImplementedError
@@ -94,15 +96,15 @@ class Map:
         index arrays (flat): the one rule from a map to cells.
 
         The cells go through :meth:`eval_cells` in cache-sized blocks, whole
-        grid rows or slices of the index, so no array spans the grid; a map
-        that is not batch-invariant takes them all in one block.
+        grid rows or slices of the index, so no array spans the grid; a
+        point's image does not depend on its block.
         """
         if self.kind != domain.kind:
             raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
         whole = index is None
         row = math.prod(domain.shape[1:]) if whole else 1  # cells per grid row
         out = np.empty(math.prod(domain.shape) if whole else len(index[0]), dtype=np.int32)
-        step = max(_BLOCK_CELLS // row, 1) * row if self.batch_invariant else max(out.size, 1)
+        step = max(_BLOCK_CELLS // row, 1) * row
         for start in range(0, out.size, step):
             if whole:
                 block = np.indices((min(step, out.size - start) // row,) + domain.shape[1:])
@@ -288,7 +290,6 @@ class Perturbed(Map):
             object.__setattr__(self, "_half_amplitude", 0.5 * self.amplitude)
         object.__setattr__(self, "kind", self.base.kind)
         object.__setattr__(self, "invertible", self.base.invertible)
-        object.__setattr__(self, "batch_invariant", self.base.batch_invariant)
 
     # The planar bump is p(u, v) = a/2 (sin(u + f00) sin(v + f01),
     # sin(u + f10) sin(v + f11)).  Every method below takes the sine and
@@ -382,41 +383,47 @@ class _NewtonInverse(Map):
 
     Newton iteration seeded at the base inverse of the perturbed map;
     accurate to ~1e-13, well inside the documented 1e-9 roundtrip contract.
-    A residual still at or above the tolerance after ``_NEWTON_MAX_ITER``
-    steps raises :class:`ConvergenceError`; the tolerance is ``_NEWTON_TOL``,
-    or ``_NEWTON_ULPS`` ulps of the batch's largest coordinate where that is
+    Each point stops once its residual is below its own tolerance, so its
+    bits do not depend on the rest of its call: ``_NEWTON_TOL``, or
+    ``_NEWTON_ULPS`` ulps of the point's largest coordinate where that is
     larger (from |w| = 128 on), since no residual can fall below the
-    rounding of the image.
+    rounding of the image.  A residual still at or above it after
+    ``_NEWTON_MAX_ITER`` steps raises :class:`ConvergenceError`.
     """
 
     target: Perturbed  # with an invertible base
-
-    # the iteration stops once the batch's largest residual is below
-    # tolerance, so a point's bits, and a ConvergenceError, depend on the
-    # other points of its call
-    batch_invariant = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.target.kind)
 
     def eval(self, w):
         w = np.asarray(w, dtype=float)
-        z = self.target.base.inverse().eval(w)
         circle = self.kind == "circle"
-        largest = float(np.max(np.abs(w), initial=0.0))
-        tol = max(_NEWTON_TOL, _NEWTON_ULPS * float(np.spacing(largest)))
+        # one row per point; out keeps each point's iterate once it has
+        # converged, and rows, z, goal and tol hold the points still going
+        goal = w.reshape(-1) if circle else w.reshape(-1, 2)
+        out = self.target.base.inverse().eval(goal)
+        tol = np.maximum(_NEWTON_TOL, _NEWTON_ULPS * np.spacing(_largest_abs(goal, circle)))
+        rows, z = np.arange(len(goal)), out
         for step in range(_NEWTON_MAX_ITER + 1):
-            r = self.target.eval(z) - w
+            r = self.target.eval(z) - goal
             if circle:
                 r = (r + 0.5) % 1.0 - 0.5
-            # initial=0.0: an empty batch has converged, not failed
-            if np.max(np.abs(r), initial=0.0) < tol:
-                return z % 1.0 if circle else z
-            if step == _NEWTON_MAX_ITER:
+            err = _largest_abs(r, circle)
+            going = ~(err < tol)
+            left = np.count_nonzero(going)
+            if step == _NEWTON_MAX_ITER and left:
                 raise ConvergenceError(
-                    f"Newton inverse residual {np.max(np.abs(r)):.3g} is still above "
-                    f"{tol:.3g} after {_NEWTON_MAX_ITER} steps"
+                    f"Newton inverse residual {np.max(err[going]):.3g} is still at or "
+                    f"above its point's tolerance after {_NEWTON_MAX_ITER} steps"
                 )
+            if not left:  # an empty batch has converged, not failed
+                out[rows] = z
+                out = out.reshape(w.shape)
+                return out % 1.0 if circle else out
+            if left < len(going):
+                out[rows[~going]] = z[~going]
+                rows, z, r, goal, tol = rows[going], z[going], r[going], goal[going], tol[going]
             j = self.target.jacobian(z)
             if circle:
                 z = z - r / j

@@ -366,11 +366,10 @@ def test_bounded_uncovered_count_on_the_circle(band_sizes):
     wrap = np.array([0.0, np.nextafter(1.0, 0.0), -1e-18, 2.5 * h, -3.0 + 17 * h, 0.5])
     orbits = [wrap, rng.uniform(0.0, 1.0, 7), np.concatenate([wrap, rng.uniform(-2.0, 2.0, 60)])]
     _assert_counts_match(region, orbits, [2 * h, 5.5 * h, 0.1, 0.3])
-    assert band_sizes and max(band_sizes) < region.count() / 2
-    # a point with no cell sends the whole region to the exact query
-    band_sizes.clear()
+    # a circle region has no band: every count queries the whole region,
+    # as does an orbit with a point that has no cell
     _assert_counts_match(region, [np.append(wrap, np.nan)], [0.1])
-    assert band_sizes == [region.count()]
+    assert band_sizes == [region.count()] * 13
 
 
 # -- invariance defect -------------------------------------------------------
@@ -858,8 +857,10 @@ def test_planar_distortion_statistics_pinned():
     assert contraction_factor(sys, region, 64, seed=1) == 0.8024956362925075
     e = empirical_distortion(sys, region, 6, 5, 8, seed=2)
     assert (e.emp_min, e.emp_max) == (0.9671385205214623, 1.0291580090948738)
+    # re-recorded when the Newton inverse began to stop point by point; equal
+    # to reference_empirical_distortion
     e = empirical_distortion(SystemSpec(gens, include_inverses=True), region, 6, 5, 8, seed=2)
-    assert (e.emp_min, e.emp_max) == (0.9536549241744752, 1.0406260247766204)
+    assert (e.emp_min, e.emp_max) == (0.9536549241744745, 1.0406260247766217)
 
 
 def test_circle_distortion_statistics_pinned():
@@ -922,7 +923,8 @@ def test_distortion_affine_tail_pinned():
     assert (e.emp_min, e.emp_max) == (0.9860843897370446, 1.0212010206108262)
     # families where every step, or every step but the rotation's, takes the
     # fused image/log-det step (the inverses are Newton inverses); recorded
-    # before that step existed
+    # before that step existed, the planar inverses' line again when the
+    # Newton inverse began to stop point by point
     all_perturbed = (
         Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
         Perturbed(AffineSimilarity(0.7, 30.0, (0.4, 0.0)), 0.03, seed=5),
@@ -936,7 +938,7 @@ def test_distortion_affine_tail_pinned():
     circle_region = full_set(Domain.circle(256))
     for family, where, inverses, expected in (
         (all_perturbed, region, False, (0.9871399686726957, 1.0132746965805486)),
-        (all_perturbed, region, True, (0.9429197916202883, 1.1349986328733082)),
+        (all_perturbed, region, True, (0.9429197916202883, 1.1349986328733002)),
         (circle, circle_region, False, (0.11810399619636539, 10.09147662437497)),
         (circle, circle_region, True, (0.023861859623638872, 112.63261254939911)),
     ):

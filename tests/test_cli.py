@@ -333,6 +333,10 @@ def test_shrink_horizon_exit_two(tmp_path):
     assert code == 2
 
 
+# 200 bytes from 0xff down: 0xff starts no UTF-8 sequence
+_NOT_UTF8 = bytes(range(255, 55, -1))
+
+
 @pytest.mark.parametrize(
     "args, pgm_bytes, text",
     [
@@ -386,6 +390,10 @@ def test_shrink_horizon_exit_two(tmp_path):
          None, "affine kappa=0.76 theta=179 anchor=inf,0\n"),
         (["ergodicity", "--system", "{file}", "--resolution", "64", "--bounds=-2,2,-2,2"],
          None, "affine kappa=0.76 theta=179\nperturb base=1 amp=nan\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "0.05", "--max-word-len", "3"],
+         None, _NOT_UTF8),
+        (["--config", "{file}", "construct", "--kappa", "0.76"], None, _NOT_UTF8),
+        (["packing", "verify", "--instance", "{file}"], None, _NOT_UTF8),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -400,11 +408,12 @@ def test_shrink_horizon_exit_two(tmp_path):
          "max-disks-negative", "tol-cells-negative", "ball-not-absorbing",
          "circle-amplitude-inf-ergodicity", "circle-amplitude-inf-minimality",
          "rotation-angle-nan", "affine-theta-nan", "affine-anchor-inf",
-         "planar-amplitude-nan"],
+         "planar-amplitude-nan", "system-not-utf8", "config-not-utf8", "instance-not-utf8"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it;
-    # text fills the system or instance file that "{file}" names
+    # text (str or bytes) fills the system, config or instance file that
+    # "{file}" names
     target = tmp_path / "target.pgm"
     write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
     if isinstance(pgm_bytes, int):
@@ -414,7 +423,7 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text
     if args[:2] == ["packing", "greedy"]:
         args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
     if text is not None:
-        (tmp_path / "input.txt").write_text(text)
+        (tmp_path / "input.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
         args = [tmp_path / "input.txt" if a == "{file}" else a for a in args]
     src = str(Path(ifslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

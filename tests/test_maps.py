@@ -547,7 +547,8 @@ def test_word_jacobian_det_pinned():
         (PINNED_PLANAR.inverse(), PINNED_POINTS,
          [0.45526416349413185, 0.45399081470006236, 0.4489426698061546]),
         (Perturbed(CircleNorthSouth(0.7), 0.01, seed=4).inverse(), PINNED_ARCS,
-         [0.25194026707680417, -0.33773339096628596, 0.25998365788700567]),
+         # each value is the point's lone-call value
+         [0.25194026707680417, -0.33773339096629024, 0.25998365788700567]),
     ],
     ids=["rotation", "north-south", "perturbed", "newton", "newton-circle"],
 )
@@ -689,26 +690,6 @@ def test_blocked_cell_map_matches_one_evaluation(monkeypatch, m, block):
         assert np.array_equal(got, domain.point_cells(m.eval(domain.centers_at(index))))
 
 
-def test_newton_cell_map_is_one_evaluation(monkeypatch):
-    # a Newton inverse's bits depend on its batch, so the whole map is one call
-    monkeypatch.setattr(maps, "_BLOCK_CELLS", 5)
-    calls = []
-    solve = maps._NewtonInverse.eval
-
-    def counted(self, w):
-        calls.append(len(w))
-        return solve(self, w)
-
-    monkeypatch.setattr(maps._NewtonInverse, "eval", counted)
-    for base, domain in ((AffineSimilarity(0.8, 120.0, (0.1, 0.1)), _PLANAR_CHART),
-                         (CircleNorthSouth(0.7, 0.0), _CIRCLE_CHART)):
-        m = Perturbed(base, 0.02, seed=3).inverse()
-        for index in (None, np.nonzero(_cell_sets(domain)[2])):
-            calls.clear()
-            cells = m.cell_map(domain, index)
-            assert calls == [cells.size]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -726,23 +707,11 @@ def test_fused_and_gathered_steps_match_eval_property(seed, amplitude, circle, i
 
 
 @pytest.mark.baseline_dispatch
-@pytest.mark.parametrize(
-    "m",
-    [
-        AffineSimilarity(0.8, 120.0, (0.1, 0.1)),
-        Perturbed(AffineSimilarity(0.8, 120.0, (0.1, 0.1)), 0.02, seed=3),
-        Perturbed(Perturbed(AffineSimilarity(0.7, 30.0), 0.05, seed=8), 0.01, seed=9),
-        Perturbed(CircleNorthSouth(0.7, 0.0), 0.01, seed=4),
-        CircleNorthSouth(0.6, 0.37),
-        CircleRotation(0.6180339887498949),
-    ],
-    ids=["affine", "perturbed", "perturbed-twice", "perturbed-circle", "north-south",
-         "rotation"],
-)
+@_EVERY_KIND
 @pytest.mark.parametrize("blocks, size", [(1, 1), (3, 1), (5, 7), (4, 33), (2, 513)])
 def test_stacked_batch_matches_its_blocks(m, blocks, size):
-    # empirical_distortion stacks many words' points into one call
-    assert m.batch_invariant
+    # empirical_distortion stacks many words' points into one call, and a
+    # Newton inverse stops each point on its own residual
     rng = rng_from(blocks * 1000 + size)
     if m.kind == "circle":
         stack = rng.uniform(0.0, 1.0, (blocks, size))
@@ -756,10 +725,3 @@ def test_stacked_batch_matches_its_blocks(m, blocks, size):
                 assert np.array_equal(got[k], np.stack([p[k] for p in parts]))
         else:
             assert np.array_equal(got, np.stack(parts))
-
-
-def test_newton_inverse_is_not_batch_invariant():
-    for base in (AffineSimilarity(0.8, 120.0, (0.1, 0.1)), CircleNorthSouth(0.7, 0.0)):
-        m = Perturbed(base, 0.02, seed=3)
-        assert m.batch_invariant
-        assert not m.inverse().batch_invariant
