@@ -330,6 +330,8 @@ def empirical_distortion(
     measured nothing and raises :class:`NonFiniteError`.
     """
     _require_positive(word_count=word_count, pair_count=pair_count)
+    if word_length < 0:
+        raise ValidationError(f"word_length must be >= 0, got {word_length}")
     rng = rng_from(seed)
     xs = geometry.sample_cells(delta_set, pair_count, rng)
     ys = geometry.sample_cells(delta_set, pair_count, rng)

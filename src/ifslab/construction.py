@@ -281,6 +281,8 @@ def attractor(
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if verify_absorbing:
         chk = check_absorbing(sys, u, resolution)
         if not chk.absorbed:

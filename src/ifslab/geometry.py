@@ -451,17 +451,18 @@ def grid_distances(target: GridSet, cells: GridSet) -> np.ndarray:
     """Distance from each included cell center of ``cells``, in
     ``np.nonzero`` order, to the nearest included cell center of ``target``.
 
-    This is the one exact distance transform of the package: over the
-    circle tiled three times, and on the plane over the bounding box of
-    both sets.  The transform only looks at differences of cell indices,
-    and every target cell lies in the box, so the box gives the same
-    distances as the whole chart.
+    On the circle the nearest target cells on either side give the cell
+    count ``k`` and the distance ``k * h``, the float a transform gives
+    (``sqrt((k*h)**2)``).  On the plane this is the one exact distance
+    transform of the package, over the bounding box of both sets: it only
+    looks at differences of cell indices, and every target cell lies in the
+    box, so the box gives the same distances as the whole chart.
     """
     dx, dy = target.domain.cell_sizes
     if target.domain.kind == CIRCLE:
-        n = target.domain.resolution
-        tiled = np.concatenate([target.bitmap] * 3)
-        return distance_transform_edt(~tiled, sampling=dx)[n : 2 * n][cells.bitmap]
+        n, i = target.domain.resolution, np.flatnonzero(cells.bitmap)
+        below, above = _circle_neighbours(np.flatnonzero(target.bitmap), i)
+        return np.minimum((i - below) % n, (above - i) % n) * dx
     both = cells.bitmap | target.bitmap
     rows = np.flatnonzero(both.any(axis=1))
     cols = np.flatnonzero(both.any(axis=0))
@@ -474,26 +475,26 @@ def hausdorff_distance(a: GridSet, b: GridSet, limit: float = math.inf) -> float
 
     Computed between cell centers, so it is a pseudo-metric: exact 0 iff
     the bitmaps are equal, and the triangle inequality holds up to one cell
-    diagonal.  When one set contains the other, the inner set's cells are
-    at distance 0 from the outer one, so one distance transform suffices.
-    A finite ``limit`` gives the same float when it is at most ``limit``
-    and ``math.inf`` otherwise, from :func:`_offset_search` where it can.
+    diagonal.  It is the larger of two directed distances, each over the
+    cells of one set missing from the other.  A finite ``limit`` gives the
+    same float when it is at most ``limit`` and ``math.inf`` otherwise,
+    from :func:`_offset_search` on the plane where it can.
     """
     a._check_same_domain(b)
     if a.is_empty() or b.is_empty():
         raise EmptySetError("hausdorff distance needs nonempty sets")
     if not limit >= 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
-    found = _offset_search(a, b, limit) if limit < math.inf else None
-    if found is not None:
-        return found
-    if a.minus(b).is_empty():
-        d = grid_distances(a, b).max()
-    elif b.minus(a).is_empty():
-        d = grid_distances(b, a).max()
-    else:
-        d = max(grid_distances(b, a).max(), grid_distances(a, b).max())
-    return float(d) if d <= limit else math.inf
+    search, worst = limit < math.inf and a.domain.kind == PLANAR, 0.0
+    for s, t in ((a, b), (b, a)):
+        cells = s.minus(t)
+        if cells.is_empty():
+            continue
+        d = _offset_search(cells, t, limit) if search else None
+        worst = max(worst, float(grid_distances(t, cells).max()) if d is None else d)
+        if worst > limit:
+            return math.inf
+    return worst
 
 
 _SEARCH_BLOCK = 2**14  # cells per block of the offset search
@@ -503,48 +504,45 @@ _SEARCH_BLOCK = 2**14  # cells per block of the offset search
 _SEARCH_BUDGET = 8
 
 
-def _offset_search(a: GridSet, b: GridSet, limit: float) -> float | None:
-    """:func:`hausdorff_distance` up to a finite ``limit``, else ``math.inf``:
-    each cell of one set missing from the other looks for the other set at
-    the cell offsets within ``limit``, nearest first, each at the transform's
-    own float.  None leaves the answer to the transform: where the search
-    would cost more, and where equal distances round apart (the transform
-    may take either) within 1e-9 of the result."""
-    dom = a.domain
-    n, sampling = dom.resolution, np.array(dom.cell_sizes[: len(dom.shape)])
-    budget = _SEARCH_BUDGET * (a.count() + b.count())
+def _offset_search(cells: GridSet, target: GridSet, limit: float) -> float | None:
+    """``grid_distances(target, cells).max()`` on the plane up to a finite
+    ``limit``, else ``math.inf``: each cell looks for the target at the cell
+    offsets within ``limit``, nearest first, each at the transform's own
+    float.  None leaves the answer to the transform: where the search would
+    cost more, and where equal distances round apart (the transform may take
+    either) within 1e-9 of the result."""
+    n, sampling = cells.domain.resolution, np.array(cells.domain.cell_sizes)
+    budget = _SEARCH_BUDGET * (cells.count() + target.count())
     # offsets clipped to the chart, one cell beyond limit for the rounding test
     reach = (np.minimum(limit, n * sampling) // sampling + 1).clip(max=n - 1).astype(np.int64)
-    if np.prod(2 * reach + 1) > a.bitmap.size:
+    if np.prod(2 * reach + 1) > cells.bitmap.size:
         return None
-    off = np.indices(2 * reach + 1).reshape(len(reach), -1) - reach[:, None]
+    off = np.indices(2 * reach + 1).reshape(2, -1) - reach[:, None]
     dist = np.sqrt(np.add.reduce((off.astype(np.float64) * sampling[:, None]) ** 2))
     near = np.flatnonzero((dist > 0) & (dist <= limit))
     near = near[np.argsort(dist[near])]
-    # flat offsets into the other set padded by reach: zeros on the plane, wrapped on the circle
-    strides = np.append(np.array(dom.shape[1:], dtype=np.int64) + 2 * reach[1:], 1)
+    # flat offsets into the target padded by reach with zeros
+    strides = np.array([n + 2 * reach[1], 1])
     shifts, worst = strides @ off[:, near], 0.0
-    changed = np.flatnonzero(a.bitmap ^ b.bitmap)
-    in_a = a.bitmap.ravel()[changed]
-    for cells, dst in ((changed[in_a], b.bitmap), (changed[~in_a], a.bitmap)):
-        other = np.pad(dst, [(r, r) for r in reach], "wrap" if dom.kind == CIRCLE else "constant")
-        for start in range(0, cells.size, _SEARCH_BLOCK):
-            index = np.unravel_index(cells[start : start + _SEARCH_BLOCK], dom.shape)
-            at, k = strides @ (np.array(index) + reach[:, None]), 0
-            while at.size:
-                if k >= near.size:
-                    return math.inf
-                # as many offsets at once as keep the gather about a block
-                ks = slice(k, k + max(_SEARCH_BLOCK // at.size, 1))
-                hit = other.take(shifts[ks, None] + at)
-                budget -= hit.size
-                if budget < 0:
-                    return None
-                found = hit.any(axis=0)
-                if found.any():
-                    worst = max(worst, dist[near[ks]][hit[:, found].argmax(axis=0)].max())
-                    at = at[~found]
-                k = ks.stop
+    other = np.pad(target.bitmap, [(r, r) for r in reach])
+    flat = np.flatnonzero(cells.bitmap)
+    for start in range(0, flat.size, _SEARCH_BLOCK):
+        index = np.unravel_index(flat[start : start + _SEARCH_BLOCK], cells.domain.shape)
+        at, k = strides @ (np.array(index) + reach[:, None]), 0
+        while at.size:
+            if k >= near.size:
+                return math.inf
+            # as many offsets at once as keep the gather about a block
+            ks = slice(k, k + max(_SEARCH_BLOCK // at.size, 1))
+            hit = other.take(shifts[ks, None] + at)
+            budget -= hit.size
+            if budget < 0:
+                return None
+            found = hit.any(axis=0)
+            if found.any():
+                worst = max(worst, dist[near[ks]][hit[:, found].argmax(axis=0)].max())
+                at = at[~found]
+            k = ks.stop
     tied = (np.abs(dist - worst) <= 1e-9 * worst) & (dist != worst)
     return None if tied.any() else float(worst)
 

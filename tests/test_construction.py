@@ -225,6 +225,19 @@ def test_attractor_rejects_a_negative_tolerance(reference):
         attractor(reference.system, reference.absorbing_ball, tol=-1.0, resolution=64)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_attractor_rejects_no_steps_before_the_absorbing_check(reference, max_iter, monkeypatch):
+    import ifslab.construction as construction
+
+    def checked(*args):
+        raise AssertionError("the absorbing check ran")
+
+    monkeypatch.setattr(construction, "check_absorbing", checked)
+    with pytest.raises(ValidationError, match="max_iter"):
+        attractor(reference.system, reference.absorbing_ball, tol=1.0, max_iter=max_iter,
+                  resolution=64)
+
+
 def test_attractor_contains_interior_disk(reference, reference_attractor):
     cell = reference_attractor.attractor.domain.max_cell_size
     probe = rasterize_disk(reference_attractor.attractor.domain, Disk((0.0, 0.0), 4 * cell))

@@ -582,8 +582,8 @@ def _one_cell(dom, *index):
 @pytest.mark.parametrize(
     "dom",
     [Domain.planar((-1.0, 1.0, -1.0, 1.0), 48), Domain.planar((-1.3, 1.9, -0.45, 0.35), 40),
-     Domain.circle(64)],
-    ids=["square", "wide", "circle"],
+     Domain.circle(64), Domain.circle(65536)],
+    ids=["square", "wide", "circle", "circle-65536"],
 )
 def test_grid_distances_match_the_whole_chart_transform(dom):
     n, (dx, dy) = dom.resolution, dom.cell_sizes
@@ -804,6 +804,30 @@ def test_bounded_hausdorff_rejects_a_negative_or_nan_limit(square):
     for limit in (-1.0, float("nan")):
         with pytest.raises(ValidationError):
             hausdorff_distance(a, a, limit)
+
+
+# -- circle distances from the sorted-neighbour scan alone
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("res", [16, 97, 65536])
+def test_circle_distances_take_no_transform_and_no_search(res, monkeypatch):
+    import ifslab.geometry as geometry
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a circle distance ran a transform or an offset search")
+
+    monkeypatch.setattr(geometry, "distance_transform_edt", refused)
+    monkeypatch.setattr(geometry, "_offset_search", refused)
+    dom = Domain.circle(res)
+    cell = dom.max_cell_size
+    for seed in range(3):
+        a, b = _blob_pair(dom, "overlapping", seed)
+        want = ndi.distance_transform_edt(~np.tile(b.bitmap, 3), sampling=cell)[res : 2 * res]
+        assert np.array_equal(grid_distances(b, a), want[a.bitmap])
+        exact = _two_transform_hausdorff(a, b)
+        for limit in (math.inf, cell, 8 * cell, exact, np.nextafter(exact, 0.0)):
+            assert hausdorff_distance(a, b, limit) == (exact if exact <= limit else math.inf)
 
 
 # -- PGM round trip
