@@ -19,10 +19,10 @@ from . import geometry
 from .errors import (
     BudgetExceededError,
     DegeneracyError,
+    DimensionError,
     DomainError,
     EmptySetError,
     HorizonError,
-    InvertibilityError,
     NonFiniteError,
     NotAContractionError,
     ResolutionError,
@@ -224,8 +224,6 @@ def invariance_defect(sys: SystemSpec, a: GridSet, direction: str = "image") -> 
         return geometry.volume(a.bitmap ^ union, union.size)
     worst = 0.0
     for m in sys.maps():
-        if not m.invertible:
-            raise InvertibilityError("preimage invariance needs invertible generators")
         pre = a.pull(m.cell_map(a.domain))
         worst = max(worst, geometry.volume(a.bitmap ^ pre, pre.size))
     return worst
@@ -488,6 +486,8 @@ def shrink_time(
     r0 - 1.  Raises :class:`HorizonError` if the diameter never drops below
     delta within ``max_r`` (or the word runs out of symbols).
     """
+    if sys.kind == CIRCLE:
+        raise DimensionError("shrink time applies to planar systems")
     if word.direction != REVERSE:
         raise ValidationError("shrink time is defined for reverse words")
     if max_r < 0:
@@ -638,9 +638,6 @@ def ergodicity_probe(
     if refine_steps < 0:
         # 0 still scores the seed sets themselves
         raise ValidationError(f"refine_steps must be >= 0, got {refine_steps}")
-    for m in sys.maps():
-        if not m.invertible:
-            raise InvertibilityError("ergodicity probe needs invertible generators")
     if domain is None:
         if sys.kind != CIRCLE:
             raise ValidationError("planar ergodicity probe needs an explicit domain")

@@ -199,18 +199,18 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     """Whether every member maps U into U, with the worst escape distance.
 
     The escape distance is the largest amount by which an image of a U-cell
-    center leaves U (0 when the union of images stays inside).
+    center leaves U (0 when the union of images stays inside), taken over
+    the blocks of :meth:`Domain.blocks`.
     """
     if sys.kind != "planar":
         raise DimensionError("absorbing-ball checks apply to planar systems")
     dom = geometry.ball_domain(u, resolution)
-    cells = geometry.rasterize_disk(dom, u)
-    pts = cells.included_points()
+    index = np.nonzero(geometry.rasterize_disk(dom, u).bitmap)
     worst = 0.0
     for m in sys.maps():
-        d = geometry.point_distance(sys.kind, m.eval(pts), u.center)
-        worst = max(worst, float(d.max()) - u.radius)
-    worst = max(worst, 0.0)
+        for _, block in dom.blocks(index):
+            d = geometry.point_distance(sys.kind, m.eval_cells(dom, block), u.center)
+            worst = max(worst, float(d.max()) - u.radius)
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 

@@ -35,10 +35,6 @@ class AlphabetError(ValidationError):
     """A word contains symbols outside the system's alphabet."""
 
 
-class InvertibilityError(ValidationError):
-    """An operation requiring invertible generators got a non-invertible one."""
-
-
 class DegeneracyError(ValidationError):
     """A Jacobian determinant vanished where it must not."""
 

@@ -31,6 +31,7 @@ PLANAR = "planar"
 CIRCLE = "circle"
 
 MIN_RESOLUTION = 16
+_BLOCK_CELLS = 2**14  # cells per block of Domain.blocks: a block's arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,25 @@ class Domain:
         # read off the axes, so a sparse set never builds the whole grid
         coords = [xs[i] for xs, i in zip(self.axis_centers(), index)]
         return coords[0] if self.kind == CIRCLE else np.stack(coords, axis=-1)
+
+    def blocks(self, index=None):
+        """Cut every cell, or the cells at ``np.nonzero``-style index arrays,
+        into blocks of about ``_BLOCK_CELLS`` in flat order: yields ``(at,
+        block)``, a slice of that order and the block's index arrays.  The
+        whole chart is cut into whole grid rows."""
+        whole = index is None
+        row = math.prod(self.shape[1:]) if whole else 1  # cells per grid row
+        size = math.prod(self.shape) if whole else len(index[0])
+        step = max(_BLOCK_CELLS // row, 1) * row
+        for start in range(0, size, step):
+            at = slice(start, min(start + step, size))
+            if whole:
+                block = np.indices(((at.stop - start) // row,) + self.shape[1:])
+                block = block.reshape(len(self.shape), -1)
+                block[0] += start // row
+            else:
+                block = [i[at] for i in index]
+            yield at, tuple(block)
 
     def cell_centers(self) -> np.ndarray:
         """All cell centers: shape (n, n, 2) planar, (n,) circle."""
@@ -288,6 +308,8 @@ def volume(bits: np.ndarray, cells: int) -> float:
 
 def ball_domain(u: Disk, resolution: int) -> Domain:
     """Square planar chart around a ball, with a margin of about 4 cells per side."""
+    if u.is_circle:
+        raise ValidationError("a ball domain needs a planar ball, not a circle arc")
     cx, cy = u.center
     half = u.radius * (1.0 + 8.0 / resolution)
     return Domain.planar((cx - half, cx + half, cy - half, cy + half), resolution)
@@ -497,7 +519,6 @@ def hausdorff_distance(a: GridSet, b: GridSet, limit: float = math.inf) -> float
     return worst
 
 
-_SEARCH_BLOCK = 2**14  # cells per block of the offset search
 # a gathered cell costs 2-10 ns and the transform about 130 ns a cell of the
 # box it spans (1024², scipy 1.17), so the search gives way to the transform
 # after this many gathers per cell of the two sets
@@ -525,15 +546,16 @@ def _offset_search(cells: GridSet, target: GridSet, limit: float) -> float | Non
     strides = np.array([n + 2 * reach[1], 1])
     shifts, worst = strides @ off[:, near], 0.0
     other = np.pad(target.bitmap, [(r, r) for r in reach])
-    flat = np.flatnonzero(cells.bitmap)
-    for start in range(0, flat.size, _SEARCH_BLOCK):
-        index = np.unravel_index(flat[start : start + _SEARCH_BLOCK], cells.domain.shape)
+    # np.nonzero's arrays; on a sparse 1024² bitmap np.nonzero takes about
+    # 4 ms and this 0.3 ms (numpy 2.4)
+    index = np.unravel_index(np.flatnonzero(cells.bitmap), cells.domain.shape)
+    for _, index in cells.domain.blocks(index):
         at, k = strides @ (np.array(index) + reach[:, None]), 0
         while at.size:
             if k >= near.size:
                 return math.inf
             # as many offsets at once as keep the gather about a block
-            ks = slice(k, k + max(_SEARCH_BLOCK // at.size, 1))
+            ks = slice(k, k + max(_BLOCK_CELLS // at.size, 1))
             hit = other.take(shifts[ks, None] + at)
             budget -= hit.size
             if budget < 0:

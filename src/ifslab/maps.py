@@ -25,7 +25,6 @@ from .errors import (
     AlphabetError,
     ConvergenceError,
     DimensionError,
-    InvertibilityError,
     ValidationError,
 )
 from .seeding import rng_from
@@ -36,7 +35,6 @@ REVERSE = "reverse"
 _NEWTON_TOL = 1e-13
 _NEWTON_ULPS = 4  # a point's tolerance is at least this many ulps of its largest coordinate
 _NEWTON_MAX_ITER = 80
-_BLOCK_CELLS = 2**14  # cells per block of Map.cell_map: its arrays stay in cache
 
 
 def _planar_points(x) -> np.ndarray:
@@ -77,7 +75,6 @@ class Map:
     """Base class: a differentiable self-map of a chart or the circle."""
 
     kind: str = "planar"  # or "circle"
-    invertible: bool = True
     # log |det D| when it is the same at every point, else None
     constant_log_abs_det: float | None = None
     # True when inverse() is exact rather than a Newton iteration
@@ -95,24 +92,16 @@ class Map:
         every cell (shaped like the domain) or of the cells at ``np.nonzero``
         index arrays (flat): the one rule from a map to cells.
 
-        The cells go through :meth:`eval_cells` in cache-sized blocks, whole
-        grid rows or slices of the index, so no array spans the grid; a
-        point's image does not depend on its block.
+        The cells go through :meth:`eval_cells` in the blocks of
+        :meth:`Domain.blocks`, so no array spans the grid; a point's image
+        does not depend on its block.
         """
         if self.kind != domain.kind:
             raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
         whole = index is None
-        row = math.prod(domain.shape[1:]) if whole else 1  # cells per grid row
         out = np.empty(math.prod(domain.shape) if whole else len(index[0]), dtype=np.int32)
-        step = max(_BLOCK_CELLS // row, 1) * row
-        for start in range(0, out.size, step):
-            if whole:
-                block = np.indices((min(step, out.size - start) // row,) + domain.shape[1:])
-                block = block.reshape(len(domain.shape), -1)
-                block[0] += start // row
-            else:
-                block = [i[start:start + step] for i in index]
-            out[start:start + step] = domain.point_cells(self.eval_cells(domain, tuple(block)))
+        for at, block in domain.blocks(index):
+            out[at] = domain.point_cells(self.eval_cells(domain, block))
         return out.reshape(domain.shape) if whole else out
 
     def eval_log_abs_det(self, x):
@@ -289,7 +278,6 @@ class Perturbed(Map):
             )
             object.__setattr__(self, "_half_amplitude", 0.5 * self.amplitude)
         object.__setattr__(self, "kind", self.base.kind)
-        object.__setattr__(self, "invertible", self.base.invertible)
 
     # The planar bump is p(u, v) = a/2 (sin(u + f00) sin(v + f01),
     # sin(u + f10) sin(v + f11)).  Every method below takes the sine and
@@ -372,14 +360,12 @@ class Perturbed(Map):
         return j
 
     def inverse(self) -> "Map":
-        if not self.invertible:
-            raise InvertibilityError("base map is not invertible")
         return _NewtonInverse(self)
 
 
 @dataclass(frozen=True)
 class _NewtonInverse(Map):
-    """Numerical inverse of an invertible map without a closed-form inverse.
+    """Numerical inverse of a perturbed map, which has no closed-form inverse.
 
     Newton iteration seeded at the base inverse of the perturbed map;
     accurate to ~1e-13, well inside the documented 1e-9 roundtrip contract.
@@ -391,7 +377,7 @@ class _NewtonInverse(Map):
     ``_NEWTON_MAX_ITER`` steps raises :class:`ConvergenceError`.
     """
 
-    target: Perturbed  # with an invertible base
+    target: Perturbed
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.target.kind)
@@ -499,12 +485,6 @@ class SystemSpec:
         kinds = {m.kind for m in self.generators}
         if len(kinds) > 1:
             raise ValidationError("generators must all act on the same space")
-        if self.include_inverses:
-            bad = [m for m in self.generators if not m.invertible]
-            if bad:
-                raise InvertibilityError(
-                    "include_inverses requires every generator to be invertible"
-                )
         maps = self.generators
         if self.include_inverses:
             maps = maps + tuple(m.inverse() for m in self.generators)

@@ -606,6 +606,17 @@ def test_shrink_time_requires_reverse(reference):
         )
 
 
+def test_shrink_time_rejects_circle_systems_and_arcs(reference):
+    # a circle system's maps would act on each coordinate of planar points
+    circle = SystemSpec((CircleNorthSouth(0.7), CircleRotation(0.3)))
+    with pytest.raises(DimensionError):
+        shrink_time(circle, Word((1, 2), "reverse"), Disk((0.0, 0.0), 0.3), 0.01, 2, resolution=64)
+    # a circle arc has no planar ball chart
+    single = SystemSpec((reference.system.generators[0],))
+    with pytest.raises(ValidationError, match="circle arc"):
+        shrink_time(single, Word((1,), "reverse"), Disk(0.25, 0.1), 0.01, 1, resolution=64)
+
+
 # -- ergodicity probe --------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+from ifslab import geometry
 from ifslab.construction import (
     ConstructionParams,
     attractor,
@@ -148,12 +149,13 @@ def test_absorbing_fails_for_tiny_ball(reference):
 
 
 @pytest.mark.parametrize(
-    "ball",
-    [Disk((0.0, 0.0), 0.1), Disk((0.3, -0.2), 0.5), Disk((1.0, 2.0), 3.0)],
-    ids=["tiny", "off-center", "far-off-center"],
+    "ball, escapes",
+    [(Disk((0.0, 0.0), 0.1), True), (Disk((0.3, -0.2), 0.5), True),
+     (Disk((1.0, 2.0), 3.0), True), (Disk((0.0, 0.0), 16.0), False)],
+    ids=["tiny", "off-center", "far-off-center", "absorbing"],
 )
-def test_escape_distance_matches_euclidean_norm(reference, ball):
-    # check_absorbing as written before geometry.point_distance
+def test_escape_distance_matches_euclidean_norm(reference, ball, escapes, monkeypatch):
+    # check_absorbing as written before geometry.point_distance and its blocks
     pts = rasterize_disk(ball_domain(ball, RES), ball).included_points()
     cx, cy = ball.center
     worst = 0.0
@@ -161,7 +163,23 @@ def test_escape_distance_matches_euclidean_norm(reference, ball):
         img = m.eval(pts)
         d = np.sqrt((img[:, 0] - cx) ** 2 + (img[:, 1] - cy) ** 2)
         worst = max(worst, float(d.max()) - ball.radius)
-    assert check_absorbing(reference.system, ball, RES).escape_distance == max(worst, 0.0)
+    # 1000 cells make many blocks, 2**14 is the default and 2**30 one block
+    for block in (1000, 2**14, 2**30):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+        got = check_absorbing(reference.system, ball, RES).escape_distance
+        assert got == max(worst, 0.0)
+        assert (got > 0) == escapes
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_circle_arc_ball_raises_validation_error(reference, verify):
+    arc = Disk(0.25, 0.1)
+    with pytest.raises(ValidationError, match="circle arc"):
+        ball_domain(arc, RES)
+    with pytest.raises(ValidationError, match="circle arc"):
+        check_absorbing(reference.system, arc, RES)
+    with pytest.raises(ValidationError, match="circle arc"):
+        attractor(reference.system, arc, tol=0.1, resolution=RES, verify_absorbing=verify)
 
 
 def test_hutchinson_fixed_point_of_single_map():

@@ -390,6 +390,33 @@ def test_boundary_rule_on_packed_words_matches_each_bitmap(domain):
             GridSet(domain, bits)) < bits.sum()
 
 
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("domain", [Domain.planar((-1.5, 1.0, -0.5, 2.0), 48), Domain.circle(256)],
+                         ids=["planar", "circle"])
+# as for the blocked cell maps: 5 cells make one-row planar blocks and cut an
+# index inside rows, 96 and 100 make two-row planar blocks
+@pytest.mark.parametrize("block", [5, 96, 100])
+def test_blocks_yield_every_cell_once_in_flat_order(monkeypatch, domain, block):
+    import ifslab.geometry as geometry
+    from test_maps import _cell_sets
+
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+    row = domain.shape[-1] if domain.kind == "planar" else 1
+    whole = np.indices(domain.shape).reshape(len(domain.shape), -1)
+    for index in [None] + [np.nonzero(bits) for bits in _cell_sets(domain)]:
+        want, stop = whole if index is None else np.array(index), 0
+        for at, cells in domain.blocks(index):
+            assert at.start == stop < at.stop and at.step is None
+            assert np.array_equal(np.array(cells), want[:, at])
+            if index is None:  # whole grid rows
+                assert at.start % row == 0 == at.stop % row
+                assert at.stop - at.start <= max(block, row)
+            else:
+                assert at.stop - at.start <= block
+            stop = at.stop
+        assert stop == want.shape[1]
+
+
 def test_volume_is_the_bitmap_mean():
     bits = rng_from(4).random((512, 512)) < 0.37
     assert volume(bits, bits.size) == float(bits.mean())
@@ -736,7 +763,7 @@ def test_bounded_hausdorff_matches_exact(dom, relation, search, monkeypatch):
     import ifslab.geometry as geometry
 
     if search != "default":
-        monkeypatch.setattr(geometry, "_SEARCH_BLOCK", 37)
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 37)
         monkeypatch.setattr(geometry, "_SEARCH_BUDGET", math.inf)
     cell = dom.max_cell_size
     beyond = 1.01 * math.hypot(*(s * dom.resolution for s in dom.cell_sizes))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifslab import maps
+from ifslab import geometry, maps
 from ifslab.errors import (
     AlphabetError,
     ConvergenceError,
@@ -682,7 +682,7 @@ def test_fused_and_gathered_steps_match_eval(m):
 # boundary and inside a row
 @pytest.mark.parametrize("block", [5, 96, 100])
 def test_blocked_cell_map_matches_one_evaluation(monkeypatch, m, block):
-    monkeypatch.setattr(maps, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
     domain = _CIRCLE_CHART if m.kind == "circle" else _PLANAR_CHART
     got = m.cell_map(domain)
     assert got.dtype == np.int32 and got.shape == domain.shape
