@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     EmptySetError,
@@ -123,13 +121,13 @@ class Domain:
         return coords[0] if self.kind == CIRCLE else np.stack(coords, axis=-1)
 
     def blocks(self, index=None):
-        """Cut every cell, or the cells at ``np.nonzero``-style index arrays,
-        into blocks of about ``_BLOCK_CELLS`` in flat order: yields ``(at,
-        block)``, a slice of that order and the block's index arrays.  The
-        whole chart is cut into whole grid rows."""
-        whole = index is None
+        """Cut every cell, or the cells at a flat index or at ``np.nonzero``-style
+        index arrays, into blocks of about ``_BLOCK_CELLS`` in flat order:
+        yields ``(at, block)``, a slice of that order and the block's index
+        arrays.  The whole chart is cut into whole grid rows."""
+        whole, flat = index is None, isinstance(index, np.ndarray)
         row = math.prod(self.shape[1:]) if whole else 1  # cells per grid row
-        size = math.prod(self.shape) if whole else len(index[0])
+        size = math.prod(self.shape) if whole else len(index) if flat else len(index[0])
         step = max(_BLOCK_CELLS // row, 1) * row
         for start in range(0, size, step):
             at = slice(start, min(start + step, size))
@@ -137,6 +135,8 @@ class Domain:
                 block = np.indices(((at.stop - start) // row,) + self.shape[1:])
                 block = block.reshape(len(self.shape), -1)
                 block[0] += start // row
+            elif flat:  # one divmod unravels a block
+                block = divmod(index[at], self.shape[1]) if self.kind == PLANAR else (index[at],)
             else:
                 block = [i[at] for i in index]
             yield at, tuple(block)
@@ -469,6 +469,14 @@ def density_points_at(a: GridSet, radius: float, threshold: float,
 # ---------------------------------------------------------------------------
 
 
+def distance_transform_edt(*args, **kwargs):
+    """``scipy.ndimage.distance_transform_edt``, imported on the first call
+    so that a run calling no transform never loads scipy."""
+    from scipy.ndimage import distance_transform_edt
+
+    return distance_transform_edt(*args, **kwargs)
+
+
 def grid_distances(target: GridSet, cells: GridSet) -> np.ndarray:
     """Distance from each included cell center of ``cells``, in
     ``np.nonzero`` order, to the nearest included cell center of ``target``.
@@ -546,10 +554,7 @@ def _offset_search(cells: GridSet, target: GridSet, limit: float) -> float | Non
     strides = np.array([n + 2 * reach[1], 1])
     shifts, worst = strides @ off[:, near], 0.0
     other = np.pad(target.bitmap, [(r, r) for r in reach])
-    # np.nonzero's arrays; on a sparse 1024² bitmap np.nonzero takes about
-    # 4 ms and this 0.3 ms (numpy 2.4)
-    index = np.unravel_index(np.flatnonzero(cells.bitmap), cells.domain.shape)
-    for _, index in cells.domain.blocks(index):
+    for _, index in cells.domain.blocks(np.flatnonzero(cells.bitmap)):
         at, k = strides @ (np.array(index) + reach[:, None]), 0
         while at.size:
             if k >= near.size:
@@ -604,6 +609,8 @@ def diameter(s: GridSet) -> float:
         partners = _circle_neighbours(pts, (pts + 0.5) % 1.0)
         return max(float(point_distance(CIRCLE, p, pts).max()) for p in partners)
     if len(pts) > 400:
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             pts = pts[ConvexHull(pts).vertices]
         except QhullError:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,17 +204,38 @@ def test_local_density_matches_offset_loop_circle(n, radius_cells):
     assert np.array_equal(local_density(a, radius), _density_by_offsets(a, radius))
 
 
-def test_import_leaves_scipy_signal_and_stats_out():
-    code = (
-        "import sys, ifslab.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
+def _scipy_modules_after(code, *argv):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     src = str(Path(ifslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
+                         text=True, env=env, timeout=120, check=True).stdout
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_signal_and_stats_out():
+    # scipy is imported on first use by the kernels that call it, so the CLI
+    # loads none of it: neither scipy.signal and scipy.stats nor scipy.ndimage
+    # and scipy.spatial
+    assert _scipy_modules_after("import sys, ifslab.cli") == "[]"
+
+
+_NO_SCIPY_RUNS = {
+    "construct": "assert main(['construct', '--kappa', '0.76', '--resolution', '64', "
+                 "'--out', sys.argv[1]]) == 0",
+    "greedy_pack": "dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 512)\n"
+                   "greedy_pack(empty_set(dom), Disk((0.5, 0.5), 0.4), 8 / 512, 200)",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_NO_SCIPY_RUNS))
+def test_runs_without_a_scipy_kernel_load_no_scipy(tmp_path, run):
+    code = ("import sys\nfrom ifslab.cli import main\n"
+            "from ifslab.geometry import Disk, Domain, empty_set\n"
+            "from ifslab.packing import greedy_pack\n" + _NO_SCIPY_RUNS[run])
+    assert _scipy_modules_after(code, tmp_path) == "[]"
 
 
 def test_hausdorff_identity(square):
@@ -358,6 +379,20 @@ def test_planar_diameter_matches_euclidean_norm(square, count):
     assert diameter(s) == reference_planar_diameter(s.included_points())
 
 
+def test_collinear_diameter_is_the_extent_of_the_projection():
+    # one full grid row is more than 400 cells on a line: Qhull fails and
+    # the spread along the row is the answer
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 512)
+    bits = np.zeros(dom.shape, bool)
+    bits[100] = True
+    s = GridSet(dom, bits)
+    ys = s.included_points()[:, 1]
+    assert s.count() > 400
+    with pytest.raises(QhullError):
+        ConvexHull(s.included_points())
+    assert diameter(s) == pytest.approx(ys.max() - ys.min(), rel=1e-12)
+
+
 def test_point_distance_broadcasts():
     a = rng_from(1).random((7, 1, 2))
     b = rng_from(2).random((1, 5, 2))
@@ -403,8 +438,15 @@ def test_blocks_yield_every_cell_once_in_flat_order(monkeypatch, domain, block):
     monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
     row = domain.shape[-1] if domain.kind == "planar" else 1
     whole = np.indices(domain.shape).reshape(len(domain.shape), -1)
-    for index in [None] + [np.nonzero(bits) for bits in _cell_sets(domain)]:
-        want, stop = whole if index is None else np.array(index), 0
+    sets = _cell_sets(domain)
+    for index in [None] + [np.nonzero(b) for b in sets] + [np.flatnonzero(b) for b in sets]:
+        if index is None:
+            want = whole
+        elif isinstance(index, np.ndarray):  # a flat index is unravelled block by block
+            want = np.array(np.unravel_index(index, domain.shape))
+        else:
+            want = np.array(index)
+        stop = 0
         for at, cells in domain.blocks(index):
             assert at.start == stop < at.stop and at.step is None
             assert np.array_equal(np.array(cells), want[:, at])
