@@ -28,7 +28,7 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .geometry import CIRCLE, Disk, Domain, GridSet
+from .geometry import CIRCLE, PLANAR, Disk, Domain, GridSet
 from .maps import REVERSE, SystemSpec, Word, apply_word
 from .seeding import rng_from, spawn_rngs
 
@@ -114,37 +114,93 @@ def _orbit_points(
     return np.concatenate(collected), False
 
 
+def _grid_bound(marks: np.ndarray, sampling, limit: float) -> np.ndarray:
+    """Distance from each cell of a planar grid to the nearest marked cell
+    center, ``inf`` beyond ``limit``: the least ``(a*dx)**2 + (g*dy)**2``
+    over row offsets ``|a| <= limit / dx``, ``g`` the gap to the nearest
+    mark in row ``i + a``, and its square root (the transform's own float)."""
+    (dx, dy), rows = sampling, len(marks)
+    j = np.arange(marks.shape[1], dtype=float)
+    before = np.maximum.accumulate(np.where(marks, j, -np.inf), axis=1)
+    after = np.minimum.accumulate(np.where(marks, j, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    best = (np.minimum(j - before, after - j) * dy) ** 2
+    reach = min(int(limit // dx) + 1, rows - 1)
+    # rows beyond the grid hold no mark; row i reads rows i - a and i + a at once
+    padded = np.pad(best, ((reach, reach), (0, 0)), constant_values=np.inf)
+    for a in range(1, reach + 1):
+        near = np.minimum(padded[reach - a:reach - a + rows], padded[reach + a:reach + a + rows])
+        best = np.minimum(best, near + (a * dx) ** 2)
+    best = np.sqrt(best)
+    return np.where(best <= limit, best, np.inf)
+
+
 def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
     """The count of region cells beyond ``epsilon`` of every orbit point.
 
-    On the plane each orbit point lies within half a cell diagonal ``h``
-    of the center of the cell holding it, so a cell whose grid distance
-    ``d`` to the nearest such center has ``d - h > epsilon`` is uncovered
-    and one with ``d + h < epsilon`` is covered.  Only the cells in
-    between, the epsilon band, get exact point distances, the same floats
-    as a full query's, as each cell center is answered on its own.  A
-    circle region (its exact query is one sorted-neighbour scan), or an
-    orbit with a point off the chart, is all band.
+    On the plane each orbit point lies within half a cell diagonal ``h`` of
+    the center of its cell ``floor((x - xmin) / dx)`` on the chart grown
+    without end, so a region cell whose :func:`_grid_bound` ``d`` to such
+    centers has ``d - h > epsilon`` is uncovered and one with ``d + h <
+    epsilon`` is covered.  The cells in between, the epsilon band, read the
+    points of the cells within the reach ``epsilon + h`` on each axis, each
+    exactly.  A circle region takes one exact nearest-point query.
     """
     domain = region.domain
-    band, total = region, 0
-    cells = domain.point_cells(orbit) if domain.kind != CIRCLE else None
-    if cells is not None and (cells >= 0).all():
-        marks = np.zeros(domain.shape, dtype=bool)
-        marks.reshape(-1)[cells] = True
-        d = geometry.grid_distances(GridSet(domain, marks), region)
-        h = 0.5 * math.hypot(*domain.cell_sizes)
-        # covers the rounding of the centers, of the cell indices (point_cells'
-        # floor and its clamp at the top edge) and of both distances
-        slack = _BAND_SLACK * (max(map(abs, domain.bounds)) + epsilon)
-        beyond = d - h > epsilon + slack
-        total = int(np.count_nonzero(beyond))
-        bits = np.zeros_like(region.bitmap)
-        bits[region.bitmap] = ~beyond & ~(d + h < epsilon - slack)
-        band = GridSet(domain, bits)
-    if band.is_empty():
-        return total
-    return total + int(np.count_nonzero(geometry.nearest_point_distances(band, orbit) > epsilon))
+    if domain.kind == CIRCLE:
+        return int(np.count_nonzero(geometry.nearest_point_distances(region, orbit) > epsilon))
+    pts = np.asarray(orbit, dtype=float)
+    if not (finite := np.isfinite(pts).all(axis=1)).all():
+        raise NonFiniteError(f"orbit point {finite.argmin()} of {len(pts)} is not finite")
+    sampling = np.array(domain.cell_sizes)
+    h = 0.5 * math.hypot(*sampling)
+    # covers the rounding of the centers, of the cell indices and of both distances
+    slack = _BAND_SLACK * (max(map(abs, domain.bounds)) + epsilon)
+    reach = epsilon + h + slack
+    margin = (reach // sampling).astype(np.int64) + 1  # cells within reach, and one more
+    rows, cols = (np.flatnonzero(region.bitmap.any(axis=k)) for k in (1, 0))
+    first, last = np.array([rows[0], cols[0]]), np.array([rows[-1], cols[-1]])
+    at = np.floor((pts - domain.bounds[::2]) / sampling)
+    near = ((at >= first - margin) & (at <= last + margin)).all(axis=1)
+    pts, at = pts[near], at[near].astype(np.int64)
+    # the bounding box of the region and of the points near it
+    low = np.minimum(first, at.min(axis=0, initial=domain.resolution))
+    size = np.maximum(last, at.max(axis=0, initial=0)) - low + 1
+    at -= low
+    marks = np.zeros(size, dtype=bool)
+    marks[tuple(at.T)] = True
+    inside = np.pad(region.bitmap[first[0]:last[0] + 1, first[1]:last[1] + 1],
+                    tuple(zip(first - low, low + size - 1 - last)))
+    d = _grid_bound(marks, sampling, reach)[inside]
+    beyond = d - h > epsilon + slack
+    inside[inside] = ~beyond & ~(d + h < epsilon - slack)
+    band = np.argwhere(inside)
+    if not len(band):
+        return int(np.count_nonzero(beyond))
+    # the points in flat cell order; each band cell reads the points of the
+    # cells within the margin, one run of cells per row, a point at a time
+    key = at[:, 0] * size[1] + at[:, 1]
+    order = np.argsort(key, kind="stable")
+    key, pts = key[order], pts[order]
+    runs = (band[:, :1] + np.arange(-margin[0], margin[0] + 1)) * size[1]
+    ends = np.clip(band[:, 1:] + [-margin[1], margin[1]], 0, size[1] - 1)
+    start = np.searchsorted(key, runs + ends[:, :1])
+    stop = np.searchsorted(key, runs + ends[:, 1:], side="right")
+    covered = _covered(domain.centers_at(tuple((band + low).T)), pts, start, stop, epsilon)
+    return int(np.count_nonzero(beyond)) + int(np.count_nonzero(~covered))
+
+
+def _covered(centers: np.ndarray, pts: np.ndarray, start: np.ndarray, stop: np.ndarray,
+             epsilon: float) -> np.ndarray:
+    """Whether a point of the runs ``pts[start[i]:stop[i]]`` lies within
+    ``epsilon`` of center ``i``, reading the k-th point of every run at once."""
+    cell = np.repeat(np.arange(len(centers)), start.shape[1])
+    start, stop = start.ravel(), stop.ravel()
+    covered = np.zeros(len(centers), dtype=bool)
+    while (live := (start < stop) & ~covered[cell]).any():
+        cell, start, stop = cell[live], start[live], stop[live]
+        covered[cell[geometry.point_distance(PLANAR, centers[cell], pts[start]) <= epsilon]] = True
+        start += 1
+    return covered
 
 
 def minimality_test(
@@ -160,10 +216,11 @@ def minimality_test(
     For each seeded start cell the word tree is explored breadth-first up
     to ``max_word_len`` with proximity pruning, and the region cells beyond
     ``epsilon`` of the orbit are counted exactly: on the circle by one
-    full nearest-point query; on the plane a grid distance transform to
-    the cells holding orbit points bounds every cell's distance to within
-    half a cell diagonal and settles every cell outside that band around
-    ``epsilon``, and only the band's cells get exact point distances.  The
+    full nearest-point query; on the plane a row pass over the cells
+    holding orbit points bounds every cell's distance to within half a
+    cell diagonal and settles every cell outside that band around
+    ``epsilon``, and only the band's cells read point distances.  A
+    non-finite planar orbit point raises :class:`NonFiniteError`.  The
     verdict is eps-dense iff no start point leaves any region cell
     uncovered.  Exceeding the enumeration budget of 10^7 map evaluations
     for any single start point raises :class:`BudgetExceededError`
@@ -191,7 +248,10 @@ def minimality_test(
 
     for i in range(samples):
         orbit, exhausted = _orbit_points(sys, starts[i], max_word_len, epsilon)
-        worst = max(worst, _uncovered_count(region, orbit, epsilon))
+        try:
+            worst = max(worst, _uncovered_count(region, orbit, epsilon))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"sample {i + 1} of {samples}, from {starts[i]}: {exc}") from None
         if exhausted:
             raise BudgetExceededError(
                 f"word budget of {_EVAL_BUDGET} evaluations exhausted "

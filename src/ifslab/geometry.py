@@ -599,27 +599,37 @@ def points_to_gridset(domain: Domain, points: np.ndarray) -> GridSet:
 
 
 def diameter(s: GridSet) -> float:
-    """Maximum pairwise distance between included cell centers."""
+    """Maximum pairwise distance between included cell centers.
+
+    On the plane it is taken over the vertices of the convex hull of the
+    lowest and the highest cell of each nonempty grid row: every other pair
+    is shorter by far more than a rounding, so it is the all-pairs float."""
     if s.is_empty():
         raise EmptySetError("diameter of an empty set")
-    pts = s.included_points()
     if s.domain.kind == CIRCLE:
-        pts = np.sort(pts)
+        pts = np.sort(s.included_points())
         # farthest partner of each point sits nearest to its antipode
         partners = _circle_neighbours(pts, (pts + 0.5) % 1.0)
         return max(float(point_distance(CIRCLE, p, pts).max()) for p in partners)
-    if len(pts) > 400:
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            # collinear set: spread along the principal direction
-            c = pts - pts.mean(axis=0)
-            u = np.linalg.svd(c, full_matrices=False)[2][0]
-            proj = c @ u
-            return float(proj.max() - proj.min())
+    rows = np.flatnonzero(s.bitmap.any(axis=1))
+    bits = s.bitmap[rows]
+    high = s.domain.resolution - 1 - bits[:, ::-1].argmax(axis=1)
+    hull = _convex_chain(rows, bits.argmax(axis=1)) + _convex_chain(rows[::-1], high[::-1])
+    pts = s.domain.centers_at(np.array(hull).T)
     return float(point_distance(PLANAR, pts[:, None], pts[None, :]).max())
+
+
+def _convex_chain(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
+    """Half of Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979) over
+    cells in monotone row order: the cells where it turns left, collinear
+    cells dropped, by exact integer cross products."""
+    chain: list[tuple[int, int]] = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (c - chain[-2][1])
+                                  <= (chain[-1][1] - chain[-2][1]) * (r - chain[-2][0])):
+            chain.pop()
+        chain.append((r, c))
+    return chain
 
 
 def _circle_neighbours(pos: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -240,14 +240,15 @@ def _full_count(region, orbit, eps):
 
 @pytest.fixture
 def band_sizes(monkeypatch):
-    """Cell counts of the regions handed to the exact query, call by call."""
+    """Cell counts of the epsilon bands handed to the exact gather, call by call."""
     sizes = []
+    covered = analysis._covered
 
-    def recording(region, points):
-        sizes.append(region.count())
-        return nearest_point_distances(region, points)
+    def recording(centers, *args):
+        sizes.append(len(centers))
+        return covered(centers, *args)
 
-    monkeypatch.setattr(geometry, "nearest_point_distances", recording)
+    monkeypatch.setattr(analysis, "_covered", recording)
     return sizes
 
 
@@ -332,8 +333,13 @@ def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
     # the top edges are off the chart, as is anything beyond it
     for off in ([1.0, 0.2], [0.2, 1.0], [-1.5, 0.0], [0.3, -7.0]):
         _assert_counts_match(region, [np.vstack([inside, [off]])], [0.1, 0.37])
-    # the whole region goes to the exact query every time
-    assert band_sizes == [region.count()] * 8
+    # points just off the chart are the only ones near the cells at its edge
+    edge = np.array([[1.05, 0.0], [-1.1, -0.3], [0.0, np.nextafter(1.0, 2.0)]])
+    assert analysis._uncovered_count(region, edge, 0.2) < region.count()
+    _assert_counts_match(region, [edge], [0.2, 0.37])
+    # a point off the chart is marked on the chart grown by the reach, or is
+    # beyond every cell's reach: the band stays thin
+    assert len(band_sizes) == 11 and max(band_sizes) < region.count() / 2
 
 
 @pytest.mark.baseline_dispatch
@@ -366,10 +372,72 @@ def test_bounded_uncovered_count_on_the_circle(band_sizes):
     wrap = np.array([0.0, np.nextafter(1.0, 0.0), -1e-18, 2.5 * h, -3.0 + 17 * h, 0.5])
     orbits = [wrap, rng.uniform(0.0, 1.0, 7), np.concatenate([wrap, rng.uniform(-2.0, 2.0, 60)])]
     _assert_counts_match(region, orbits, [2 * h, 5.5 * h, 0.1, 0.3])
-    # a circle region has no band: every count queries the whole region,
-    # as does an orbit with a point that has no cell
+    # a circle region has no band: every count is one nearest-point query of
+    # the whole region, also for an orbit with a point that has no cell
     _assert_counts_match(region, [np.append(wrap, np.nan)], [0.1])
-    assert band_sizes == [region.count()] * 13
+    assert band_sizes == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_uncovered_count_of_a_non_finite_planar_orbit_raises(bad):
+    region = full_set(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64))
+    assert issubclass(NonFiniteError, ProbeError)  # the CLI exits 2 on it
+    with pytest.raises(NonFiniteError, match="orbit point 1 of 2 is not finite"):
+        analysis._uncovered_count(region, np.array([[0.1, 0.2], [bad, 0.0]]), 0.1)
+
+
+def test_minimality_names_the_sample_whose_orbit_is_not_finite(monkeypatch):
+    orbit_points = analysis._orbit_points
+
+    def third_overflows(sys, start, max_word_len, epsilon):
+        orbit, exhausted = orbit_points(sys, start, max_word_len, epsilon)
+        if third_overflows.calls == 2:
+            orbit[-1] = np.inf
+        third_overflows.calls += 1
+        return orbit, exhausted
+
+    third_overflows.calls = 0
+    monkeypatch.setattr(analysis, "_orbit_points", third_overflows)
+    sys = SystemSpec((AffineSimilarity(0.5, 30.0, (0.0, 0.0)), AffineSimilarity(0.5, 10.0, (0.5, 0.0))))
+    region = full_set(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64))
+    with pytest.raises(NonFiniteError, match="sample 3 of 4"):
+        minimality_test(sys, region, 0.1, 6, 4, seed=1)
+
+
+def _bound_by_offsets(marks, sampling, limit):
+    """The least (a*dx)**2 + (b*dy)**2 over the offsets of every marked
+    cell, its square root, and inf beyond ``limit``."""
+    best = np.full(marks.shape, np.inf)
+    i, j = np.indices(marks.shape)
+    for mi, mj in zip(*np.nonzero(marks)):
+        a, b = (i - mi).astype(float), (j - mj).astype(float)
+        best = np.minimum(best, (a * sampling[0]) ** 2 + (b * sampling[1]) ** 2)
+    best = np.sqrt(best)
+    best[best > limit] = np.inf
+    return best
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize(
+    "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
+)
+def test_grid_bound_is_the_least_offset_distance(bounds):
+    dom = Domain.planar(bounds, 48)
+    rng = rng_from(53)
+    size = max(dom.cell_sizes)
+    for density in (0.002, 0.02, 0.2):
+        marks = rng.uniform(size=dom.shape) < density
+        marks[rng.integers(48), rng.integers(48)] = True
+        exact = geometry.grid_distances(GridSet(dom, marks), full_set(dom)).reshape(dom.shape)
+        for limit in (2.5 * size, 7.3 * size, 0.5 * (bounds[1] - bounds[0]), 10.0):
+            bound = analysis._grid_bound(marks, np.array(dom.cell_sizes), limit)
+            assert np.array_equal(bound, _bound_by_offsets(marks, dom.cell_sizes, limit))
+            # within 1 ulp of the transform, which may take the larger of two
+            # distances that round apart
+            near = bound <= limit
+            assert near.any() and np.isinf(bound[~near]).all()
+            assert (np.nextafter(bound[near], -np.inf) <= exact[near]).all()
+            assert (exact[near] <= np.nextafter(bound[near], np.inf)).all()
 
 
 # -- invariance defect -------------------------------------------------------

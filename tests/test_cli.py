@@ -333,6 +333,22 @@ def test_shrink_horizon_exit_two(tmp_path):
     assert code == 2
 
 
+def test_minimality_of_an_overflowing_orbit_exits_two(tmp_path, capsys):
+    # eight stacked bumps of amplitude 1.7e308 send some start cells to an
+    # infinite first image: the planar count raises a probe error, not a
+    # ValueError with a traceback
+    sys_file = tmp_path / "overflow.txt"
+    sys_file.write_text("\n".join(
+        ["affine kappa=0.5 theta=30 anchor=0,0"]
+        + [f"perturb base={i} amp=1.7e308 seed={i}" for i in range(1, 9)]
+        + ["affine kappa=0.5 theta=10 anchor=0.5,0"]) + "\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["minimality", "--system", sys_file, "--epsilon", "0.05", "--max-word-len", "6",
+                    "--resolution", "64", "--samples", "16", "--out", tmp_path / "o"])
+    assert code == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 # 200 bytes from 0xff down: 0xff starts no UTF-8 sequence
 _NOT_UTF8 = bytes(range(255, 55, -1))
 

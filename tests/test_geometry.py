@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
-from scipy.spatial import ConvexHull, QhullError
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +226,19 @@ _NO_SCIPY_RUNS = {
                  "'--out', sys.argv[1]]) == 0",
     "greedy_pack": "dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 512)\n"
                    "greedy_pack(empty_set(dom), Disk((0.5, 0.5), 0.4), 8 / 512, 200)",
+    # the planar probe chain: an attractor of perturbed similarities, then
+    # its distortion, its minimality and a shrink time
+    "probes": "from ifslab import analysis, construction, geometry, maps\n"
+              "sys_ = maps.parse_system('affine kappa=0.5 theta=30 anchor=0,0\\n"
+              "affine kappa=0.5 theta=200 anchor=1,0\\nperturb base=1 amp=0.01 seed=3\\n"
+              "perturb base=2 amp=0.01 seed=4\\n')\n"
+              "att = construction.attractor(sys_, Disk((0.5, 0.0), 2.0), tol=0.07, resolution=128,"
+              " verify_absorbing=False).attractor\n"
+              "analysis.distortion_report(sys_, att, 1.0, 12, 40, 16, holder_pairs=64, seed=2)\n"
+              "eps = 0.05 * geometry.diameter(att)\n"
+              "assert analysis.minimality_test(sys_, att, eps, 12, 4, seed=2).samples == 4\n"
+              "analysis.shrink_time(sys_, maps.Word((1, 2) * 8, 'reverse'), Disk((0.5, 0.0), 1.0),"
+              " 0.05, 16, resolution=128)",
 }
 
 
@@ -327,12 +339,12 @@ def reference_nearest(cells, pts):
 
 
 def reference_planar_diameter(pts):
-    if len(pts) == 1:
-        return 0.0
-    if len(pts) > 400:
-        pts = pts[ConvexHull(pts).vertices]
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d**2).sum(-1)).max())
+    # every pair, a block of rows at a time
+    best = 0.0
+    for i in range(0, len(pts), 256):
+        d = pts[i:i + 256, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt((d**2).sum(-1)).max()))
+    return best
 
 
 def circle_sets():
@@ -371,7 +383,6 @@ def test_circle_nearest_distances_match_wraparound_scan(points):
 
 @pytest.mark.parametrize("count", [1, 2, 399, 400, 401, 2000])
 def test_planar_diameter_matches_euclidean_norm(square, count):
-    # the pairwise path up to 400 cells and the hull path above it
     cells = rng_from(count).choice(square.resolution**2, count, replace=False)
     bits = np.zeros(square.resolution**2, bool)
     bits[cells] = True
@@ -379,18 +390,39 @@ def test_planar_diameter_matches_euclidean_norm(square, count):
     assert diameter(s) == reference_planar_diameter(s.included_points())
 
 
+def _diameter_sets(n):
+    """One row, one column, a diagonal, one cell, and random sets from sparse to full."""
+    sets = {"row": np.s_[7, :], "column": np.s_[:, 11], "one-cell": np.s_[5, 9]}
+    bits = {name: np.zeros((n, n), bool) for name in sets}
+    for name, at in sets.items():
+        bits[name][at] = True
+    bits["diagonal"] = np.eye(n, dtype=bool)[:, ::-1]
+    rng = rng_from(61)
+    for density in (0.001, 0.05, 0.5, 1.0):
+        bits[f"random-{density}"] = rng.uniform(size=(n, n)) < density
+        bits[f"random-{density}"][rng.integers(n), rng.integers(n)] = True
+    return bits
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize(
+    "bounds", [(0.0, 1.0, 0.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
+)
+@pytest.mark.parametrize("name", list(_diameter_sets(16)))
+def test_planar_diameter_is_the_all_pairs_maximum(bounds, name):
+    dom = Domain.planar(bounds, 64)
+    s = GridSet(dom, _diameter_sets(64)[name])
+    assert diameter(s) == reference_planar_diameter(s.included_points())
+
+
 def test_collinear_diameter_is_the_extent_of_the_projection():
-    # one full grid row is more than 400 cells on a line: Qhull fails and
-    # the spread along the row is the answer
+    # one full grid row is a line of cells: the hull keeps its two ends
     dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 512)
     bits = np.zeros(dom.shape, bool)
     bits[100] = True
     s = GridSet(dom, bits)
     ys = s.included_points()[:, 1]
-    assert s.count() > 400
-    with pytest.raises(QhullError):
-        ConvexHull(s.included_points())
-    assert diameter(s) == pytest.approx(ys.max() - ys.min(), rel=1e-12)
+    assert diameter(s) == reference_planar_diameter(s.included_points()) == ys.max() - ys.min()
 
 
 def test_point_distance_broadcasts():
