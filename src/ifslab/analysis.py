@@ -36,7 +36,8 @@ _EVAL_BUDGET = 10**7
 _CHUNK_POINTS = 2**18  # points pushed per chunk of words in empirical_distortion
 _VOLUME_WINDOW = (0.05, 0.95)  # candidate volumes the ergodicity probe scores
 _SEED_BLOCK = 16  # ergodicity seeds refined together, one per bit of a uint16 word
-_BAND_SLACK = 1e-9  # minimality's epsilon band margin, relative to the chart's scale
+_ROUND_SLACK = 1e-9  # minimality's rounding margin at epsilon, relative to the chart's scale
+_RUN_BLOCK = 2**16  # (point, grid row) runs per block of the planar minimality count
 
 EPS_DENSE = "eps-dense"
 NOT_EPS_DENSE = "not-eps-dense"
@@ -114,36 +115,15 @@ def _orbit_points(
     return np.concatenate(collected), False
 
 
-def _grid_bound(marks: np.ndarray, sampling, limit: float) -> np.ndarray:
-    """Distance from each cell of a planar grid to the nearest marked cell
-    center, ``inf`` beyond ``limit``: the least ``(a*dx)**2 + (g*dy)**2``
-    over row offsets ``|a| <= limit / dx``, ``g`` the gap to the nearest
-    mark in row ``i + a``, and its square root (the transform's own float)."""
-    (dx, dy), rows = sampling, len(marks)
-    j = np.arange(marks.shape[1], dtype=float)
-    before = np.maximum.accumulate(np.where(marks, j, -np.inf), axis=1)
-    after = np.minimum.accumulate(np.where(marks, j, np.inf)[:, ::-1], axis=1)[:, ::-1]
-    best = (np.minimum(j - before, after - j) * dy) ** 2
-    reach = min(int(limit // dx) + 1, rows - 1)
-    # rows beyond the grid hold no mark; row i reads rows i - a and i + a at once
-    padded = np.pad(best, ((reach, reach), (0, 0)), constant_values=np.inf)
-    for a in range(1, reach + 1):
-        near = np.minimum(padded[reach - a:reach - a + rows], padded[reach + a:reach + a + rows])
-        best = np.minimum(best, near + (a * dx) ** 2)
-    best = np.sqrt(best)
-    return np.where(best <= limit, best, np.inf)
-
-
 def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
     """The count of region cells beyond ``epsilon`` of every orbit point.
 
-    On the plane each orbit point lies within half a cell diagonal ``h`` of
-    the center of its cell ``floor((x - xmin) / dx)`` on the chart grown
-    without end, so a region cell whose :func:`_grid_bound` ``d`` to such
-    centers has ``d - h > epsilon`` is uncovered and one with ``d + h <
-    epsilon`` is covered.  The cells in between, the epsilon band, read the
-    points of the cells within the reach ``epsilon + h`` on each axis, each
-    exactly.  A circle region takes one exact nearest-point query.
+    On the plane the cells of a grid row within ``epsilon`` of a point form
+    a run of columns, whose ends the circle's half-width in that row gives;
+    an end within rounding of a cell center is settled by that cell's exact
+    point distance.  The runs of every point and row are summed over the
+    region's bounding box.  A circle region takes one exact nearest-point
+    query.
     """
     domain = region.domain
     if domain.kind == CIRCLE:
@@ -151,56 +131,48 @@ def _uncovered_count(region: GridSet, orbit: np.ndarray, epsilon: float) -> int:
     pts = np.asarray(orbit, dtype=float)
     if not (finite := np.isfinite(pts).all(axis=1)).all():
         raise NonFiniteError(f"orbit point {finite.argmin()} of {len(pts)} is not finite")
-    sampling = np.array(domain.cell_sizes)
-    h = 0.5 * math.hypot(*sampling)
-    # covers the rounding of the centers, of the cell indices and of both distances
-    slack = _BAND_SLACK * (max(map(abs, domain.bounds)) + epsilon)
-    reach = epsilon + h + slack
-    margin = (reach // sampling).astype(np.int64) + 1  # cells within reach, and one more
+    (xmin, xmax, ymin, ymax), (dx, dy) = domain.bounds, domain.cell_sizes
+    # a point farther than epsilon from the chart is farther from every center
+    low, high = (xmin - epsilon, ymin - epsilon), (xmax + epsilon, ymax + epsilon)
+    pts = pts[((pts >= low) & (pts <= high)).all(axis=1)]
     rows, cols = (np.flatnonzero(region.bitmap.any(axis=k)) for k in (1, 0))
-    first, last = np.array([rows[0], cols[0]]), np.array([rows[-1], cols[-1]])
-    at = np.floor((pts - domain.bounds[::2]) / sampling)
-    near = ((at >= first - margin) & (at <= last + margin)).all(axis=1)
-    pts, at = pts[near], at[near].astype(np.int64)
-    # the bounding box of the region and of the points near it
-    low = np.minimum(first, at.min(axis=0, initial=domain.resolution))
-    size = np.maximum(last, at.max(axis=0, initial=0)) - low + 1
-    at -= low
-    marks = np.zeros(size, dtype=bool)
-    marks[tuple(at.T)] = True
-    inside = np.pad(region.bitmap[first[0]:last[0] + 1, first[1]:last[1] + 1],
-                    tuple(zip(first - low, low + size - 1 - last)))
-    d = _grid_bound(marks, sampling, reach)[inside]
-    beyond = d - h > epsilon + slack
-    inside[inside] = ~beyond & ~(d + h < epsilon - slack)
-    band = np.argwhere(inside)
-    if not len(band):
-        return int(np.count_nonzero(beyond))
-    # the points in flat cell order; each band cell reads the points of the
-    # cells within the margin, one run of cells per row, a point at a time
-    key = at[:, 0] * size[1] + at[:, 1]
-    order = np.argsort(key, kind="stable")
-    key, pts = key[order], pts[order]
-    runs = (band[:, :1] + np.arange(-margin[0], margin[0] + 1)) * size[1]
-    ends = np.clip(band[:, 1:] + [-margin[1], margin[1]], 0, size[1] - 1)
-    start = np.searchsorted(key, runs + ends[:, :1])
-    stop = np.searchsorted(key, runs + ends[:, 1:], side="right")
-    covered = _covered(domain.centers_at(tuple((band + low).T)), pts, start, stop, epsilon)
-    return int(np.count_nonzero(beyond)) + int(np.count_nonzero(~covered))
-
-
-def _covered(centers: np.ndarray, pts: np.ndarray, start: np.ndarray, stop: np.ndarray,
-             epsilon: float) -> np.ndarray:
-    """Whether a point of the runs ``pts[start[i]:stop[i]]`` lies within
-    ``epsilon`` of center ``i``, reading the k-th point of every run at once."""
-    cell = np.repeat(np.arange(len(centers)), start.shape[1])
-    start, stop = start.ravel(), stop.ravel()
-    covered = np.zeros(len(centers), dtype=bool)
-    while (live := (start < stop) & ~covered[cell]).any():
-        cell, start, stop = cell[live], start[live], stop[live]
-        covered[cell[geometry.point_distance(PLANAR, centers[cell], pts[start]) <= epsilon]] = True
-        start += 1
-    return covered
+    crop = region.bitmap[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    # grid coordinates: the center of cell (i, j) sits at (i, j)
+    gx, gy = ((pts - (xmin, ymin)) / (dx, dy) - 0.5).T
+    first = np.maximum(np.ceil(gx - epsilon / dx) - 1, rows[0])
+    count = np.maximum(np.minimum(np.floor(gx + epsilon / dx) + 1, rows[-1]) - first + 1, 0)
+    count = count.astype(np.int64)
+    # an end this near a center, in cells, is read exactly: it covers the
+    # rounding of the centers, of the half-widths and of the distances, and
+    # from half a cell on every end is read
+    slack = _ROUND_SLACK * (max(map(abs, domain.bounds)) + epsilon)
+    near = min((math.sqrt(2.0 * epsilon * slack) + slack) / dy, 0.5)
+    width = crop.shape[1] + 1
+    runs = np.zeros(len(crop) * width, dtype=np.int64)  # +1 at a run's start, -1 past its end
+    step = max(1, _RUN_BLOCK // max(int(count.max(initial=0)), 1))
+    for s in range(0, len(pts), step):
+        n = count[s:s + step]
+        k = np.repeat(np.arange(s, s + len(n)), n)  # the point of each (point, row) run
+        r = np.arange(len(k)) + np.repeat(first[s:s + step] - (np.cumsum(n) - n), n)
+        cx = xmin + (r + 0.5) * dx
+        half = np.sqrt(np.maximum(epsilon * epsilon - (cx - pts[k, 0]) ** 2, 0.0)) / dy
+        ends = []
+        for sign in (-1, 1):
+            # an end past the box is read halfway past the column beyond it
+            t = np.clip(gy[k] + sign * half, cols[0] - 1.5, cols[-1] + 1.5)
+            end, c = (np.floor(t) if sign > 0 else np.ceil(t)), np.round(t)
+            i = np.flatnonzero(np.abs(t - c) < near)
+            at = np.stack([cx[i], ymin + (c[i] + 0.5) * dy], axis=-1)
+            inside = geometry.point_distance(PLANAR, at, pts[k[i]]) <= epsilon
+            end[i] = c[i] + sign * (inside - 1.0)
+            ends.append(end)
+        lo, hi = np.maximum(ends[0], cols[0]), np.minimum(ends[1], cols[-1])
+        keep = lo <= hi
+        base = (r[keep] - rows[0]) * width - cols[0]
+        runs += np.bincount((base + lo[keep]).astype(np.int64), minlength=len(runs))
+        runs -= np.bincount((base + hi[keep] + 1).astype(np.int64), minlength=len(runs))
+    covered = np.cumsum(runs.reshape(len(crop), width)[:, :-1], axis=1) > 0
+    return int(np.count_nonzero(crop & ~covered))
 
 
 def minimality_test(
@@ -216,10 +188,9 @@ def minimality_test(
     For each seeded start cell the word tree is explored breadth-first up
     to ``max_word_len`` with proximity pruning, and the region cells beyond
     ``epsilon`` of the orbit are counted exactly: on the circle by one
-    full nearest-point query; on the plane a row pass over the cells
-    holding orbit points bounds every cell's distance to within half a
-    cell diagonal and settles every cell outside that band around
-    ``epsilon``, and only the band's cells read point distances.  A
+    full nearest-point query; on the plane each grid row's cells within
+    ``epsilon`` of an orbit point form a run of columns, and only a run end
+    within rounding of a cell center reads a point distance.  A
     non-finite planar orbit point raises :class:`NonFiniteError`.  The
     verdict is eps-dense iff no start point leaves any region cell
     uncovered.  Exceeding the enumeration budget of 10^7 map evaluations

@@ -599,11 +599,8 @@ def points_to_gridset(domain: Domain, points: np.ndarray) -> GridSet:
 
 
 def diameter(s: GridSet) -> float:
-    """Maximum pairwise distance between included cell centers.
-
-    On the plane it is taken over the vertices of the convex hull of the
-    lowest and the highest cell of each nonempty grid row: every other pair
-    is shorter by far more than a rounding, so it is the all-pairs float."""
+    """Maximum pairwise distance between included cell centers; on the plane
+    between the hull vertices of the end cells of each nonempty grid row."""
     if s.is_empty():
         raise EmptySetError("diameter of an empty set")
     if s.domain.kind == CIRCLE:
@@ -621,8 +618,7 @@ def diameter(s: GridSet) -> float:
 
 def _convex_chain(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
     """Half of Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979) over
-    cells in monotone row order: the cells where it turns left, collinear
-    cells dropped, by exact integer cross products."""
+    cells in row order, collinear cells dropped, by exact integer products."""
     chain: list[tuple[int, int]] = []
     for r, c in zip(rows.tolist(), cols.tolist()):
         while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (c - chain[-2][1])

@@ -239,16 +239,18 @@ def _full_count(region, orbit, eps):
 
 
 @pytest.fixture
-def band_sizes(monkeypatch):
-    """Cell counts of the epsilon bands handed to the exact gather, call by call."""
+def exact_ends(monkeypatch):
+    """Run ends settled by an exact point distance: the size of each planar
+    ``point_distance`` batch, call by call."""
     sizes = []
-    covered = analysis._covered
+    point_distance = geometry.point_distance
 
-    def recording(centers, *args):
-        sizes.append(len(centers))
-        return covered(centers, *args)
+    def recording(kind, a, b):
+        if kind == geometry.PLANAR:
+            sizes.append(len(a))
+        return point_distance(kind, a, b)
 
-    monkeypatch.setattr(analysis, "_covered", recording)
+    monkeypatch.setattr(geometry, "point_distance", recording)
     return sizes
 
 
@@ -262,7 +264,7 @@ def _assert_counts_match(region, orbits, epsilons):
 @pytest.mark.parametrize(
     "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
 )
-def test_bounded_uncovered_count_matches_full_query(bounds, band_sizes):
+def test_bounded_uncovered_count_matches_full_query(bounds, exact_ends):
     dom = Domain.planar(bounds, 64)
     rng = rng_from(31)
     region = GridSet(dom, rng.uniform(size=dom.shape) < 0.6)
@@ -272,14 +274,16 @@ def test_bounded_uncovered_count_matches_full_query(bounds, band_sizes):
         for n in (1, 5, 40, 400)
     ]
     size = max(dom.cell_sizes)
-    _assert_counts_match(region, orbits, [2 * size, 3.7 * size, 9.1 * size, 0.4 * (xmax - xmin)])
-    # the band is thin: the exact query sees a small share of the region
-    assert band_sizes and max(band_sizes) < region.count() / 2
+    epsilons = [2 * size, 3.7 * size, 9.1 * size, 0.4 * (xmax - xmin)]
+    _assert_counts_match(region, orbits, epsilons)
+    # only a run end within rounding of a cell center reads a distance: for
+    # orbits at random, fewer than 1% of the region's cells per count
+    assert sum(exact_ends) < len(orbits) * len(epsilons) * region.count() / 100
 
 
 @pytest.mark.baseline_dispatch
 @pytest.mark.parametrize("steps", [3, 5, 7])
-def test_bounded_uncovered_count_at_exact_ties(steps, band_sizes):
+def test_bounded_uncovered_count_at_exact_ties(steps, exact_ends):
     # orbit points on a lattice of cell centers 16 cells apart, on a chart
     # whose centers are exact binary fractions: (3, 4, 5) triangles put many
     # centers at exactly eps, and eps one ulp either way flips them all
@@ -294,11 +298,73 @@ def test_bounded_uncovered_count_at_exact_ties(steps, band_sizes):
     counts = [_full_count(region, orbit, e) for e in (below, eps, above)]
     assert counts[0] > counts[1] == counts[2]
     _assert_counts_match(region, [orbit], [below, eps, above])
-    assert band_sizes
+    # a center at eps is the end of a run: its distance is read exactly
+    assert sum(exact_ends) >= 3 * 32
 
 
 @pytest.mark.baseline_dispatch
-def test_bounded_uncovered_count_with_empty_band(band_sizes):
+def test_bounded_uncovered_count_at_exact_ties_on_the_wide_chart(exact_ends):
+    # cells 1/16 by 1/64 with centers at exact binary fractions: every center
+    # 3 rows and 4 columns, or 1 row and 12 columns, from a lattice point is at
+    # one float distance, which is eps, and a row's run of cells ends there
+    dom = Domain.planar((0.0, 4.0, 0.0, 1.0), 64)
+    region = full_set(dom)
+    lattice = np.zeros(dom.shape, dtype=bool)
+    lattice[3::16, 2::16] = True
+    orbit = GridSet(dom, lattice).included_points()
+    dx, dy = dom.cell_sizes
+    eps = float(geometry.point_distance(geometry.PLANAR, (0.0, 0.0), (3 * dx, 4 * dy)))
+    assert np.count_nonzero(nearest_point_distances(region, orbit) == eps) >= 64
+    below, above = np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)
+    counts = [_full_count(region, orbit, e) for e in (below, eps, above)]
+    assert counts[0] > counts[1] == counts[2]
+    _assert_counts_match(region, [orbit], [below, eps, above])
+    assert sum(exact_ends) >= 3 * 64
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize(
+    "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
+)
+def test_bounded_uncovered_count_at_ties_a_few_rows_away(bounds):
+    # eps is the float distance from a point on a cell center to the center
+    # a rows on, which rounding can put a row past eps / dx from the point
+    dom = Domain.planar(bounds, 64)
+    region = full_set(dom)
+    xs, ys = dom.axis_centers()
+    for r, a in [(0, 6), (3, 3), (10, 2), (20, 7), (41, 11)]:
+        orbit = np.array([[xs[r], ys[5]], [xs[r + 1], ys[30]]])
+        eps = float(geometry.point_distance(geometry.PLANAR, (xs[r + a], ys[5]), orbit[0]))
+        _assert_counts_match(region, [orbit], [eps])
+
+
+@pytest.mark.baseline_dispatch
+def test_bounded_uncovered_count_on_a_chart_far_from_the_origin(exact_ends):
+    # the rounding margin of coordinates near 1e8 passes half a cell: every
+    # run end is read exactly
+    dom = Domain.planar((1e8, 1e8 + 1.0, -1e8 - 0.5, -1e8 + 0.5), 64)
+    rng = rng_from(61)
+    region = GridSet(dom, rng.uniform(size=dom.shape) < 0.6)
+    orbit = np.column_stack([1e8 + rng.uniform(-0.1, 1.1, 40), -1e8 + rng.uniform(-0.6, 0.6, 40)])
+    _assert_counts_match(region, [orbit, orbit[:3]], [2.5 / 64, 0.17])
+    assert sum(exact_ends) > 0
+
+
+@pytest.mark.baseline_dispatch
+def test_bounded_uncovered_count_with_epsilon_past_the_chart():
+    dom = Domain.planar((-1.3, 1.9, -0.45, 0.35), 64)
+    region = GridSet(dom, rng_from(59).uniform(size=dom.shape) < 0.5)
+    # a point far off the chart covers part of it at an epsilon past its width
+    near, far = np.array([[1.5, 0.3]]), np.array([[-40.0, 2.0]])
+    _assert_counts_match(region, [near, far], [1.0, 39.0, 40.5])
+    assert 0 < analysis._uncovered_count(region, far, 40.5) < region.count()
+    # a run past the chart's columns on both sides covers each row whole
+    for eps in (1e200, np.inf):
+        assert analysis._uncovered_count(region, np.vstack([near, far]), eps) == 0
+
+
+@pytest.mark.baseline_dispatch
+def test_bounded_uncovered_count_with_empty_band(exact_ends):
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     region = rasterize_disk(dom, Disk((0.4, 0.4), 0.3))
     eps = 4 * dom.max_cell_size
@@ -307,26 +373,28 @@ def test_bounded_uncovered_count_with_empty_band(band_sizes):
     # one point in the far corner: every region cell is uncovered
     corner = np.array([[-0.99, -0.99]])
     _assert_counts_match(region, [dense, corner], [eps])
-    assert band_sizes == []
     assert analysis._uncovered_count(region, corner, eps) == region.count()
+    # the corner point's runs lie in no row of the region: no distance is read
+    exact_ends.clear()
+    analysis._uncovered_count(region, corner, eps)
+    assert sum(exact_ends) == 0
 
 
 @pytest.mark.baseline_dispatch
-def test_bounded_uncovered_count_with_every_cell_in_band(band_sizes):
+def test_bounded_uncovered_count_with_every_cell_in_band():
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     centers = dom.cell_centers()
     eps = 0.5
     # a ring of cells whose centers lie within a quarter cell of eps from
-    # the orbit's one point: the grid bound decides none of them
+    # the orbit's one point: every cell is at the end of a run
     r = np.hypot(centers[..., 0] - 0.01, centers[..., 1] + 0.02)
     region = GridSet(dom, np.abs(r - eps) < 0.25 * dom.max_cell_size)
     orbit = np.array([[0.01, -0.02]])
     _assert_counts_match(region, [orbit], [eps, np.nextafter(eps, 0.0)])
-    assert band_sizes == [region.count(), region.count()]
 
 
 @pytest.mark.baseline_dispatch
-def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
+def test_bounded_uncovered_count_with_points_off_the_chart():
     dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
     region = rasterize_disk(dom, Disk((0.0, 0.0), 0.9))
     inside = rng_from(37).uniform(-1.0, 1.0, size=(30, 2))
@@ -337,13 +405,10 @@ def test_bounded_uncovered_count_with_points_off_the_chart(band_sizes):
     edge = np.array([[1.05, 0.0], [-1.1, -0.3], [0.0, np.nextafter(1.0, 2.0)]])
     assert analysis._uncovered_count(region, edge, 0.2) < region.count()
     _assert_counts_match(region, [edge], [0.2, 0.37])
-    # a point off the chart is marked on the chart grown by the reach, or is
-    # beyond every cell's reach: the band stays thin
-    assert len(band_sizes) == 11 and max(band_sizes) < region.count() / 2
 
 
 @pytest.mark.baseline_dispatch
-def test_bounded_uncovered_count_on_region_at_the_chart_edge(band_sizes):
+def test_bounded_uncovered_count_on_region_at_the_chart_edge():
     dom = Domain.planar((-1.3, 1.9, -0.45, 0.35), 64)
     xmin, xmax, ymin, ymax = dom.bounds
     region = full_set(dom)
@@ -358,11 +423,17 @@ def test_bounded_uncovered_count_on_region_at_the_chart_edge(band_sizes):
     _assert_counts_match(
         region, [edge, np.vstack([edge, inner]), edge[1:2]], [2 * size, 5.3 * size, 0.9]
     )
-    assert band_sizes and max(band_sizes) < region.count()
 
 
 @pytest.mark.baseline_dispatch
-def test_bounded_uncovered_count_on_the_circle(band_sizes):
+def test_bounded_uncovered_count_on_the_circle(exact_ends, monkeypatch):
+    queried = []
+
+    def recording(region, *args):
+        queried.append(region.count())
+        return nearest_point_distances(region, *args)
+
+    monkeypatch.setattr(geometry, "nearest_point_distances", recording)
     dom = Domain.circle(256)
     rng = rng_from(47)
     region = GridSet(dom, rng.uniform(size=dom.shape) < 0.6)
@@ -375,7 +446,7 @@ def test_bounded_uncovered_count_on_the_circle(band_sizes):
     # a circle region has no band: every count is one nearest-point query of
     # the whole region, also for an orbit with a point that has no cell
     _assert_counts_match(region, [np.append(wrap, np.nan)], [0.1])
-    assert band_sizes == []
+    assert queried == [region.count()] * 13 and exact_ends == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -402,42 +473,6 @@ def test_minimality_names_the_sample_whose_orbit_is_not_finite(monkeypatch):
     region = full_set(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64))
     with pytest.raises(NonFiniteError, match="sample 3 of 4"):
         minimality_test(sys, region, 0.1, 6, 4, seed=1)
-
-
-def _bound_by_offsets(marks, sampling, limit):
-    """The least (a*dx)**2 + (b*dy)**2 over the offsets of every marked
-    cell, its square root, and inf beyond ``limit``."""
-    best = np.full(marks.shape, np.inf)
-    i, j = np.indices(marks.shape)
-    for mi, mj in zip(*np.nonzero(marks)):
-        a, b = (i - mi).astype(float), (j - mj).astype(float)
-        best = np.minimum(best, (a * sampling[0]) ** 2 + (b * sampling[1]) ** 2)
-    best = np.sqrt(best)
-    best[best > limit] = np.inf
-    return best
-
-
-@pytest.mark.baseline_dispatch
-@pytest.mark.parametrize(
-    "bounds", [(-1.0, 1.0, -1.0, 1.0), (-1.3, 1.9, -0.45, 0.35)], ids=["square", "wide"]
-)
-def test_grid_bound_is_the_least_offset_distance(bounds):
-    dom = Domain.planar(bounds, 48)
-    rng = rng_from(53)
-    size = max(dom.cell_sizes)
-    for density in (0.002, 0.02, 0.2):
-        marks = rng.uniform(size=dom.shape) < density
-        marks[rng.integers(48), rng.integers(48)] = True
-        exact = geometry.grid_distances(GridSet(dom, marks), full_set(dom)).reshape(dom.shape)
-        for limit in (2.5 * size, 7.3 * size, 0.5 * (bounds[1] - bounds[0]), 10.0):
-            bound = analysis._grid_bound(marks, np.array(dom.cell_sizes), limit)
-            assert np.array_equal(bound, _bound_by_offsets(marks, dom.cell_sizes, limit))
-            # within 1 ulp of the transform, which may take the larger of two
-            # distances that round apart
-            near = bound <= limit
-            assert near.any() and np.isinf(bound[~near]).all()
-            assert (np.nextafter(bound[near], -np.inf) <= exact[near]).all()
-            assert (exact[near] <= np.nextafter(bound[near], np.inf)).all()
 
 
 # -- invariance defect -------------------------------------------------------
