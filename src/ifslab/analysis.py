@@ -25,6 +25,7 @@ from .errors import (
     HorizonError,
     NonFiniteError,
     NotAContractionError,
+    OrbitRangeError,
     ResolutionError,
     ValidationError,
 )
@@ -73,8 +74,17 @@ class MinimalityReport:
 
 def _pruning_keys(pts: np.ndarray, q: float, circle: bool) -> np.ndarray:
     """The pruning cell of each point: ``floor(x % 1 / q)`` on the circle,
-    the ``floor(x / q)`` pair packed into one int64 on the plane."""
-    k = np.floor((pts % 1.0 if circle else pts) / q).astype(np.int64)
+    the ``floor(x / q)`` pair packed into one int64 on the plane.  A point
+    that is not finite, or 2^31 cells or more from the origin on an axis,
+    where packed pairs could collide, raises :class:`OrbitRangeError`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinity is caught below
+        k = np.floor((pts % 1.0 if circle else pts) / q)
+    if (far := ~(np.abs(k) < 2.0**31).reshape(len(k), -1).all(axis=1)).any():
+        p = pts[far.argmax()]
+        where = ("2^31 or more pruning cells from the origin" if np.isfinite(p).all()
+                 else "not finite")
+        raise OrbitRangeError(f"orbit point {p} is {where}")
+    k = k.astype(np.int64)
     return k if circle else k[..., 0] * np.int64(1 << 32) + k[..., 1]
 
 
@@ -218,11 +228,11 @@ def minimality_test(
         )
 
     for i in range(samples):
-        orbit, exhausted = _orbit_points(sys, starts[i], max_word_len, epsilon)
         try:
+            orbit, exhausted = _orbit_points(sys, starts[i], max_word_len, epsilon)
             worst = max(worst, _uncovered_count(region, orbit, epsilon))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"sample {i + 1} of {samples}, from {starts[i]}: {exc}") from None
+        except (NonFiniteError, OrbitRangeError) as exc:
+            raise type(exc)(f"sample {i + 1} of {samples}, from {starts[i]}: {exc}") from None
         if exhausted:
             raise BudgetExceededError(
                 f"word budget of {_EVAL_BUDGET} evaluations exhausted "

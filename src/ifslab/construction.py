@@ -24,7 +24,6 @@ from . import geometry
 from .errors import (
     ConstructionError,
     ConvergenceError,
-    DimensionError,
     ValidationError,
 )
 from .geometry import Disk, Domain, GridSet
@@ -200,12 +199,11 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
 
     The escape distance is the largest amount by which an image of a U-cell
     center leaves U (0 when the union of images stays inside), taken over
-    the blocks of :meth:`Domain.blocks`.
+    the blocks of :meth:`Domain.blocks`.  A circle system raises
+    :class:`DimensionError` there, as its maps have no planar cells.
     """
-    if sys.kind != "planar":
-        raise DimensionError("absorbing-ball checks apply to planar systems")
     dom = geometry.ball_domain(u, resolution)
-    index = np.nonzero(geometry.rasterize_disk(dom, u).bitmap)
+    index = np.flatnonzero(geometry.rasterize_disk(dom, u).bitmap)
     worst = 0.0
     for m in sys.maps():
         for _, block in dom.blocks(index):
@@ -214,7 +212,7 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
+def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = None) -> GridSet:
     """One application of the set operator A -> union of member images.
 
     Members with closed-form inverses are rasterized exactly by the
@@ -222,38 +220,67 @@ def hutchinson_step(sys: SystemSpec, a: GridSet) -> GridSet:
     A).  Every other member is pushed forward: its images of the included
     cell centers are marked, which draws the image to within one cell when
     the member contracts, as the families iterated here do.
+
+    Given a list ``cell_maps`` and a result inside A, the step appends each
+    member's int32 cell map (a closed-form member's inverse's) at the
+    result's cells, which :func:`attractor`'s later steps run through.  It
+    is a keyword of the public step so that perfbench's span of this
+    function still covers the attractor's first step.
     """
-    return _step(sys, a, None)
-
-
-def _cell_maps(sys: SystemSpec, a: GridSet) -> list[np.ndarray]:
-    """Each member's int32 cell map over A's own cells, in :func:`_step`'s order."""
-    index = np.nonzero(a.bitmap)
-    maps = (m.inverse() if m.closed_form_inverse else m for m in sys.maps())
-    return [m.cell_map(a.domain, index) for m in maps]
-
-
-def _step(sys: SystemSpec, a: GridSet, cells: list | None) -> GridSet:
-    """:func:`hutchinson_step`, or, given ``cells`` = :func:`_cell_maps` of
-    an A that holds its own image, the same step gathered and scattered over
-    A's cells through them, evaluating no map."""
     dom, maps = a.domain, sys.maps()
     # the spare last slot reads a -1 index as outside and takes its writes
     bits = np.append(a.bitmap.ravel(), False)
-    out = np.zeros_like(bits)
-    if cells is None:
-        at, index, cells = slice(-1), np.nonzero(a.bitmap), [None] * len(maps)
-    else:
-        at = np.flatnonzero(a.bitmap)
-    hits = np.zeros_like(out[at])
-    # no name holds a cell map, so only one is alive at a time
-    for m, c in zip(maps, cells):
+    out, inside = np.zeros_like(bits), bits[:-1]
+    # one buffer per member, filled from the front: pages past its map stay untouched
+    kept = [np.empty(np.count_nonzero(inside), np.int32) for _ in maps]
+    pushed = [j for j, m in enumerate(maps) if not m.closed_form_inverse]
+    pulled = [(j, m.inverse()) for j, m in enumerate(maps) if m.closed_form_inverse]
+    # pushes first, at A's cells, so that each block's output is final when
+    # the pulls, over the whole chart, cut their maps to its cells in A
+    n = 0
+    for at, block in dom.blocks() if pushed else ():
+        block = tuple(i[inside[at]] for i in block)
+        for j in pushed:
+            c = kept[j][n:n + block[0].size] = dom.point_cells(maps[j].eval_cells(dom, block))
+            out[c] = True
+        n += block[0].size
+    n = 0
+    for at, block in dom.blocks() if pulled else ():
+        pre = [dom.point_cells(m.eval_cells(dom, block)) for _, m in pulled]
+        hits = out[at]  # a view of the block's output
+        for c in pre:
+            hits |= bits.take(c)
+        cut = hits & inside[at]
+        size = np.count_nonzero(cut)
+        for (j, _), c in zip(pulled, pre):
+            kept[j][n:n + size] = c[cut]
+        n += size
+    stepped = GridSet(dom, out[:-1].reshape(dom.shape))
+    if cell_maps is not None and stepped.minus(a).is_empty():
+        cut = out[:-1][inside]
+        for j, m in enumerate(maps):  # a buffer goes once it is cut
+            c, kept[j] = kept[j], None
+            cell_maps.append(c[:n] if m.closed_form_inverse else c[cut])
+    return stepped
+
+
+def _cached_step(sys: SystemSpec, a: GridSet, cells: list[np.ndarray]) -> GridSet:
+    """:func:`hutchinson_step` of an A that holds its own image, gathered and
+    scattered over A's cells through ``cells``, the maps that step keeps,
+    at A's cells: it evaluates no map, and cuts ``cells`` down to the
+    result's cells one map at a time, so only one extra map is alive."""
+    bits = np.append(a.bitmap.ravel(), False)  # the spare slot of hutchinson_step
+    out, hits = np.zeros_like(bits), np.zeros(len(cells[0]), dtype=bool)
+    for m, c in zip(sys.maps(), cells):
         if m.closed_form_inverse:
-            hits |= bits.take(m.inverse().cell_map(dom).ravel() if c is None else c)
+            hits |= bits.take(c)
         else:
-            out[m.cell_map(dom, index) if c is None else c] = True
-    out[at] |= hits
-    return GridSet(dom, out[:-1].reshape(dom.shape))
+            out[c] = True
+    keep = out[:-1][bits[:-1]] | hits
+    out[:-1][bits[:-1]] = keep
+    for j, c in enumerate(cells):
+        cells[j] = c[keep]
+    return GridSet(a.domain, out[:-1].reshape(a.domain.shape))
 
 
 @dataclass(frozen=True)
@@ -293,23 +320,17 @@ def attractor(
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
     # The operator is monotone: once an iterate lies inside the one before it,
-    # so does every later iterate, each holding its own image, and the first
-    # such iterate's cell maps serve them all, cut down to each new iterate's
-    # cells one map at a time, so only one extra map is alive at once.
-    cells = None
+    # so does every later iterate, each holding its own image, and the cell
+    # maps kept by the step that first nests serve every later step.
+    cells: list[np.ndarray] = []
     for it in range(1, max_iter + 1):
         # an uncached step is the public one, whose calls perfbench traces
-        stepped = hutchinson_step(sys, current) if cells is None else _step(sys, current, cells)
+        stepped = (_cached_step(sys, current, cells) if cells
+                   else hutchinson_step(sys, current, cell_maps=cells))
         # only the last step's distance is needed beyond tol, for the error
         last = geometry.hausdorff_distance(stepped, current, tol if it < max_iter else np.inf)
         if last <= tol:
             return AttractorResult(stepped, it, last)
-        if cells is not None:
-            keep = stepped.bitmap.ravel()[np.flatnonzero(current.bitmap)]
-            for j, c in enumerate(cells):
-                cells[j] = c[keep]
-        elif stepped.minus(current).is_empty():
-            cells = _cell_maps(sys, stepped)
         current = stepped
     raise ConvergenceError(
         f"attractor iteration did not stabilize in {max_iter} steps "

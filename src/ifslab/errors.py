@@ -78,6 +78,10 @@ class NonFiniteError(ProbeError):
     """Every sample of a probe came out non-finite, so it measured nothing."""
 
 
+class OrbitRangeError(ProbeError):
+    """An orbit point is not finite or too far out for its pruning cell to be keyed."""
+
+
 class ConstructionError(IfslabError, RuntimeError):
     """A cover/absorption construction failed; carries the uncovered fraction."""
 

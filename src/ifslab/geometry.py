@@ -116,18 +116,20 @@ class Domain:
     def centers_at(self, index) -> np.ndarray:
         """Centers of the cells at ``np.nonzero``-style index arrays:
         (m, 2) planar, (m,) circle."""
-        # read off the axes, so a sparse set never builds the whole grid
-        coords = [xs[i] for xs, i in zip(self.axis_centers(), index)]
-        return coords[0] if self.kind == CIRCLE else np.stack(coords, axis=-1)
+        # read off the axes into one array, so a sparse set never builds the whole grid
+        out = np.empty((len(index[0]), len(self.shape)))
+        for k, (xs, i) in enumerate(zip(self.axis_centers(), index)):
+            out[:, k] = xs[i]
+        return out[:, 0] if self.kind == CIRCLE else out
 
     def blocks(self, index=None):
-        """Cut every cell, or the cells at a flat index or at ``np.nonzero``-style
-        index arrays, into blocks of about ``_BLOCK_CELLS`` in flat order:
-        yields ``(at, block)``, a slice of that order and the block's index
-        arrays.  The whole chart is cut into whole grid rows."""
-        whole, flat = index is None, isinstance(index, np.ndarray)
+        """Cut every cell, or the cells at a flat index, into blocks of about
+        ``_BLOCK_CELLS`` in flat order: yields ``(at, block)``, a slice of
+        that order and the block's ``np.nonzero``-style index arrays.  The
+        whole chart is cut into whole grid rows."""
+        whole = index is None
         row = math.prod(self.shape[1:]) if whole else 1  # cells per grid row
-        size = math.prod(self.shape) if whole else len(index) if flat else len(index[0])
+        size = math.prod(self.shape) if whole else len(index)
         step = max(_BLOCK_CELLS // row, 1) * row
         for start in range(0, size, step):
             at = slice(start, min(start + step, size))
@@ -135,10 +137,8 @@ class Domain:
                 block = np.indices(((at.stop - start) // row,) + self.shape[1:])
                 block = block.reshape(len(self.shape), -1)
                 block[0] += start // row
-            elif flat:  # one divmod unravels a block
+            else:  # one divmod unravels a block
                 block = divmod(index[at], self.shape[1]) if self.kind == PLANAR else (index[at],)
-            else:
-                block = [i[at] for i in index]
             yield at, tuple(block)
 
     def cell_centers(self) -> np.ndarray:

@@ -84,22 +84,23 @@ class Map:
         raise NotImplementedError
 
     def eval_cells(self, domain, index):
-        """Images of the centers of the cells at ``np.nonzero``-style index arrays."""
+        """Images of the centers of the cells at a block's index arrays, as
+        :meth:`Domain.blocks` yields them."""
+        if self.kind != domain.kind:
+            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
         return self.eval(domain.centers_at(index))
 
     def cell_map(self, domain, index=None):
         """int32 :meth:`Domain.point_cells` of the images of the centers of
-        every cell (shaped like the domain) or of the cells at ``np.nonzero``
-        index arrays (flat): the one rule from a map to cells.
+        every cell (shaped like the domain) or of the cells at a flat index
+        (flat): the one rule from a map to cells.
 
         The cells go through :meth:`eval_cells` in the blocks of
         :meth:`Domain.blocks`, so no array spans the grid; a point's image
         does not depend on its block.
         """
-        if self.kind != domain.kind:
-            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
         whole = index is None
-        out = np.empty(math.prod(domain.shape) if whole else len(index[0]), dtype=np.int32)
+        out = np.empty(math.prod(domain.shape) if whole else len(index), dtype=np.int32)
         for at, block in domain.blocks(index):
             out[at] = domain.point_cells(self.eval_cells(domain, block))
         return out.reshape(domain.shape) if whole else out
@@ -335,7 +336,7 @@ class Perturbed(Map):
         # gathered entry had the same float as input, so the bits agree
         (xs, ys), (ix, iy) = domain.axis_centers(), index
         sines = [(np.sin(a), np.sin(b)) for a, b in self._arguments(xs, ys)]
-        image = self.base.eval(domain.centers_at(index))
+        image = self.base.eval_cells(domain, index)
         # gathered one axis at a time, so only one pair of cell arrays is alive
         return self._add_bump(image, ((su[ix], sv[iy]) for su, sv in sines))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ifslab.errors import (
     HorizonError,
     NonFiniteError,
     NotAContractionError,
+    OrbitRangeError,
     ProbeError,
     ResolutionError,
     ValidationError,
@@ -228,6 +230,55 @@ def test_orbit_points_match_set_based_loop(monkeypatch, name):
         partway += done > 0
     # some budgets run out after a depth's first map: its images are dropped
     assert partway >= 2
+
+
+_ESCAPING_SYSTEMS = {
+    # the inverse doubles every point: finite, but past the key range by depth 30
+    "expanding": "affine kappa=0.5 theta=0 anchor=0,0\ninverses=true",
+    # stacked bumps of amplitude 1.7e308 send a point to about 1e308 at once
+    "overflowing": "affine kappa=0.5 theta=0 anchor=0,0\n"
+                   + "".join(f"perturb base={i} amp=1.7e308 seed={i}\n" for i in (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("q", [0.05 / (2 * math.sqrt(2)), 1.0, 3e-9])
+def test_pruning_keys_are_distinct_up_to_their_range(q):
+    # the cells 2^31 - 1 out on either axis still pack into distinct keys
+    edge = 2**31 - 1
+    cells = np.array([(i, j) for i in (-edge, -1, 0, 1, edge) for j in (-edge, -1, 0, 1, edge)])
+    keys = analysis._pruning_keys((cells + 0.5) * q, q, False)
+    assert len(np.unique(keys)) == len(cells)
+
+
+_FAR = "2^31 or more pruning cells from the origin"
+
+
+@pytest.mark.parametrize("point, what", [
+    ((2.0**31, 0.0), _FAR), ((0.0, -2.0**31 - 1), _FAR),
+    ((1e300, 0.5), _FAR), ((0.5, 1.7e308), _FAR),
+    ((np.inf, 0.0), "not finite"), ((0.0, -np.inf), "not finite"), ((np.nan, 0.0), "not finite"),
+])
+def test_pruning_keys_past_their_range_raise(point, what):
+    # the first such point is named, and no cast or overflow warning escapes
+    pts = np.array([(0.25, 0.25), point, (np.inf, np.inf)])
+    assert issubclass(OrbitRangeError, ProbeError)  # the CLI exits 2 on it
+    with pytest.raises(OrbitRangeError) as err:
+        analysis._pruning_keys(pts, 1.0, False)
+    assert str(err.value) == f"orbit point {pts[1]} is {what}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_circle_pruning_keys_of_a_non_finite_point_raise(bad):
+    with pytest.raises(OrbitRangeError, match="is not finite"):
+        analysis._pruning_keys(np.array([0.25, bad]), 0.01, True)
+
+
+@pytest.mark.parametrize("name", sorted(_ESCAPING_SYSTEMS))
+def test_minimality_names_the_sample_whose_orbit_escapes_the_pruning_keys(name):
+    region = full_set(Domain.planar((-1.0, 1.0, -1.0, 1.0), 64))
+    message = rf"^sample 1 of 4, from \[.*\]: orbit point \[.*\] is {re.escape(_FAR)}$"
+    with pytest.raises(OrbitRangeError, match=message):
+        minimality_test(parse_system(_ESCAPING_SYSTEMS[name]), region, 0.1, 40, 4, seed=1)
 
 
 # -- the bounded uncovered count ---------------------------------------------

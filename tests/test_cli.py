@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,8 +336,8 @@ def test_shrink_horizon_exit_two(tmp_path):
 
 def test_minimality_of_an_overflowing_orbit_exits_two(tmp_path, capsys):
     # eight stacked bumps of amplitude 1.7e308 send some start cells to an
-    # infinite first image: the planar count raises a probe error, not a
-    # ValueError with a traceback
+    # infinite first image and the first one to about 1e308, past the range
+    # of the pruning keys: a probe error, not a ValueError with a traceback
     sys_file = tmp_path / "overflow.txt"
     sys_file.write_text("\n".join(
         ["affine kappa=0.5 theta=30 anchor=0,0"]
@@ -346,7 +347,25 @@ def test_minimality_of_an_overflowing_orbit_exits_two(tmp_path, capsys):
         code = run(["minimality", "--system", sys_file, "--epsilon", "0.05", "--max-word-len", "6",
                     "--resolution", "64", "--samples", "16", "--out", tmp_path / "o"])
     assert code == 2
-    assert "is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("probe error: sample 1 of 16, from [")
+    assert err.endswith("] is 2^31 or more pruning cells from the origin\n")
+
+
+def test_minimality_of_an_escaping_orbit_exits_two_naming_the_point(tmp_path, capsys):
+    # an unchecked int64 cast would give the first image a garbage pruning
+    # key and prune the rest of the orbit silently
+    sys_file = tmp_path / "escape.txt"
+    sys_file.write_text("affine kappa=0.5 theta=0 anchor=0,0\n"
+                        + "".join(f"perturb base={i} amp=1.7e308 seed={i}\n" for i in (1, 2, 3)))
+    code = run(["minimality", "--system", sys_file, "--epsilon", "0.05", "--max-word-len", "10",
+                "--resolution", "64", "--samples", "4", "--out", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"probe error: sample 1 of 4, from \[[^]]*\]: orbit point \[[^]]*\] "
+                        r"is 2\^31 or more pruning cells from the origin\n", err)
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 # 200 bytes from 0xff down: 0xff starts no UTF-8 sequence

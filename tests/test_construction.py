@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -5,9 +7,8 @@ import scipy.ndimage as ndi
 from ifslab import geometry
 from ifslab.construction import (
     ConstructionParams,
+    _cached_step,
     attractor,
-    _cell_maps,
-    _step,
     build_construction,
     check_absorbing,
     construction_report,
@@ -394,10 +395,19 @@ def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
     # one before it, so no iterate lies inside its predecessor
     import ifslab.construction as construction
 
-    def unexpected(*args):
-        raise AssertionError("cell maps built for iterates that never nest")
+    step, calls = construction.hutchinson_step, []
 
-    monkeypatch.setattr(construction, "_cell_maps", unexpected)
+    def uncached(sys, a, *, cell_maps=None):
+        stepped = step(sys, a, cell_maps=cell_maps)
+        assert cell_maps == [], "cell maps kept for an iterate that does not nest"
+        calls.append(a)
+        return stepped
+
+    def unexpected(*args):
+        raise AssertionError("a cached step for iterates that never nest")
+
+    monkeypatch.setattr(construction, "hutchinson_step", uncached)
+    monkeypatch.setattr(construction, "_cached_step", unexpected)
     res, ball = 256, Disk((0.0, 0.0), 16.0)
     sys = SystemSpec((AffineSimilarity(0.9, 180.0, (3.2, 0.0)),))
     tol = 2 * ball_domain(ball, res).cell_sizes[0]
@@ -406,6 +416,7 @@ def test_attractor_that_never_nests_builds_no_cell_maps(monkeypatch):
     want, iterations, last, nested = reference_iterates(sys, start, tol, 200)
     assert not nested and got.attractor.equals(want)
     assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
+    assert len(calls) == iterations
 
 
 def exact_distance_iterates(sys, ball, res, tol, max_iter):
@@ -451,6 +462,20 @@ def test_attractor_matches_exact_distance_loop(family, tol_cells):
         assert (got.iterations, repr(got.final_hausdorff)) == (iterations, repr(last))
 
 
+def written_out_cell_maps(sys, a):
+    """Each member's int32 cell map at A's cells in flat order, by
+    ``Map.cell_map`` (a closed-form member's inverse's): the maps a cached
+    step of A runs through."""
+    index = np.flatnonzero(a.bitmap)
+    return [(m.inverse() if m.closed_form_inverse else m).cell_map(a.domain, index)
+            for m in sys.maps()]
+
+
+def _assert_same_maps(got, want):
+    assert len(got) == len(want)
+    assert all(g.dtype == np.int32 and np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.baseline_dispatch
 def test_cached_steps_match_per_step_loop_on_circle_pair():
     # attractor takes a planar ball, so the circle pair's steps are chained
@@ -458,43 +483,109 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
     sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
     dom = Domain.circle(4096)
     a = ref = rasterize_disk(dom, Disk(0.1, 0.05))
-    cells = within = None
+    cells, within = [], None
     for _ in range(12):
-        stepped = _step(sys, a, cells)
+        # both steps leave in cells the maps at their result's cells, if it nests
+        stepped = _cached_step(sys, a, cells) if cells else hutchinson_step(sys, a, cell_maps=cells)
         ref_stepped = reference_hutchinson_step(sys, ref, within)
         assert stepped.equals(ref_stepped)
         assert hausdorff_distance(stepped, a) == hausdorff_distance(ref_stepped, ref)
-        if cells is not None or stepped.minus(a).is_empty():
-            cells = _cell_maps(sys, stepped)
+        if cells:
+            _assert_same_maps(cells, written_out_cell_maps(sys, stepped))
         if within is not None or ref_stepped.minus(ref).is_empty():
             within = ref_stepped
         a, ref = stepped, ref_stepped
-    assert cells is not None
+    assert cells
 
 
 @pytest.mark.baseline_dispatch
-@pytest.mark.parametrize("family", ["affine", "perturbed"])
+@pytest.mark.parametrize("family", ["affine", "mixed", "perturbed"])
 def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, family):
+    # every step attractor takes, uncached or cached, equals the reference
+    # step of its iterate, and each cached step runs on that iterate's maps
     import ifslab.construction as construction
 
-    step, stepped_cached = construction._step, []
+    uncached, cached, steps = construction.hutchinson_step, construction._cached_step, []
 
-    def checked(sys, a, cells):
-        if cells is not None:
-            want = _cell_maps(sys, a)
-            assert len(cells) == len(want)
-            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(cells, want))
-            stepped_cached.append(a)
-        return step(sys, a, cells)
+    def checked_uncached(sys, a, *, cell_maps=None):
+        stepped = uncached(sys, a, cell_maps=cell_maps)
+        if cell_maps:
+            _assert_same_maps(cell_maps, written_out_cell_maps(sys, stepped))
+        steps.append(("uncached", a, stepped))
+        return stepped
 
-    monkeypatch.setattr(construction, "_step", checked)
+    def checked_cached(sys, a, cells):
+        _assert_same_maps(cells, written_out_cell_maps(sys, a))
+        stepped = cached(sys, a, cells)
+        _assert_same_maps(cells, written_out_cell_maps(sys, stepped))  # cut to the result
+        steps.append(("cached", a, stepped))
+        return stepped
+
+    monkeypatch.setattr(construction, "hutchinson_step", checked_uncached)
+    monkeypatch.setattr(construction, "_cached_step", checked_cached)
     res = 128
     built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
-    sys = {"affine": built.system, "perturbed": SystemSpec(_perturbed(built.system.generators, 8))}[family]
+    gens = built.system.generators
+    sys = {
+        "affine": built.system,
+        "mixed": SystemSpec(gens[:4] + _perturbed(gens[4:], 7)),
+        "perturbed": SystemSpec(_perturbed(gens, 8)),
+    }[family]
     ball = built.absorbing_ball
     tol = 2 * ball_domain(ball, res).cell_sizes[0]
-    attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
-    assert stepped_cached
+    got = attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
+    kinds = [kind for kind, _, _ in steps]
+    assert kinds == ["uncached"] + ["cached"] * (len(kinds) - 1)
+    assert len(steps) == got.iterations > 2
+    assert got.attractor is steps[-1][2]
+    for i, (_, a, stepped) in enumerate(steps):
+        assert i == 0 or a is steps[i - 1][2]
+        assert stepped.equals(reference_hutchinson_step(sys, a))
+
+
+@pytest.mark.parametrize("family", ["affine", "perturbed"])
+def test_attractor_evaluates_each_member_once_per_cell(monkeypatch, family):
+    # a closed-form member's inverse is evaluated on every chart cell and a
+    # pushed member on every cell of U, both in the first step only
+    import ifslab.construction as construction
+
+    points = Counter()
+
+    def count(cls, name, size):
+        fn = getattr(cls, name)
+
+        def counted(self, *args):
+            points[f"{cls.__name__}.{name}"] += size(*args)
+            return fn(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(AffineSimilarity, "eval", len)
+    count(Perturbed, "eval", len)
+    count(Perturbed, "eval_cells", lambda domain, index: len(index[0]))
+    count(Domain, "point_cells", len)
+    step, after_first = construction.hutchinson_step, []
+
+    def first(sys, a, *, cell_maps=None):
+        stepped = step(sys, a, cell_maps=cell_maps)
+        after_first.append(dict(points))
+        return stepped
+
+    monkeypatch.setattr(construction, "hutchinson_step", first)
+    res = 128
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    gens = built.system.generators
+    sys = {"affine": built.system, "perturbed": SystemSpec(_perturbed(gens, 8))}[family]
+    ball, k = built.absorbing_ball, len(gens)
+    u = rasterize_disk(ball_domain(ball, res), ball).count()
+    tol = 2 * ball_domain(ball, res).cell_sizes[0]
+    points.clear()
+    got = attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
+    cells = res * res if family == "affine" else u
+    want = {"AffineSimilarity.eval": k * cells, "Domain.point_cells": k * cells}
+    if family == "perturbed":
+        want["Perturbed.eval_cells"] = k * u
+    assert got.iterations > 2 and after_first == [want] and dict(points) == want
 
 
 def _blob(dom, rng, density):
@@ -511,12 +602,19 @@ def _closure(sys, a):
 
 def _check_restricted_step(sys, a):
     """On a set holding its own image, the step through the set's cell maps
-    equals both the uncached step and the reference step."""
+    equals both the uncached step and the reference step, and the uncached
+    step keeps the maps of its result, which also holds its own image."""
     full = hutchinson_step(sys, a)
     assert full.minus(a).is_empty()
     assert full.equals(reference_hutchinson_step(sys, a))
     assert reference_hutchinson_step(sys, a, a).equals(full)
-    assert _step(sys, a, _cell_maps(sys, a)).equals(full)
+    cells = written_out_cell_maps(sys, a)
+    assert _cached_step(sys, a, cells).equals(full)
+    _assert_same_maps(cells, written_out_cell_maps(sys, full))
+    kept = []
+    assert hutchinson_step(sys, a, cell_maps=kept).equals(full)
+    _assert_same_maps(kept, written_out_cell_maps(sys, full))
+    assert _cached_step(sys, full, kept).equals(hutchinson_step(sys, full))
 
 
 @pytest.mark.baseline_dispatch
@@ -557,7 +655,9 @@ def test_step_rejects_maps_of_the_other_chart_kind(reference):
         with pytest.raises(DimensionError):
             hutchinson_step(sys, a)
         with pytest.raises(DimensionError):
-            _cell_maps(sys, a)
+            hutchinson_step(sys, a, cell_maps=[])
+    with pytest.raises(DimensionError):
+        check_absorbing(circle_sys, Disk((0.0, 0.0), 1.0), 64)
 
 
 # Recorded at the commit before attractor restricted its steps to the current

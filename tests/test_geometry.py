@@ -471,13 +471,11 @@ def test_blocks_yield_every_cell_once_in_flat_order(monkeypatch, domain, block):
     row = domain.shape[-1] if domain.kind == "planar" else 1
     whole = np.indices(domain.shape).reshape(len(domain.shape), -1)
     sets = _cell_sets(domain)
-    for index in [None] + [np.nonzero(b) for b in sets] + [np.flatnonzero(b) for b in sets]:
+    for index in [None] + [np.flatnonzero(b) for b in sets]:
         if index is None:
             want = whole
-        elif isinstance(index, np.ndarray):  # a flat index is unravelled block by block
+        else:  # a flat index is unravelled block by block
             want = np.array(np.unravel_index(index, domain.shape))
-        else:
-            want = np.array(index)
         stop = 0
         for at, cells in domain.blocks(index):
             assert at.start == stop < at.stop and at.step is None
