@@ -586,7 +586,6 @@ def _seed_bitmaps(domain: Domain, count: int, rngs) -> list[np.ndarray]:
     about 1/2.
     """
     seeds: list[np.ndarray] = []
-    n = domain.resolution
     if domain.kind == CIRCLE:
         xs = domain.axis_centers()[0]
         for m in (2, 3, 4, 5, 6, 8, 10, 12):
@@ -597,8 +596,8 @@ def _seed_bitmaps(domain: Domain, count: int, rngs) -> list[np.ndarray]:
         xs, ys = domain.axis_centers()
         xmin, xmax, ymin, ymax = domain.bounds
         cxm, cym = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-        u = (np.broadcast_to(xs[:, None], (n, n)) - cxm) / (xmax - xmin)
-        v = (np.broadcast_to(ys[None, :], (n, n)) - cym) / (ymax - ymin)
+        u = (xs[:, None] - cxm) / (xmax - xmin)
+        v = (ys[None, :] - cym) / (ymax - ymin)
         for m in (2, 3, 4, 6):
             seeds.append(((m * (u + 0.5)) % 1.0 < 0.5) ^ ((m * (v + 0.5)) % 1.0 < 0.5))
         for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)):
@@ -608,10 +607,13 @@ def _seed_bitmaps(domain: Domain, count: int, rngs) -> list[np.ndarray]:
         rng = rngs[ri % len(rngs)]
         ri += 1
         field = rng.normal(size=domain.shape)
-        # cheap smoothing keeps candidate boundaries short
+        # cheap smoothing keeps candidate boundaries short: np.roll sums, by slices
         for axis in range(field.ndim):
             for shift in (1, -1, 2, -2):
-                field = field + np.roll(field, shift, axis=axis)
+                f, field = np.moveaxis(field, axis, 0), np.empty_like(field)
+                o, k = np.moveaxis(field, axis, 0), shift % len(f)
+                np.add(f[k:], f[:len(f) - k], out=o[k:])
+                np.add(f[:k], f[len(f) - k:], out=o[:k])
         seeds.append(field > np.median(field))
     return seeds[:count]
 

@@ -198,17 +198,24 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     """Whether every member maps U into U, with the worst escape distance.
 
     The escape distance is the largest amount by which an image of a U-cell
-    center leaves U (0 when the union of images stays inside), taken over
-    the blocks of :meth:`Domain.blocks`.  A circle system raises
-    :class:`DimensionError` there, as its maps have no planar cells.
+    center leaves U (0 when the union of images stays inside).  An affine
+    member's distance from U's center is convex, so it peaks at a corner of
+    the hull of U's cells, which ends a grid row: only row ends are evaluated.
+    Every other member is evaluated at each cell of U, in :meth:`Domain.blocks`
+    (a circle system raises :class:`DimensionError` there).
     """
     dom = geometry.ball_domain(u, resolution)
-    index = np.flatnonzero(geometry.rasterize_disk(dom, u).bitmap)
+    bits = geometry.rasterize_disk(dom, u).bitmap
+    ends = bits & ~np.pad(bits[:, :-2] & bits[:, 2:], ((0, 0), (1, 1)))  # U's row ends
+    walks = [([m for m in sys.maps() if m.affine], np.flatnonzero(ends))]
+    if not all(m.affine for m in sys.maps()):
+        walks.append(([m for m in sys.maps() if not m.affine], np.flatnonzero(bits)))
     worst = 0.0
-    for m in sys.maps():
-        for _, block in dom.blocks(index):
-            d = geometry.point_distance(sys.kind, m.eval_cells(dom, block), u.center)
-            worst = max(worst, float(d.max()) - u.radius)
+    for members, index in walks:
+        for _, block in dom.blocks(index):  # each block unravelled once for its members
+            for m in members:
+                d = geometry.point_distance(sys.kind, m.eval_cells(dom, block), u.center)
+                worst = max(worst, float(d.max()) - u.radius)
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
@@ -264,13 +271,16 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = Non
     return stepped
 
 
-def _cached_step(sys: SystemSpec, a: GridSet, cells: list[np.ndarray]) -> GridSet:
-    """:func:`hutchinson_step` of an A that holds its own image, gathered and
-    scattered over A's cells through ``cells``, the maps that step keeps,
-    at A's cells: it evaluates no map, and cuts ``cells`` down to the
-    result's cells one map at a time, so only one extra map is alive."""
+def _cached_step(sys: SystemSpec, a: GridSet, cells: list[np.ndarray], keep=None):
+    """:func:`hutchinson_step` of an A holding its own image, through the maps
+    ``cells`` that step keeps, and the mask of the result among A's cells: it
+    evaluates no map.  A mask ``keep`` of the step before first cuts ``cells``
+    to A's cells, one at a time, so no cut follows the attractor's last step."""
     bits = np.append(a.bitmap.ravel(), False)  # the spare slot of hutchinson_step
-    out, hits = np.zeros_like(bits), np.zeros(len(cells[0]), dtype=bool)
+    out = np.zeros_like(bits)  # below the cut maps, so that freeing them can trim the heap
+    for j, c in enumerate(cells if keep is not None else ()):
+        cells[j] = c[keep]
+    hits = np.zeros(len(cells[0]), dtype=bool)
     for m, c in zip(sys.maps(), cells):
         if m.closed_form_inverse:
             hits |= bits.take(c)
@@ -278,9 +288,7 @@ def _cached_step(sys: SystemSpec, a: GridSet, cells: list[np.ndarray]) -> GridSe
             out[c] = True
     keep = out[:-1][bits[:-1]] | hits
     out[:-1][bits[:-1]] = keep
-    for j, c in enumerate(cells):
-        cells[j] = c[keep]
-    return GridSet(a.domain, out[:-1].reshape(a.domain.shape))
+    return GridSet(a.domain, out[:-1].reshape(a.domain.shape)), keep
 
 
 @dataclass(frozen=True)
@@ -322,11 +330,11 @@ def attractor(
     # The operator is monotone: once an iterate lies inside the one before it,
     # so does every later iterate, each holding its own image, and the cell
     # maps kept by the step that first nests serve every later step.
-    cells: list[np.ndarray] = []
+    cells, keep = [], None
     for it in range(1, max_iter + 1):
         # an uncached step is the public one, whose calls perfbench traces
-        stepped = (_cached_step(sys, current, cells) if cells
-                   else hutchinson_step(sys, current, cell_maps=cells))
+        stepped, keep = (_cached_step(sys, current, cells, keep) if cells
+                         else (hutchinson_step(sys, current, cell_maps=cells), None))
         # only the last step's distance is needed beyond tol, for the error
         last = geometry.hausdorff_distance(stepped, current, tol if it < max_iter else np.inf)
         if last <= tol:

@@ -114,7 +114,7 @@ class Domain:
         return axes
 
     def centers_at(self, index) -> np.ndarray:
-        """Centers of the cells at ``np.nonzero``-style index arrays:
+        """Centers of the cells at per-axis index arrays, as :meth:`unravel` gives:
         (m, 2) planar, (m,) circle."""
         # read off the axes into one array, so a sparse set never builds the whole grid
         out = np.empty((len(index[0]), len(self.shape)))
@@ -125,8 +125,8 @@ class Domain:
     def blocks(self, index=None):
         """Cut every cell, or the cells at a flat index, into blocks of about
         ``_BLOCK_CELLS`` in flat order: yields ``(at, block)``, a slice of
-        that order and the block's ``np.nonzero``-style index arrays.  The
-        whole chart is cut into whole grid rows."""
+        that order and the block's per-axis index arrays.  The whole chart
+        is cut into whole grid rows."""
         whole = index is None
         row = math.prod(self.shape[1:]) if whole else 1  # cells per grid row
         size = math.prod(self.shape) if whole else len(index)
@@ -137,9 +137,13 @@ class Domain:
                 block = np.indices(((at.stop - start) // row,) + self.shape[1:])
                 block = block.reshape(len(self.shape), -1)
                 block[0] += start // row
-            else:  # one divmod unravels a block
-                block = divmod(index[at], self.shape[1]) if self.kind == PLANAR else (index[at],)
+            else:
+                block = self.unravel(index[at])
             yield at, tuple(block)
+
+    def unravel(self, index):
+        """Per-axis index arrays of a flat index, by one divmod."""
+        return divmod(index, self.shape[1]) if self.kind == PLANAR else (index,)
 
     def cell_centers(self) -> np.ndarray:
         """All cell centers: shape (n, n, 2) planar, (n,) circle."""
@@ -288,7 +292,7 @@ class GridSet:
 
     def included_points(self) -> np.ndarray:
         """Centers of included cells: (m, 2) planar, (m,) circle."""
-        return self.domain.centers_at(np.nonzero(self.bitmap))
+        return self.domain.centers_at(self.domain.unravel(np.flatnonzero(self.bitmap)))
 
 
 def full_set(domain: Domain) -> GridSet:
@@ -479,7 +483,7 @@ def distance_transform_edt(*args, **kwargs):
 
 def grid_distances(target: GridSet, cells: GridSet) -> np.ndarray:
     """Distance from each included cell center of ``cells``, in
-    ``np.nonzero`` order, to the nearest included cell center of ``target``.
+    row-major order, to the nearest included cell center of ``target``.
 
     On the circle the nearest target cells on either side give the cell
     count ``k`` and the distance ``k * h``, the float a transform gives
@@ -660,11 +664,10 @@ def one_cell_ring_volume(s: GridSet) -> float:
 
 def sample_cells(s: GridSet, n: int, rng: np.random.Generator) -> np.ndarray:
     """Centers of n included cells drawn uniformly with replacement."""
-    pts = s.included_points()
-    if len(pts) == 0:
+    index = np.flatnonzero(s.bitmap)  # row-major, the order of included_points
+    if len(index) == 0:
         raise EmptySetError("cannot sample from an empty set")
-    idx = rng.integers(0, len(pts), size=n)
-    return pts[idx]
+    return s.domain.centers_at(s.domain.unravel(index[rng.integers(0, len(index), size=n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ class Map:
     constant_log_abs_det: float | None = None
     # True when inverse() is exact rather than a Newton iteration
     closed_form_inverse: bool = False
+    affine: bool = False  # True when eval is affine in the point
 
     def eval(self, x):
         raise NotImplementedError
@@ -149,6 +150,7 @@ class AffineSimilarity(Map):
 
     kind = "planar"
     closed_form_inverse = True
+    affine = True
 
     def __post_init__(self):
         if not 0 < self.scale < math.inf:

@@ -6,6 +6,7 @@ import scipy.ndimage as ndi
 
 from ifslab import geometry
 from ifslab.construction import (
+    AbsorbingCheck,
     ConstructionParams,
     _cached_step,
     attractor,
@@ -31,6 +32,7 @@ from ifslab.maps import (
     AffineSimilarity,
     CircleNorthSouth,
     CircleRotation,
+    Map,
     Perturbed,
     SystemSpec,
     complex_eigenvalue_check,
@@ -181,6 +183,92 @@ def test_circle_arc_ball_raises_validation_error(reference, verify):
         check_absorbing(reference.system, arc, RES)
     with pytest.raises(ValidationError, match="circle arc"):
         attractor(reference.system, arc, tol=0.1, resolution=RES, verify_absorbing=verify)
+
+
+def all_cells_absorbing(sys, ball, res):
+    """check_absorbing as every member evaluated at every cell of U."""
+    pts = rasterize_disk(ball_domain(ball, res), ball).included_points()
+    worst = 0.0
+    for m in sys.maps():
+        d = geometry.point_distance(sys.kind, m.eval(pts), ball.center)
+        worst = max(worst, float(d.max()) - ball.radius)
+    return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
+
+
+def _random_similarities(rng, count):
+    return SystemSpec(tuple(
+        AffineSimilarity(rng.uniform(0.1, 1.5), rng.uniform(0.0, 360.0), tuple(rng.uniform(-3, 3, 2)))
+        for _ in range(count)
+    ))
+
+
+@pytest.mark.baseline_dispatch
+def test_absorbing_matches_all_cells_loop(reference):
+    # an affine member is evaluated at U's row ends alone; the verdict and the
+    # escape distance are the all-cells loop's, bit for bit
+    rng = rng_from(29)
+    cases = [(_random_similarities(rng, int(rng.integers(1, 6))),
+              Disk(tuple(rng.uniform(-3, 3, 2)), rng.uniform(0.05, 5.0)),
+              int(rng.choice([64, 129, 256]))) for _ in range(30)]
+    gens = reference.system.generators
+    mixed = SystemSpec(gens[:4] + _perturbed(gens[4:], 7))
+    one_cell = Disk((0.7, -1.3), 0.9)  # at resolution 55 a grid row of U holds one cell
+    u = rasterize_disk(ball_domain(one_cell, 55), one_cell).bitmap
+    assert 1 in u.sum(axis=1)
+    for sys in (reference.system, mixed, _random_similarities(rng, 3)):
+        for ball, res in ((reference.absorbing_ball, 128), (Disk((0.3, -0.2), 0.5), 128),
+                          (Disk((1.0, 2.0), 3.0), 96), (one_cell, 55)):
+            cases.append((sys, ball, res))
+    verdicts = set()
+    for sys, ball, res in cases:
+        got, want = check_absorbing(sys, ball, res), all_cells_absorbing(sys, ball, res)
+        assert (got.absorbed, repr(got.escape_distance)) == (want.absorbed, repr(want.escape_distance))
+        verdicts.add(got.absorbed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("family", ["affine", "mixed"])
+@pytest.mark.parametrize("ball, res", [(Disk((0.0, 0.0), 16.0), 128), (Disk((0.7, -1.3), 0.9), 55)],
+                         ids=["absorbing", "one-cell-row"])
+def test_absorbing_evaluates_affine_members_at_row_ends(monkeypatch, family, ball, res):
+    # an affine member is evaluated at the first and the last cell of each
+    # nonempty grid row of U, a one-cell row's once, and any other member at
+    # every cell of U, each once; an all-affine system walks no index of U
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=128)
+    gens = built.system.generators
+    sys = {"affine": built.system, "mixed": SystemSpec(gens[:4] + _perturbed(gens[4:], 7))}[family]
+    dom = ball_domain(ball, res)
+    u = rasterize_disk(dom, ball).bitmap
+    seen, walks = {id(m): Counter() for m in sys.maps()}, []
+
+    def record(cls):
+        fn = cls.eval_cells
+
+        def recorded(self, domain, index):
+            if id(self) in seen:  # not a Perturbed member's base
+                seen[id(self)].update(np.ravel_multi_index(index, domain.shape).tolist())
+            return fn(self, domain, index)
+
+        monkeypatch.setattr(cls, "eval_cells", recorded)
+
+    record(Map)
+    record(Perturbed)
+    blocks = Domain.blocks
+
+    def walked(self, index=None):
+        walks.append(len(index))
+        return blocks(self, index)
+
+    monkeypatch.setattr(Domain, "blocks", walked)
+    check_absorbing(sys, ball, res)
+    rows = np.flatnonzero(u.any(axis=1))
+    ends = {int(r) * res + int(j) for r in rows for j in np.flatnonzero(u[r])[[0, -1]]}
+    lone = np.count_nonzero(u.sum(axis=1) == 1)
+    assert (lone > 0) == (res == 55) and len(ends) == 2 * len(rows) - lone
+    for m in sys.maps():
+        assert set(seen[id(m)].values()) == {1}
+        assert set(seen[id(m)]) == (ends if m.affine else set(np.flatnonzero(u).tolist()))
+    assert walks == {"affine": [len(ends)], "mixed": [len(ends), int(u.sum())]}[family]
 
 
 def test_hutchinson_fixed_point_of_single_map():
@@ -476,6 +564,12 @@ def _assert_same_maps(got, want):
     assert all(g.dtype == np.int32 and np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _cut(cells, keep):
+    """The maps a cached step leaves, cut to its result's cells by the mask
+    it returns, as the next cached step cuts them."""
+    return cells if keep is None else [c[keep] for c in cells]
+
+
 @pytest.mark.baseline_dispatch
 def test_cached_steps_match_per_step_loop_on_circle_pair():
     # attractor takes a planar ball, so the circle pair's steps are chained
@@ -483,15 +577,19 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
     sys = SystemSpec((CircleNorthSouth(0.7, 0.1), CircleRotation(0.381966)))
     dom = Domain.circle(4096)
     a = ref = rasterize_disk(dom, Disk(0.1, 0.05))
-    cells, within = [], None
+    cells, keep, within = [], None, None
     for _ in range(12):
-        # both steps leave in cells the maps at their result's cells, if it nests
-        stepped = _cached_step(sys, a, cells) if cells else hutchinson_step(sys, a, cell_maps=cells)
+        # both steps leave in cells the maps at their result's cells, if it
+        # nests; a cached step leaves them to be cut by the mask it returns
+        if cells:
+            stepped, keep = _cached_step(sys, a, cells, keep)
+        else:
+            stepped = hutchinson_step(sys, a, cell_maps=cells)
         ref_stepped = reference_hutchinson_step(sys, ref, within)
         assert stepped.equals(ref_stepped)
         assert hausdorff_distance(stepped, a) == hausdorff_distance(ref_stepped, ref)
         if cells:
-            _assert_same_maps(cells, written_out_cell_maps(sys, stepped))
+            _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, stepped))
         if within is not None or ref_stepped.minus(ref).is_empty():
             within = ref_stepped
         a, ref = stepped, ref_stepped
@@ -506,6 +604,7 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
     import ifslab.construction as construction
 
     uncached, cached, steps = construction.hutchinson_step, construction._cached_step, []
+    held = []  # the list of maps the attractor hands its cached steps
 
     def checked_uncached(sys, a, *, cell_maps=None):
         stepped = uncached(sys, a, cell_maps=cell_maps)
@@ -514,12 +613,14 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
         steps.append(("uncached", a, stepped))
         return stepped
 
-    def checked_cached(sys, a, cells):
-        _assert_same_maps(cells, written_out_cell_maps(sys, a))
-        stepped = cached(sys, a, cells)
-        _assert_same_maps(cells, written_out_cell_maps(sys, stepped))  # cut to the result
+    def checked_cached(sys, a, cells, keep):
+        _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, a))
+        stepped, kept = cached(sys, a, cells, keep)
+        _assert_same_maps(cells, written_out_cell_maps(sys, a))  # cut to A first
+        _assert_same_maps(_cut(cells, kept), written_out_cell_maps(sys, stepped))
         steps.append(("cached", a, stepped))
-        return stepped
+        held[:] = [cells]
+        return stepped, kept
 
     monkeypatch.setattr(construction, "hutchinson_step", checked_uncached)
     monkeypatch.setattr(construction, "_cached_step", checked_cached)
@@ -541,6 +642,8 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
     for i, (_, a, stepped) in enumerate(steps):
         assert i == 0 or a is steps[i - 1][2]
         assert stepped.equals(reference_hutchinson_step(sys, a))
+    # no cut follows the last step: its maps are left at its own A's cells
+    _assert_same_maps(held[0], written_out_cell_maps(sys, steps[-1][1]))
 
 
 @pytest.mark.parametrize("family", ["affine", "perturbed"])
@@ -609,12 +712,16 @@ def _check_restricted_step(sys, a):
     assert full.equals(reference_hutchinson_step(sys, a))
     assert reference_hutchinson_step(sys, a, a).equals(full)
     cells = written_out_cell_maps(sys, a)
-    assert _cached_step(sys, a, cells).equals(full)
-    _assert_same_maps(cells, written_out_cell_maps(sys, full))
+    stepped, keep = _cached_step(sys, a, cells)
+    assert stepped.equals(full)
+    _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, full))
     kept = []
     assert hutchinson_step(sys, a, cell_maps=kept).equals(full)
     _assert_same_maps(kept, written_out_cell_maps(sys, full))
-    assert _cached_step(sys, full, kept).equals(hutchinson_step(sys, full))
+    assert _cached_step(sys, full, kept)[0].equals(hutchinson_step(sys, full))
+    # a mask of the step before cuts the maps first
+    assert _cached_step(sys, full, cells, keep)[0].equals(hutchinson_step(sys, full))
+    _assert_same_maps(cells, written_out_cell_maps(sys, full))
 
 
 @pytest.mark.baseline_dispatch
