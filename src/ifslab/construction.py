@@ -219,20 +219,61 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
+def _image_box(m, a: GridSet) -> tuple[slice, slice]:
+    """The chart cells whose centers can pull back through the affine member
+    ``m`` into A: the bounding box of m's image of A's cell bounding box,
+    widened by one cell on each side (more than any rounding of the inverse
+    or of :meth:`Domain.point_cells`) and clipped to the chart."""
+    dom, n = a.domain, a.domain.resolution
+    m.check_chart(dom)  # the box below is planar
+    spans = [np.flatnonzero(a.bitmap.any(axis=1 - k)) for k in (0, 1)]  # A's rows, columns
+    if spans[0].size == 0:
+        return slice(0, 0), slice(0, 0)
+    lows, sizes = np.array(dom.bounds[::2]), np.array(dom.cell_sizes)
+    edges = [lo + h * np.array([s[0], s[-1] + 1]) for lo, h, s in zip(lows, sizes, spans)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge scale: the whole chart
+        corners = m.eval(np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, 2))
+    if not np.isfinite(corners).all():
+        return slice(0, n), slice(0, n)
+    first = np.clip(np.floor((corners.min(axis=0) - lows) / sizes) - 1, 0, n)
+    stop = np.clip(np.floor((corners.max(axis=0) - lows) / sizes) + 2, 0, n)
+    return tuple(slice(int(f), int(e)) for f, e in zip(first, stop))
+
+
+def _pulled_cells(inverse, dom: Domain, at: slice, block, box) -> np.ndarray:
+    """``inverse``'s cells at a block of whole grid rows, evaluated at the
+    block's cells inside ``box`` only (at all of them for ``None``); every
+    other cell gets -1, as a point off the chart does."""
+    if box is None:
+        return inverse.image_cells(dom, block)
+    first, n = at.start // dom.resolution, dom.resolution
+    rows = slice(max(box[0].start - first, 0), max(box[0].stop - first, 0))
+    out = np.full(((at.stop - at.start) // n, n), -1)
+    window = out[rows, box[1]]  # a view
+    if window.size:
+        inner = tuple(i.reshape(out.shape)[rows, box[1]].ravel() for i in block)
+        window[...] = inverse.image_cells(dom, inner).reshape(window.shape)
+    return out.ravel()
+
+
 def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = None) -> GridSet:
     """One application of the set operator A -> union of member images.
 
     Members with closed-form inverses are rasterized exactly by the
     cell-center rule (a cell is in the image iff its center pulls back into
-    A).  Every other member is pushed forward: its images of the included
-    cell centers are marked, which draws the image to within one cell when
-    the member contracts, as the families iterated here do.
+    A); an affine member's inverse is evaluated only inside its image box
+    (:func:`_image_box`), as no cell outside it pulls back into A.  Every
+    other member is pushed forward: its images of the included cell centers
+    are marked, which draws the image to within one cell when the member
+    contracts, as the families iterated here do.
 
     Given a list ``cell_maps`` and a result inside A, the step appends each
     member's int32 cell map (a closed-form member's inverse's) at the
-    result's cells, which :func:`attractor`'s later steps run through.  It
-    is a keyword of the public step so that perfbench's span of this
-    function still covers the attractor's first step.
+    result's cells, which :func:`attractor`'s later steps run through; a cell
+    outside a member's image box keeps -1 there, which reads as outside as
+    the cell it stands for does, since every later iterate lies in A.  It is
+    a keyword of the public step so that perfbench's span of this function
+    still covers the attractor's first step.
     """
     dom, maps = a.domain, sys.maps()
     # the spare last slot reads a -1 index as outside and takes its writes
@@ -241,25 +282,26 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = Non
     # one buffer per member, filled from the front: pages past its map stay untouched
     kept = [np.empty(np.count_nonzero(inside), np.int32) for _ in maps]
     pushed = [j for j, m in enumerate(maps) if not m.closed_form_inverse]
-    pulled = [(j, m.inverse()) for j, m in enumerate(maps) if m.closed_form_inverse]
+    pulled = [(j, m.inverse(), _image_box(m, a) if m.affine else None)
+              for j, m in enumerate(maps) if m.closed_form_inverse]
     # pushes first, at A's cells, so that each block's output is final when
     # the pulls, over the whole chart, cut their maps to its cells in A
     n = 0
     for at, block in dom.blocks() if pushed else ():
         block = tuple(i[inside[at]] for i in block)
         for j in pushed:
-            c = kept[j][n:n + block[0].size] = dom.point_cells(maps[j].eval_cells(dom, block))
+            c = kept[j][n:n + block[0].size] = maps[j].image_cells(dom, block)
             out[c] = True
         n += block[0].size
     n = 0
     for at, block in dom.blocks() if pulled else ():
-        pre = [dom.point_cells(m.eval_cells(dom, block)) for _, m in pulled]
+        pre = [_pulled_cells(m, dom, at, block, box) for _, m, box in pulled]
         hits = out[at]  # a view of the block's output
         for c in pre:
             hits |= bits.take(c)
         cut = hits & inside[at]
         size = np.count_nonzero(cut)
-        for (j, _), c in zip(pulled, pre):
+        for (j, _, _), c in zip(pulled, pre):
             kept[j][n:n + size] = c[cut]
         n += size
     stepped = GridSet(dom, out[:-1].reshape(dom.shape))

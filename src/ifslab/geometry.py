@@ -762,9 +762,11 @@ def write_points_csv(points: np.ndarray, path) -> None:
         # repr once per distinct value, told apart by its bits so that -0.0
         # and each NaN keep their own text; a grid cloud repeats its values
         keys, at = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
-        text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
-        columns.append(text[at].tolist())
-    lines = ["x,y" if pts.ndim == 2 else "x"] + list(map(",".join, zip(*columns)))
-    # csv's line ending, closing the last row too
+        columns.append((np.array([repr(v) for v in keys.view(float).tolist()], dtype=object), at))
+    # csv's line ending, closing every row; written _BLOCK_CELLS rows at a
+    # time, so the text of the whole cloud is never held at once
     with open(path, "w", newline="") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+        f.write("x,y\r\n" if pts.ndim == 2 else "x\r\n")
+        for start in range(0, len(pts), _BLOCK_CELLS):
+            rows = zip(*(text[at[start:start + _BLOCK_CELLS]].tolist() for text, at in columns))
+            f.write("\r\n".join(map(",".join, rows)) + "\r\n")

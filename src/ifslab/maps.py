@@ -84,26 +84,34 @@ class Map:
     def eval(self, x):
         raise NotImplementedError
 
+    def check_chart(self, domain):
+        """Raise :class:`DimensionError` unless the map acts on the domain's chart kind."""
+        if self.kind != domain.kind:
+            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
+
     def eval_cells(self, domain, index):
         """Images of the centers of the cells at a block's index arrays, as
         :meth:`Domain.blocks` yields them."""
-        if self.kind != domain.kind:
-            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
+        self.check_chart(domain)
         return self.eval(domain.centers_at(index))
 
-    def cell_map(self, domain, index=None):
-        """int32 :meth:`Domain.point_cells` of the images of the centers of
-        every cell (shaped like the domain) or of the cells at a flat index
-        (flat): the one rule from a map to cells.
+    def image_cells(self, domain, index):
+        """:meth:`Domain.point_cells` of :meth:`eval_cells`: the one rule from
+        a map to cells, for one block's index arrays."""
+        return domain.point_cells(self.eval_cells(domain, index))
 
-        The cells go through :meth:`eval_cells` in the blocks of
+    def cell_map(self, domain, index=None):
+        """int32 :meth:`image_cells` of every cell (shaped like the domain)
+        or of the cells at a flat index (flat).
+
+        The cells go through :meth:`image_cells` in the blocks of
         :meth:`Domain.blocks`, so no array spans the grid; a point's image
         does not depend on its block.
         """
         whole = index is None
         out = np.empty(math.prod(domain.shape) if whole else len(index), dtype=np.int32)
         for at, block in domain.blocks(index):
-            out[at] = domain.point_cells(self.eval_cells(domain, block))
+            out[at] = self.image_cells(domain, block)
         return out.reshape(domain.shape) if whole else out
 
     def eval_log_abs_det(self, x):
@@ -332,6 +340,7 @@ class Perturbed(Map):
         return self._add_bump(self.base.eval(pts), ((np.sin(a), np.sin(b)) for a, b in args))
 
     def eval_cells(self, domain, index):
+        self.check_chart(domain)
         if self.kind == "circle":
             return super().eval_cells(domain, index)
         # each sine is taken on the n axis values and gathered per cell; the

@@ -233,10 +233,12 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
     """The disks :func:`greedy_pack` places, in placement order."""
     dom = target.domain
     comp = target.complement()
-    # every field is flat, indexed like the raveled bitmap
-    centers = dom.cell_centers().reshape(-1, 2)
-    # largest radius at each cell honoring (1) and (2)
-    avail = ambient.radius - geometry.point_distance(dom.kind, centers, ambient.center)
+    # every field is flat, indexed like the raveled bitmap, and filled a
+    # block of cells at a time, so no array of centers spans the grid
+    avail = np.empty(comp.bitmap.size)  # largest radius at each cell honoring (1) and (2)
+    for at, block in dom.blocks():
+        avail[at] = ambient.radius - geometry.point_distance(
+            dom.kind, dom.centers_at(block), ambient.center)
     amb_vol = volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
     # the ranked score is the complement density on live cells and -1 on the
     # rest; a cell is live while avail >= min_radius and it is not blocked.
@@ -251,11 +253,12 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
             break
         if score.max() < 0:
             break
-        order = np.argsort(score)[::-1][:CANDIDATES_PER_ROUND]
-        for k in order:
+        # a copy, so that argsort's buffer is freed before the update
+        order = np.argsort(score)[::-1][:CANDIDATES_PER_ROUND].copy()
+        for i, k in enumerate(order):
             if score[k] < 0:
                 continue
-            center = centers[k]
+            center = dom.centers_at(dom.unravel(order[i:i + 1]))[0]
             r = float(avail[k])
             # shrink until the half-complement condition holds; total >= 1 (center cell)
             while r >= min_radius:
@@ -272,11 +275,12 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
                 continue
             placed.append(disk)
             union[window] |= bits
-            at = np.flatnonzero(score >= 0)
-            # np.take gathers the (m, 2) rows several times faster than centers[at]
-            d_new = geometry.point_distance(dom.kind, np.take(centers, at, axis=0), center) - r
-            avail[at] = left = np.minimum(avail[at], d_new)
-            score[at[left < min_radius]] = -1.0
+            live = np.flatnonzero(score >= 0)
+            for at, block in dom.blocks(live):
+                cells = live[at]
+                d_new = geometry.point_distance(dom.kind, dom.centers_at(block), center) - r
+                avail[cells] = left = np.minimum(avail[cells], d_new)
+                score[cells[left < min_radius]] = -1.0
             break
         else:
             break

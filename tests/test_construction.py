@@ -564,6 +564,24 @@ def _assert_same_maps(got, want):
     assert all(g.dtype == np.int32 and np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _assert_maps_within(got, want, a):
+    """The maps an uncached step of A keeps, against the written-out ``want``:
+    equal wherever the kept entry is not -1, and a kept -1 only where the
+    written-out entry is -1 or a cell outside A's bounding box, which no image
+    box reaches (a later iterate lies in A, so it reads such a cell as outside)."""
+    assert len(got) == len(want)
+    axes = range(a.bitmap.ndim)
+    spans = [np.flatnonzero(a.bitmap.any(axis=tuple(k for k in axes if k != j))) for j in axes]
+    for g, w in zip(got, want):
+        assert g.dtype == np.int32 and g.shape == w.shape
+        assert np.array_equal(g[g != -1], w[g != -1])
+        dropped = w[(g == -1) & (w != -1)]
+        if dropped.size and spans[0].size:
+            cells = np.unravel_index(dropped, a.domain.shape)
+            in_box = np.logical_and.reduce([(c >= s[0]) & (c <= s[-1]) for s, c in zip(spans, cells)])
+            assert not in_box.any()
+
+
 def _cut(cells, keep):
     """The maps a cached step leaves, cut to its result's cells by the mask
     it returns, as the next cached step cuts them."""
@@ -609,15 +627,16 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
     def checked_uncached(sys, a, *, cell_maps=None):
         stepped = uncached(sys, a, cell_maps=cell_maps)
         if cell_maps:
-            _assert_same_maps(cell_maps, written_out_cell_maps(sys, stepped))
+            _assert_maps_within(cell_maps, written_out_cell_maps(sys, stepped), a)
         steps.append(("uncached", a, stepped))
         return stepped
 
     def checked_cached(sys, a, cells, keep):
-        _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, a))
+        want = [c.copy() for c in _cut(cells, keep)]
+        _assert_maps_within(want, written_out_cell_maps(sys, a), a)
         stepped, kept = cached(sys, a, cells, keep)
-        _assert_same_maps(cells, written_out_cell_maps(sys, a))  # cut to A first
-        _assert_same_maps(_cut(cells, kept), written_out_cell_maps(sys, stepped))
+        _assert_same_maps(cells, want)  # cut to A first
+        _assert_maps_within(_cut(cells, kept), written_out_cell_maps(sys, stepped), stepped)
         steps.append(("cached", a, stepped))
         held[:] = [cells]
         return stepped, kept
@@ -643,16 +662,33 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
         assert i == 0 or a is steps[i - 1][2]
         assert stepped.equals(reference_hutchinson_step(sys, a))
     # no cut follows the last step: its maps are left at its own A's cells
-    _assert_same_maps(held[0], written_out_cell_maps(sys, steps[-1][1]))
+    _assert_maps_within(held[0], written_out_cell_maps(sys, steps[-1][1]), steps[-1][1])
+
+
+def written_out_image_box(m, a):
+    """The flat cells of an affine member's image box: the cells whose index
+    lies within one of the bounding box of m's image of A's cell bounding
+    box, on each axis, clipped to the chart."""
+    dom = a.domain
+    lows, sizes = np.array(dom.bounds[::2]), np.array(dom.cell_sizes)
+    ix, iy = np.nonzero(a.bitmap)
+    corners = [lows + sizes * (i, j) for i in (ix.min(), ix.max() + 1) for j in (iy.min(), iy.max() + 1)]
+    image = m.eval(np.array(corners))
+    lo = np.floor((image.min(axis=0) - lows) / sizes).astype(int) - 1
+    hi = np.floor((image.max(axis=0) - lows) / sizes).astype(int) + 1
+    box = np.zeros(dom.shape, bool)
+    box[max(lo[0], 0):hi[0] + 1, max(lo[1], 0):hi[1] + 1] = True
+    return set(np.flatnonzero(box).tolist())
 
 
 @pytest.mark.parametrize("family", ["affine", "perturbed"])
 def test_attractor_evaluates_each_member_once_per_cell(monkeypatch, family):
-    # a closed-form member's inverse is evaluated on every chart cell and a
-    # pushed member on every cell of U, both in the first step only
+    # a closed-form member's inverse is evaluated once on each cell of its
+    # image box (and the member at the box's four corners), a pushed member
+    # once on every cell of U, all in the first step only
     import ifslab.construction as construction
 
-    points = Counter()
+    points, seen = Counter(), {}
 
     def count(cls, name, size):
         fn = getattr(cls, name)
@@ -667,6 +703,14 @@ def test_attractor_evaluates_each_member_once_per_cell(monkeypatch, family):
     count(Perturbed, "eval", len)
     count(Perturbed, "eval_cells", lambda domain, index: len(index[0]))
     count(Domain, "point_cells", len)
+    eval_cells = Map.eval_cells
+
+    def recorded(self, domain, index):
+        if isinstance(self, AffineSimilarity):
+            seen.setdefault(self, Counter()).update(np.ravel_multi_index(index, domain.shape).tolist())
+        return eval_cells(self, domain, index)
+
+    monkeypatch.setattr(Map, "eval_cells", recorded)
     step, after_first = construction.hutchinson_step, []
 
     def first(sys, a, *, cell_maps=None):
@@ -680,14 +724,21 @@ def test_attractor_evaluates_each_member_once_per_cell(monkeypatch, family):
     gens = built.system.generators
     sys = {"affine": built.system, "perturbed": SystemSpec(_perturbed(gens, 8))}[family]
     ball, k = built.absorbing_ball, len(gens)
-    u = rasterize_disk(ball_domain(ball, res), ball).count()
+    start = rasterize_disk(ball_domain(ball, res), ball)
+    u = start.count()
+    boxes = {m.inverse(): written_out_image_box(m, start) for m in gens}
     tol = 2 * ball_domain(ball, res).cell_sizes[0]
     points.clear()
     got = attractor(sys, ball, tol=tol, resolution=res, verify_absorbing=False)
-    cells = res * res if family == "affine" else u
-    want = {"AffineSimilarity.eval": k * cells, "Domain.point_cells": k * cells}
-    if family == "perturbed":
-        want["Perturbed.eval_cells"] = k * u
+    if family == "affine":
+        cells = sum(map(len, boxes.values()))
+        assert all(len(box) < res * res for box in boxes.values())  # the boxes skip cells
+        assert {inv: set(c) for inv, c in seen.items()} == boxes
+        assert all(set(c.values()) == {1} for c in seen.values())
+        want = {"AffineSimilarity.eval": cells + 4 * k, "Domain.point_cells": cells}
+    else:
+        want = {"AffineSimilarity.eval": k * u, "Domain.point_cells": k * u,
+                "Perturbed.eval_cells": k * u}
     assert got.iterations > 2 and after_first == [want] and dict(points) == want
 
 
@@ -717,7 +768,7 @@ def _check_restricted_step(sys, a):
     _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, full))
     kept = []
     assert hutchinson_step(sys, a, cell_maps=kept).equals(full)
-    _assert_same_maps(kept, written_out_cell_maps(sys, full))
+    _assert_maps_within(kept, written_out_cell_maps(sys, full), a)
     assert _cached_step(sys, full, kept)[0].equals(hutchinson_step(sys, full))
     # a mask of the step before cuts the maps first
     assert _cached_step(sys, full, cells, keep)[0].equals(hutchinson_step(sys, full))
@@ -752,6 +803,74 @@ def test_restricted_step_circle_north_south_and_rotation():
     # the rotation's orbits fill the circle, so no other set holds its own image
     for a in (full_set(dom), GridSet(dom, np.zeros(dom.shape, bool))):
         _check_restricted_step(sys, a)
+
+
+def _random_step_cases(rng, res):
+    """(system, set) pairs on a random planar chart: random similarities,
+    some expanding and some whose image boxes clip at or miss the chart, on
+    random blobs, the empty set, one cell, a chart corner, the full chart and
+    the least set holding a blob and its own image."""
+    x0, y0 = rng.uniform(-3, 3, 2)
+    dom = Domain.planar((x0, x0 + rng.uniform(1, 4), y0, y0 + rng.uniform(1, 4)), res)
+    (xmin, xmax, ymin, ymax), (nx, ny) = dom.bounds, dom.shape
+
+    def member(scale, anchor):
+        return AffineSimilarity(scale, rng.uniform(0.0, 360.0), tuple(anchor))
+
+    def on_chart():
+        return rng.uniform((xmin, ymin), (xmax, ymax))
+
+    systems = [
+        _random_similarities(rng, int(rng.integers(1, 5))),
+        SystemSpec((member(1.7, on_chart()), member(0.6, on_chart()))),  # an expanding member
+        # contractions about points on an edge, at a corner and far off the chart
+        SystemSpec((member(0.5, (xmin, on_chart()[1])), member(0.8, (xmax, ymax)),
+                    member(0.4, (xmax + 50.0, ymin - 50.0)))),
+        # a scale whose image of A's box overflows: the box is the whole chart
+        SystemSpec((member(1e308, (0.0, 0.0)),)),
+    ]
+    affine = SystemSpec(tuple(member(rng.uniform(0.3, 0.9), on_chart()) for _ in range(4)))
+    systems.append(SystemSpec(affine.generators[:2] + _perturbed(affine.generators[2:], 60)))
+    one, corner = np.zeros(dom.shape, bool), np.zeros(dom.shape, bool)
+    one[rng.integers(nx), rng.integers(ny)] = True
+    corner[-3:, :4] = True
+    sets = [_blob(dom, rng, 0.3), _blob(dom, rng, 0.002), GridSet(dom, np.zeros(dom.shape, bool)),
+            GridSet(dom, one), GridSet(dom, corner), full_set(dom)]
+    # contractions of unlike scales about the center of a disk, which holds its
+    # image: the larger image's cells pull back through the smaller member to
+    # chart cells outside the disk's box, which that member's image box skips
+    center = ((xmin + xmax) / 2, (ymin + ymax) / 2)
+    disk = rasterize_disk(dom, Disk(center, 0.2 * min(xmax - xmin, ymax - ymin)))
+    nested = (SystemSpec((member(0.3, center), member(0.9, center))), disk)
+    return [(sys, a) for sys in systems for a in sets + [_closure(sys, sets[1])]] + [nested]
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("res", [64, 128, 257])
+def test_step_matches_reference_on_random_affine_systems(res):
+    # an affine member is pulled back over its image box only; the step is
+    # the reference step bit for bit, and the maps it keeps hold the contract
+    rng = rng_from(71 + res)
+    for sys, a in _random_step_cases(rng, res):
+        want = reference_hutchinson_step(sys, a)
+        assert hutchinson_step(sys, a).equals(want)
+        kept = []
+        assert hutchinson_step(sys, a, cell_maps=kept).equals(want)
+        if want.minus(a).is_empty():
+            _assert_maps_within(kept, written_out_cell_maps(sys, want), a)
+        else:
+            assert kept == []
+
+
+def test_step_rejects_maps_of_the_other_chart_kind_on_any_set(reference):
+    # the chart check comes before an image box, even for an empty set, and a
+    # perturbed planar member on the circle fails it as an affine one does
+    gens = reference.system.generators
+    for sys in (reference.system, SystemSpec(_perturbed(gens, 8)),
+                SystemSpec(gens[:4] + _perturbed(gens[4:], 7))):
+        for bits in (np.zeros(64, bool), np.ones(64, bool)):
+            with pytest.raises(DimensionError):
+                hutchinson_step(sys, GridSet(Domain.circle(64), bits), cell_maps=[])
 
 
 def test_step_rejects_maps_of_the_other_chart_kind(reference):

@@ -1001,6 +1001,28 @@ def test_points_csv_bytes_match_csv_writer(tmp_path, points):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 14])
+@pytest.mark.parametrize(
+    "points",
+    [
+        rng_from(6).normal(size=(50, 2)),
+        rng_from(7).random(23),
+        np.tile([[0.0, np.nan], [-0.0, -np.nan], [np.inf, -0.0]], (7, 1)),
+        np.empty(0),
+    ],
+    ids=["planar", "circle", "signed-zeros-and-nans", "empty-circle"],
+)
+def test_points_csv_bytes_in_blocks_match_csv_writer(tmp_path, monkeypatch, points, block):
+    # rows are written a block at a time; the bytes do not depend on the cut,
+    # a last block that is full or short, or a cloud of fewer rows than a block
+    import ifslab.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+    write_points_csv(points, tmp_path / "a.csv")
+    reference_points_csv(points, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_pgm_size_errors(tmp_path, binary):
     path = tmp_path / "s.pgm"

@@ -511,3 +511,25 @@ def test_greedy_family_matches_full_grid_loop():
     # the densest blob blocks top-ranked candidates between placements
     placed, blocked = found[5]
     assert placed > 0 and blocked > 0
+
+
+@pytest.mark.baseline_dispatch
+def test_greedy_family_in_many_blocks_builds_no_center_grid(monkeypatch):
+    # with blocks of a few rows, the block walk over the chart and over the
+    # live cells places the full-grid loop's disks, and reads no cell_centers()
+    import ifslab.geometry as geometry
+
+    dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 96)
+    ambient = Disk((0.45, 0.55), 0.4)
+    rng = rng_from(89)
+    cases = [(smooth_blob(dom, rng, d), 40) for d in (0.2, 0.5, 0.7)] + [(checkerboard(dom), 10)]
+    wants = [full_grid_greedy_family(target, ambient, 4 / 96, n)[0] for target, n in cases]
+
+    def unexpected(self):
+        raise AssertionError("a full grid of cell centers")
+
+    monkeypatch.setattr(Domain, "cell_centers", unexpected)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 300)  # three rows and a bit
+    for (target, max_disks), want in zip(cases, wants):
+        assert packing._greedy_family(target, ambient, 4 / 96, max_disks) == want
+    assert all(wants) and len(set(map(len, wants))) > 1
