@@ -219,24 +219,43 @@ def check_absorbing(sys: SystemSpec, u: Disk, resolution: int = 1024) -> Absorbi
     return AbsorbingCheck(absorbed=worst == 0.0, escape_distance=worst)
 
 
-def _image_box(m, a: GridSet) -> tuple[slice, slice]:
+def _cell_box(a: GridSet):
+    """The chart coordinates of the edges of A's cell bounding box, a (low,
+    high) array per axis, or None for an empty A."""
+    dom = a.domain
+    rows = np.flatnonzero(a.bitmap.any(axis=1))
+    if rows.size == 0:
+        return None
+    # the columns of A's rows only: one reduction over the whole bitmap
+    cols = np.flatnonzero(a.bitmap[rows[0]:rows[-1] + 1].any(axis=0))
+    return [lo + h * np.array([s[0], s[-1] + 1])
+            for lo, h, s in zip(dom.bounds[::2], dom.cell_sizes, (rows, cols))]
+
+
+def _image_box(m: AffineSimilarity, dom: Domain, edges) -> tuple[slice, slice]:
     """The chart cells whose centers can pull back through the affine member
-    ``m`` into A: the bounding box of m's image of A's cell bounding box,
-    widened by one cell on each side (more than any rounding of the inverse
-    or of :meth:`Domain.point_cells`) and clipped to the chart."""
-    dom, n = a.domain, a.domain.resolution
-    m.check_chart(dom)  # the box below is planar
-    spans = [np.flatnonzero(a.bitmap.any(axis=1 - k)) for k in (0, 1)]  # A's rows, columns
-    if spans[0].size == 0:
+    ``m`` into A, given the edges of A's cell bounding box (:func:`_cell_box`):
+    the bounding box of m's image of A's box, widened on each side by a
+    margin and clipped to the chart.
+
+    The margin bounds the rounding of m at the corners, of its inverse at a
+    cell center and of :meth:`Domain.point_cells` at the pull-back, carried
+    to the image: each is a few ulps of a coordinate of at most ``reach`` (the
+    chart's and the anchor's), times 1 + scale.  It is one cell while that
+    bound is below half a cell, and a huge scale widens it to the whole chart.
+    """
+    n = dom.resolution
+    if edges is None:
         return slice(0, 0), slice(0, 0)
     lows, sizes = np.array(dom.bounds[::2]), np.array(dom.cell_sizes)
-    edges = [lo + h * np.array([s[0], s[-1] + 1]) for lo, h, s in zip(lows, sizes, spans)]
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge scale: the whole chart
+    reach = max(map(abs, dom.bounds + m.anchor))
+    with np.errstate(over="ignore", invalid="ignore"):
         corners = m.eval(np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, 2))
-    if not np.isfinite(corners).all():
+        margin = np.ceil(0.5 + 32 * np.finfo(float).eps * (1 + m.scale) * reach / sizes)
+    if not (np.isfinite(corners).all() and (margin < n).all()):
         return slice(0, n), slice(0, n)
-    first = np.clip(np.floor((corners.min(axis=0) - lows) / sizes) - 1, 0, n)
-    stop = np.clip(np.floor((corners.max(axis=0) - lows) / sizes) + 2, 0, n)
+    first = np.clip(np.floor((corners.min(axis=0) - lows) / sizes) - margin, 0, n)
+    stop = np.clip(np.floor((corners.max(axis=0) - lows) / sizes) + 1 + margin, 0, n)
     return tuple(slice(int(f), int(e)) for f, e in zip(first, stop))
 
 
@@ -276,13 +295,16 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = Non
     still covers the attractor's first step.
     """
     dom, maps = a.domain, sys.maps()
+    for m in maps:  # before any image box is built
+        m.check_chart(dom)
+    edges = _cell_box(a) if any(m.affine for m in maps) else None
     # the spare last slot reads a -1 index as outside and takes its writes
     bits = np.append(a.bitmap.ravel(), False)
     out, inside = np.zeros_like(bits), bits[:-1]
     # one buffer per member, filled from the front: pages past its map stay untouched
     kept = [np.empty(np.count_nonzero(inside), np.int32) for _ in maps]
     pushed = [j for j, m in enumerate(maps) if not m.closed_form_inverse]
-    pulled = [(j, m.inverse(), _image_box(m, a) if m.affine else None)
+    pulled = [(j, m.inverse(), _image_box(m, dom, edges) if m.affine else None)
               for j, m in enumerate(maps) if m.closed_form_inverse]
     # pushes first, at A's cells, so that each block's output is final when
     # the pulls, over the whole chart, cut their maps to its cells in A

@@ -862,6 +862,31 @@ def test_step_matches_reference_on_random_affine_systems(res):
             assert kept == []
 
 
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("res", [64, 128, 257])
+def test_step_matches_reference_at_huge_scales(res):
+    # at a scale of 1e12 or more, rounding moves a pull-back by many cells of
+    # the image: an image box whose edge, the image of an edge of A's box
+    # just off the anchor, falls on the chart is widened by that much
+    rng = rng_from(97 + res)
+    for _ in range(150):
+        x0, y0 = rng.uniform(-1, 1, 2) * 10 ** rng.uniform(0, 3)
+        width = rng.uniform(1, 4)
+        dom = Domain.planar((x0, x0 + width, y0, y0 + width), res)
+        h = width / res
+        bits = np.zeros(dom.shape, bool)
+        (i, j), (di, dj) = rng.integers(0, res - 4, 2), rng.integers(1, 4, 2)
+        bits[i:i + di, j:j + dj] = True
+        scale = 10 ** rng.uniform(12, 16)
+        # an axis-aligned rotation keeps the image's edge near the anchor straight
+        off = rng.choice([-1, 1], 2) * 10 ** rng.uniform(-3, 1, 2) * width / scale
+        anchor = (x0 + h * (i + di * rng.integers(2)) + off[0],
+                  y0 + h * (j + dj * rng.integers(2)) + off[1])
+        sys = SystemSpec((AffineSimilarity(scale, float(rng.choice([0, 90, 180, 270])), anchor),))
+        a = GridSet(dom, bits)
+        assert hutchinson_step(sys, a).equals(reference_hutchinson_step(sys, a))
+
+
 def test_step_rejects_maps_of_the_other_chart_kind_on_any_set(reference):
     # the chart check comes before an image box, even for an empty set, and a
     # perturbed planar member on the circle fails it as an affine one does
