@@ -200,13 +200,15 @@ def minimality_test(
     ``epsilon`` of the orbit are counted exactly: on the circle by one
     full nearest-point query; on the plane each grid row's cells within
     ``epsilon`` of an orbit point form a run of columns, and only a run end
-    within rounding of a cell center reads a point distance.  A
-    non-finite planar orbit point raises :class:`NonFiniteError`.  The
+    within rounding of a cell center reads a point distance.  An orbit
+    point that is not finite raises :class:`OrbitRangeError`.  The
     verdict is eps-dense iff no start point leaves any region cell
     uncovered.  Exceeding the enumeration budget of 10^7 map evaluations
     for any single start point raises :class:`BudgetExceededError`
     carrying the partial report.
     """
+    for m in sys.maps():
+        m.check_chart(region.domain)
     if not epsilon >= 2 * region.domain.max_cell_size:
         raise ResolutionError("epsilon must be at least 2 cell widths")
     if max_word_len < 1:
@@ -283,6 +285,7 @@ def holder_constant(m, alpha: float, domain_set: GridSet, pair_samples: int,
     sampled cell pairs: a lower estimate of the true constant (affine maps
     give exactly 0).
     """
+    m.check_chart(domain_set.domain)
     if not 0 < alpha <= 1:
         raise ValidationError("alpha must lie in (0, 1]")
     _require_positive(pair_samples=pair_samples)
@@ -308,6 +311,8 @@ def contraction_factor(sys: SystemSpec, region: GridSet, samples: int,
     Raises :class:`NotAContractionError` when the factor reaches 1 (e.g.
     any isometry).
     """
+    for m in sys.maps():
+        m.check_chart(region.domain)
     _require_positive(samples=samples)
     rng = rng_from(seed)
     pts = geometry.sample_cells(region, samples, rng)
@@ -368,6 +373,9 @@ def empirical_distortion(
     counted; when every word whose log-det varies is dropped, the probe has
     measured nothing and raises :class:`NonFiniteError`.
     """
+    maps = sys.maps()
+    for m in maps:
+        m.check_chart(delta_set.domain)
     _require_positive(word_count=word_count, pair_count=pair_count)
     if word_length < 0:
         raise ValidationError(f"word_length must be >= 0, got {word_length}")
@@ -375,7 +383,6 @@ def empirical_distortion(
     xs = geometry.sample_cells(delta_set, pair_count, rng)
     ys = geometry.sample_cells(delta_set, pair_count, rng)
     pts0 = np.concatenate([xs, ys], axis=0)
-    maps = sys.maps()
     symbols = rng.integers(0, len(maps), size=(word_count, word_length))
     varies = np.array([m.constant_log_abs_det is None for m in maps])
     # reverse iteration: last symbol acts first; a word with no varying
@@ -408,28 +415,16 @@ def empirical_distortion(
 def _word_log_dets(maps, order: np.ndarray, pts0: np.ndarray) -> np.ndarray:
     """log|det D| of each word along its orbit, one row per word of ``order``.
 
-    ``order`` holds symbols in the order the maps act, and every word holds
-    at least one map whose log-det varies.
+    ``order`` holds symbols in the order the maps act.  At each depth every
+    symbol makes one image/log-det call on the rows that apply it there.
     """
-    consts = np.array([m.constant_log_abs_det or 0.0 for m in maps])
-    varying = np.array([m.constant_log_abs_det is None for m in maps])[order]
-    # after the last map whose log-det varies, no step reads the points
-    live = order.shape[1] - 1 - varying[:, ::-1].argmax(axis=1)
     pts = np.broadcast_to(pts0, (order.shape[0],) + pts0.shape).copy()
     logdet = np.zeros(pts.shape[:2])
-    for i, col in enumerate(order.T):
-        if not varying[:, i].all():
-            # 0.0 on the rows of varying maps leaves their sums unchanged
-            logdet += consts[col][:, None]
-        for sym in np.unique(col[i <= live]):
-            # a row at its last varying step moves too; no later step reads it
-            m = maps[sym]
-            rows = np.flatnonzero((col == sym) & (i <= live))
-            if m.constant_log_abs_det is None:
-                pts[rows], step = m.eval_log_abs_det(pts[rows])
-                logdet[rows] += step
-            else:
-                pts[rows] = m.eval(pts[rows])
+    for col in order.T:
+        for sym in np.unique(col):
+            rows = np.flatnonzero(col == sym)
+            pts[rows], step = maps[sym].eval_log_abs_det(pts[rows])
+            logdet[rows] += step
     return logdet
 
 

@@ -49,6 +49,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    # SeedSequence takes non-negative integers only
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs a non-negative integer, got {text!r}")
+    return value
+
+
 def _floats(n: int | None):
     """Comma-separated finite floats: exactly ``n`` of them, or any number."""
 
@@ -244,7 +255,7 @@ def _build_parser() -> _Parser:
     def command(parent, name, handler, chart, summary):
         p = parent.add_parser(name, help=summary)
         p.add_argument("--resolution", type=int, default=1024)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default="out")
         if chart:
             p.add_argument("--bounds", type=_floats(4), help="planar chart xmin,xmax,ymin,ymax")

@@ -87,7 +87,7 @@ class Map:
     def check_chart(self, domain):
         """Raise :class:`DimensionError` unless the map acts on the domain's chart kind."""
         if self.kind != domain.kind:
-            raise DimensionError(f"a {self.kind} map has no cell map on a {domain.kind} chart")
+            raise DimensionError(f"a {self.kind} map does not act on a {domain.kind} chart")
 
     def eval_cells(self, domain, index):
         """Images of the centers of the cells at a block's index arrays, as

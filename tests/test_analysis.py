@@ -570,15 +570,26 @@ def test_invariance_defect_validation(reference, reference_attractor):
 
 
 def test_probes_reject_maps_of_the_other_chart_kind(reference):
+    # a circle map would read each coordinate of a planar point as a circle
+    # point, and a planar map cannot read a circle point: no probe may
+    # return a number or raise its own verdict error
     circle_sys = SystemSpec((CircleRotation(1 / 3),))
     planar = Domain.planar((0, 1, 0, 1), 64)
     circle = Domain.circle(64)
     for sys, dom in ((circle_sys, planar), (reference.system, circle)):
-        for direction in ("image", "preimage"):
-            with pytest.raises(DimensionError):
-                invariance_defect(sys, full_set(dom), direction)
-        with pytest.raises(DimensionError):
-            ergodicity_probe(sys, 64, seed_sets=2, refine_steps=1, domain=dom)
+        region = full_set(dom)
+        probes = [
+            lambda: invariance_defect(sys, region, "image"),
+            lambda: invariance_defect(sys, region, "preimage"),
+            lambda: ergodicity_probe(sys, 64, seed_sets=2, refine_steps=1, domain=dom),
+            lambda: minimality_test(sys, region, 0.2, 3, 2),
+            lambda: holder_constant(sys.maps()[0], 1.0, region, 16),
+            lambda: contraction_factor(sys, region, 16),
+            lambda: empirical_distortion(sys, region, 3, 4, 4),
+        ]
+        for probe in probes:
+            with pytest.raises(DimensionError, match="does not act on"):
+                probe()
 
 
 # -- Hoelder constant and contraction factor ---------------------------------

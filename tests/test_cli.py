@@ -12,7 +12,10 @@ import pytest
 import ifslab
 from ifslab import cli
 from ifslab.cli import main
-from ifslab.geometry import Domain, GridSet, empty_set, read_pgm, write_pgm
+from ifslab.analysis import distortion_report
+from ifslab.geometry import Disk, Domain, GridSet, empty_set, rasterize_disk, read_pgm, write_pgm
+from ifslab.maps import parse_system
+from ifslab.seeding import RNG_ALGORITHM
 
 
 GOLD_SYSTEM = "moebius lambda=0.7 pole=0.0\nrotation angle=0.6180339887498949\n"
@@ -174,8 +177,6 @@ def test_distortion_affine_report(tmp_path):
     sys_file.write_text("affine kappa=0.76 theta=179 anchor=0,0\n")
     region = tmp_path / "region.pgm"
     dom = Domain.planar((-2.0, 2.0, -2.0, 2.0), 256)
-    from ifslab.geometry import Disk, rasterize_disk
-
     write_pgm(rasterize_disk(dom, Disk((0.0, 0.0), 1.5)), region)
     out = tmp_path / "dist"
     code = run(
@@ -189,6 +190,34 @@ def test_distortion_affine_report(tmp_path):
     assert doc["L_H"] == 1.0
     assert doc["emp_min"] == 1.0 and doc["emp_max"] == 1.0
     assert doc["consistent"]
+
+
+def test_distortion_mixed_report_matches_library_and_repeats(tmp_path):
+    # the perturbed member's log-det varies, so the walk scores words here,
+    # where a similarity-only system has every word skipped
+    text = ("affine kappa=0.7 theta=30 anchor=0.4,0\n"
+            "affine kappa=0.61 theta=77 anchor=-0.3,0.2\n"
+            "perturb base=1 amp=0.02 seed=3\n")
+    sys_file = tmp_path / "mixed.txt"
+    sys_file.write_text(text)
+    dom = Domain.planar((-1.0, 1.0, -1.0, 1.0), 64)
+    region = tmp_path / "region.pgm"
+    write_pgm(rasterize_disk(dom, Disk((0.0, 0.0), 0.8)), region)
+    args = ["distortion", "--system", sys_file, "--region-pgm", region, "--bounds=-1,1,-1,1",
+            "--resolution", "64", "--word-length", "12", "--word-count", "40",
+            "--pair-count", "16", "--pair-samples", "256", "--seed", "5"]
+    assert run(args + ["--out", tmp_path / "a"]) == 0
+    assert run(args + ["--out", tmp_path / "b"]) == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert (tmp_path / "b" / "report.json").read_bytes() == first
+    expected = distortion_report(
+        parse_system(text), read_pgm(region, dom), alpha=1.0, word_length=12, word_count=40,
+        pair_count=16, holder_pairs=256, seed=5,
+    ).to_json_dict()
+    expected.update(seed=5, rng=RNG_ALGORITHM)
+    doc = json.loads(first)
+    assert doc == expected
+    assert doc["emp_min"] < 1.0 < doc["emp_max"]
 
 
 def test_circle_sweep_csv(tmp_path):
@@ -205,7 +234,6 @@ def test_circle_sweep_csv(tmp_path):
 
 
 def test_packing_verify_instance(tmp_path):
-    from ifslab.geometry import Disk
     from ifslab.packing import PackingInstance, write_instance
 
     dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 256)
@@ -226,7 +254,6 @@ def test_packing_verify_instance(tmp_path):
 )
 def test_packing_verify_rejects_non_finite_family_disk(tmp_path, capsys, key, value):
     # both exited 0 with a verdict before Disk checked finiteness
-    from ifslab.geometry import Disk
     from ifslab.packing import PackingInstance, write_instance
 
     dom = Domain.planar((0.0, 1.0, 0.0, 1.0), 64)
@@ -320,8 +347,6 @@ def test_shrink_horizon_exit_two(tmp_path):
     sys_file.write_text("affine kappa=0.76 theta=179 anchor=0,0\n")
     region = tmp_path / "region.pgm"
     dom = Domain.planar((-2.0, 2.0, -2.0, 2.0), 256)
-    from ifslab.geometry import Disk, rasterize_disk
-
     write_pgm(rasterize_disk(dom, Disk((0.0, 0.0), 1.5)), region)
     out = tmp_path / "d3"
     # max-r 2 cannot reach diameter < 0.001: horizon error -> exit 2
@@ -429,6 +454,21 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
          None, _NOT_UTF8),
         (["--config", "{file}", "construct", "--kappa", "0.76"], None, _NOT_UTF8),
         (["packing", "verify", "--instance", "{file}"], None, _NOT_UTF8),
+        (["minimality", "--system", "{file}", "--epsilon", "0.05", "--max-word-len", "3",
+          "--resolution", "64", "--seed", "-1"], None, "rotation angle=0.618\n"),
+        (["distortion", "--system", "{file}", "--resolution", "64", "--seed", "-1"],
+         None, "affine kappa=0.5 theta=30\n"),
+        (["ergodicity", "--system", "{file}", "--resolution", "64", "--seed", "-1"],
+         None, "rotation angle=0.618\n"),
+        (["circle", "--resolution", "64", "--epsilon", "0.05", "--max-word-len", "3", "--seed", "-1"],
+         None, None),
+        (["construct", "--kappa", "0.76", "--resolution", "64", "--seed", "-1"], None, None),
+        (["packing", "greedy", "--ambient", "0.5,0.5,0.4", "--seed=-1"], None, None),
+        (["--config", "{file}", "construct", "--kappa", "0.76", "--resolution", "64"],
+         None, "seed = -2\n"),
+        (["minimality", "--system", "{file}", "--epsilon", "0.2", "--max-word-len", "3",
+          "--region-pgm", "{pgm}"], b"P5\n64 1\n1\n" + b"\x01" * 64,
+         "affine kappa=0.5 theta=30\n"),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -443,18 +483,22 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
          "max-disks-negative", "tol-cells-negative", "ball-not-absorbing",
          "circle-amplitude-inf-ergodicity", "circle-amplitude-inf-minimality",
          "rotation-angle-nan", "affine-theta-nan", "affine-anchor-inf",
-         "planar-amplitude-nan", "system-not-utf8", "config-not-utf8", "instance-not-utf8"],
+         "planar-amplitude-nan", "system-not-utf8", "config-not-utf8", "instance-not-utf8",
+         "seed-negative-minimality", "seed-negative-distortion", "seed-negative-ergodicity",
+         "seed-negative-circle", "seed-negative-construct", "seed-negative-packing",
+         "seed-negative-config", "planar-system-on-circle-region"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
-    # pgm_bytes keeps that many bytes of a valid target, or replaces it;
-    # text (str or bytes) fills the system, config or instance file that
-    # "{file}" names
+    # pgm_bytes keeps that many bytes of a valid target, or replaces it, and
+    # "{pgm}" names that target; text (str or bytes) fills the system, config
+    # or instance file that "{file}" names
     target = tmp_path / "target.pgm"
     write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
     if isinstance(pgm_bytes, int):
         target.write_bytes(target.read_bytes()[:pgm_bytes])
     elif pgm_bytes is not None:
         target.write_bytes(pgm_bytes)
+    args = [target if a == "{pgm}" else a for a in args]
     if args[:2] == ["packing", "greedy"]:
         args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
     if text is not None:
