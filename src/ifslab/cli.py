@@ -49,8 +49,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    # SeedSequence takes non-negative integers only
+def _count(text: str) -> int:
+    # a count, or a seed: SeedSequence takes non-negative integers only
     try:
         value = int(text)
     except ValueError:
@@ -113,27 +113,17 @@ def _cmd_construct(args, out_dir: Path) -> dict:
         kappa=args.kappa, theta_deg=args.theta, delta=args.delta, u_factor=args.u_factor
     )
     result = construction.build_construction(params, args.resolution)
-    absorbing = construction.check_absorbing(
-        result.system, result.absorbing_ball, args.resolution
-    )
-    if not absorbing.absorbed:
-        raise ValidationError(
-            f"ball is not absorbing (escape distance {absorbing.escape_distance:.4g})"
-        )
     cell = geometry.ball_domain(result.absorbing_ball, args.resolution).cell_sizes[0]
-    attr = construction.attractor(
-        result.system,
-        result.absorbing_ball,
-        tol=args.tol_cells * cell,
+    attr = construction.attractor(  # it checks that the ball absorbs every member
+        result.system, result.absorbing_ball, tol=args.tol_cells * cell,
         resolution=args.resolution,
-        verify_absorbing=False,
     )
     geometry.write_pgm(attr.attractor, out_dir / "attractor.pgm")
     geometry.write_points_csv(
         attr.attractor.included_points(), out_dir / "attractor_points.csv"
     )
     geometry.write_points_csv(np.array(result.anchors), out_dir / "anchors.csv")
-    return construction.construction_report(result, absorbing, attr)
+    return construction.construction_report(result, attr)
 
 
 def _cmd_minimality(args, out_dir: Path) -> dict:
@@ -146,8 +136,6 @@ def _cmd_minimality(args, out_dir: Path) -> dict:
 
 
 def _cmd_distortion(args, out_dir: Path) -> dict:
-    if args.shrink_max_r < 0:
-        raise ValidationError(f"--shrink-max-r must be >= 0, got {args.shrink_max_r}")
     sys_spec = _system(args)
     rep = analysis.distortion_report(
         sys_spec,
@@ -255,7 +243,7 @@ def _build_parser() -> _Parser:
     def command(parent, name, handler, chart, summary):
         p = parent.add_parser(name, help=summary)
         p.add_argument("--resolution", type=int, default=1024)
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--out", default="out")
         if chart:
             p.add_argument("--bounds", type=_floats(4), help="planar chart xmin,xmax,ymin,ymax")
@@ -288,7 +276,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--shrink-center", type=_floats(2), default=(0.0, 0.0))
     p.add_argument("--shrink-radius", type=_finite)
     p.add_argument("--shrink-delta", type=_finite, default=1.0)
-    p.add_argument("--shrink-max-r", type=int, default=64)
+    p.add_argument("--shrink-max-r", type=_count, default=64)
 
     p = command(sub, "ergodicity", _cmd_ergodicity, True, "invariant-set falsification search")
     p.add_argument("--system", required=True)

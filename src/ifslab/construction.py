@@ -66,9 +66,6 @@ class ConstructionResult:
     system: SystemSpec
     anchors: tuple[tuple[float, float], ...]
     absorbing_ball: Disk
-    cover_verified: bool
-    uncovered_fraction: float
-    resolution: int
 
     @property
     def k(self) -> int:
@@ -177,9 +174,6 @@ def build_construction(
         system=_family(params, anchors),
         anchors=anchors,
         absorbing_ball=Disk((0.0, 0.0), params.u_factor * params.delta),
-        cover_verified=True,
-        uncovered_fraction=0.0,
-        resolution=resolution,
     )
 
 
@@ -360,6 +354,7 @@ class AttractorResult:
     attractor: GridSet
     iterations: int
     final_hausdorff: float
+    absorbing: AbsorbingCheck | None  # None when the check was skipped
 
 
 def attractor(
@@ -376,18 +371,18 @@ def attractor(
     ``tol`` (a length; grid distances are quantized to cell multiples, so
     the comparison is <=); raises :class:`ConvergenceError` with the last
     distance if ``max_iter`` is hit first.  Intermediate distances above
-    ``tol`` are not computed, only found to exceed it.
+    ``tol`` are not computed, only found to exceed it.  With
+    ``verify_absorbing`` it first runs :func:`check_absorbing` on U, raises
+    :class:`ValidationError` if U is not absorbing and keeps the check in
+    the result.
     """
     if not tol >= 0:
         raise ValidationError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if verify_absorbing:
-        chk = check_absorbing(sys, u, resolution)
-        if not chk.absorbed:
-            raise ValidationError(
-                f"ball is not absorbing (escape distance {chk.escape_distance:.4g})"
-            )
+    chk = check_absorbing(sys, u, resolution) if verify_absorbing else None
+    if chk is not None and not chk.absorbed:
+        raise ValidationError(f"ball is not absorbing (escape distance {chk.escape_distance:.4g})")
     dom = geometry.ball_domain(u, resolution)
     current = geometry.rasterize_disk(dom, u)
     last = np.inf
@@ -402,7 +397,7 @@ def attractor(
         # only the last step's distance is needed beyond tol, for the error
         last = geometry.hausdorff_distance(stepped, current, tol if it < max_iter else np.inf)
         if last <= tol:
-            return AttractorResult(stepped, it, last)
+            return AttractorResult(stepped, it, last, chk)
         current = stepped
     raise ConvergenceError(
         f"attractor iteration did not stabilize in {max_iter} steps "
@@ -411,18 +406,16 @@ def attractor(
     )
 
 
-def construction_report(
-    result: ConstructionResult,
-    absorbing: AbsorbingCheck,
-    attr: AttractorResult,
-) -> dict:
+def construction_report(result: ConstructionResult, attr: AttractorResult) -> dict:
+    """The construct report: a result exists only once its cover passed, and
+    an attractor run that skipped the absorbing check reports it unverified."""
     return {
         "kappa": result.params.kappa,
         "theta": result.params.theta_deg,
         "delta": result.params.delta,
         "k": result.k,
-        "cover_verified": result.cover_verified,
-        "absorbing_verified": absorbing.absorbed,
+        "cover_verified": True,
+        "absorbing_verified": attr.absorbing is not None and attr.absorbing.absorbed,
         "iterations": attr.iterations,
         "final_hausdorff": attr.final_hausdorff,
     }

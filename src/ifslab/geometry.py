@@ -225,6 +225,8 @@ class Disk:
                 raise ValidationError("planar disk center needs 2 coordinates")
         if not np.isfinite(np.append(self.center, self.radius)).all():
             raise ValidationError(f"disk center and radius must be finite, got {self}")
+        if not math.isfinite(float(self.radius) * float(self.radius)):  # disk_cells' r**2
+            raise ValidationError(f"disk radius squared must be finite, got radius {self.radius}")
 
     @property
     def is_circle(self) -> bool:

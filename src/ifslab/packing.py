@@ -239,6 +239,8 @@ def _greedy_family(target: GridSet, ambient: Disk, min_radius: float,
     for at, block in dom.blocks():
         avail[at] = ambient.radius - geometry.point_distance(
             dom.kind, dom.centers_at(block), ambient.center)
+    if avail.max() < min_radius:  # no cell can hold a disk: build no density field
+        return ()
     amb_vol = volume(geometry.disk_cells(dom, ambient)[1], comp.bitmap.size)
     # the ranked score is the complement density on live cells and -1 on the
     # rest; a cell is live while avail >= min_radius and it is not blocked.

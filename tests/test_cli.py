@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ifslab
-from ifslab import cli
+from ifslab import cli, construction
 from ifslab.cli import main
 from ifslab.analysis import distortion_report
 from ifslab.geometry import Disk, Domain, GridSet, empty_set, rasterize_disk, read_pgm, write_pgm
@@ -122,6 +122,28 @@ def test_construct_writes_artifacts(tmp_path):
     assert (out / "attractor_points.csv").exists()
     att = read_pgm(out / "attractor.pgm", Domain.planar((-16.5, 16.5, -16.5, 16.5), 256))
     assert att.count() > 0
+
+
+@pytest.mark.parametrize("u_factor, code", [("16", 0), ("1.5", 1)])
+def test_construct_runs_one_absorbing_check_inside_attractor(
+        tmp_path, capsys, monkeypatch, u_factor, code):
+    callers = []
+    check = construction.check_absorbing
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return check(*args)
+
+    monkeypatch.setattr(construction, "check_absorbing", traced)
+    out = tmp_path / "con"
+    assert run(["construct", "--kappa", "0.76", "--u-factor", u_factor, "--resolution", "256",
+                "--out", out]) == code
+    assert callers == ["attractor"]
+    if code:
+        assert capsys.readouterr().err == "error: ball is not absorbing (escape distance 0.9598)\n"
+        assert not (out / "report.json").exists()
+    else:
+        assert json.loads((out / "report.json").read_text())["absorbing_verified"] is True
 
 
 def test_construct_artifacts_are_deterministic(tmp_path):
@@ -282,6 +304,25 @@ def test_packing_greedy_and_exit_codes(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["feasible"] is True
     assert run(["packing", "verify", "--out", tmp_path / "x"]) == 1
+
+
+def test_packing_greedy_with_no_room_for_a_disk_places_none(tmp_path):
+    # a min_radius above the ambient radius: before, a kernel too large to allocate
+    target = tmp_path / "target.pgm"
+    write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
+    out = tmp_path / "pg"
+    assert run(["packing", "greedy", "--target-pgm", target, "--ambient", "0.5,0.5,0.4",
+                "--min-radius", "1e300", "--resolution", "64", "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["disks_placed"] == 0
+
+
+def test_shrink_max_r_is_parsed_as_a_count(tmp_path, capsys):
+    system = tmp_path / "system.txt"
+    system.write_text("affine kappa=0.5 theta=30\n")
+    assert run(["distortion", "--system", system, "--resolution", "64", "--shrink-radius", "0.5",
+                "--shrink-max-r", "-1", "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --shrink-max-r: needs a non-negative integer, got '-1'\n")
 
 
 def test_packing_verify_reads_greedy_instance_on_its_bounds(tmp_path):
@@ -469,6 +510,15 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
         (["minimality", "--system", "{file}", "--epsilon", "0.2", "--max-word-len", "3",
           "--region-pgm", "{pgm}"], b"P5\n64 1\n1\n" + b"\x01" * 64,
          "affine kappa=0.5 theta=30\n"),
+        (["construct", "--kappa", "0.76", "--delta", "1e308", "--resolution", "64"], None, None),
+        (["construct", "--kappa", "0.76", "--delta", "1e153", "--resolution", "64"], None, None),
+        (["construct", "--kappa", "0.76", "--u-factor", "1e300", "--resolution", "64"],
+         None, None),
+        (["distortion", "--system", "{file}", "--resolution", "64", "--shrink-radius", "1e200"],
+         None, "affine kappa=0.5 theta=30\n"),
+        (["packing", "verify", "--instance", "{file}", "--resolution", "64",
+          "--bounds=-1e201,1e201,-1e201,1e201"], None,
+         '{"ambient": {"cx": 0, "cy": 0, "r": 1e200}, "family": [], "target": "{pgm}"}'),
     ],
     ids=["ambient-two-values", "rational-not-p-over-q", "truncated-pgm",
          "pgm-header-cut-short", "pgm-empty", "pgm-comment-without-newline",
@@ -486,12 +536,14 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
          "planar-amplitude-nan", "system-not-utf8", "config-not-utf8", "instance-not-utf8",
          "seed-negative-minimality", "seed-negative-distortion", "seed-negative-ergodicity",
          "seed-negative-circle", "seed-negative-construct", "seed-negative-packing",
-         "seed-negative-config", "planar-system-on-circle-region"],
+         "seed-negative-config", "planar-system-on-circle-region", "delta-squared-overflows",
+         "delta-ball-squared-overflows", "u-factor-squared-overflows",
+         "shrink-radius-squared-overflows", "instance-radius-squared-overflows"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):
     # pgm_bytes keeps that many bytes of a valid target, or replaces it, and
-    # "{pgm}" names that target; text (str or bytes) fills the system, config
-    # or instance file that "{file}" names
+    # "{pgm}" names that target, in the arguments or in a str text; text (str
+    # or bytes) fills the system, config or instance file that "{file}" names
     target = tmp_path / "target.pgm"
     write_pgm(empty_set(Domain.planar((0.0, 1.0, 0.0, 1.0), 64)), target)
     if isinstance(pgm_bytes, int):
@@ -502,7 +554,8 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text
     if args[:2] == ["packing", "greedy"]:
         args = args + ["--target-pgm", target, "--min-radius", "0.1", "--resolution", "64"]
     if text is not None:
-        (tmp_path / "input.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
+        data = text if isinstance(text, bytes) else text.replace("{pgm}", str(target)).encode()
+        (tmp_path / "input.txt").write_bytes(data)
         args = [tmp_path / "input.txt" if a == "{file}" else a for a in args]
     src = str(Path(ifslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -66,14 +66,11 @@ def test_params_validation():
 
 def test_reference_cover(reference):
     # anchor count found by the rasterized cover check at this resolution
-    assert reference.cover_verified
     assert reference.k == 8
-    assert reference.uncovered_fraction == 0.0
 
 
 def test_larger_kappa_needs_fewer_anchors(reference):
     res = build_construction(ConstructionParams(kappa=0.999), resolution=RES)
-    assert res.cover_verified
     assert res.k < reference.k
 
 
@@ -118,7 +115,6 @@ def test_cover_matches_written_out_disk_rule(delta):
     fractions = [reference_uncovered_fraction(params, c, RES) for c in range(1, res.k)]
     # k - 1 anchors is the first count whose images leave nothing uncovered
     assert [f == 0.0 for f in fractions] == [False] * (res.k - 2) + [True]
-    assert res.uncovered_fraction == fractions[-1]
     with pytest.raises(ConstructionError) as exc:
         build_construction(params, resolution=RES, max_anchors=2)
     assert exc.value.uncovered_fraction == fractions[1]
@@ -388,8 +384,7 @@ def test_similarity_diameter_recurrence(reference):
 
 
 def test_construction_report_fields(reference, reference_attractor):
-    chk = check_absorbing(reference.system, reference.absorbing_ball, RES)
-    report = construction_report(reference, chk, reference_attractor)
+    report = construction_report(reference, reference_attractor)
     assert set(report) == {
         "kappa",
         "theta",
@@ -402,6 +397,21 @@ def test_construction_report_fields(reference, reference_attractor):
     }
     assert report["k"] == 8
     assert report["cover_verified"] and report["absorbing_verified"]
+
+
+def test_attractor_keeps_its_absorbing_check(reference, reference_attractor):
+    chk = check_absorbing(reference.system, reference.absorbing_ball, RES)
+    assert reference_attractor.absorbing == chk
+    assert chk.absorbed
+
+
+def test_attractor_without_the_absorbing_check_reports_it_unverified(reference):
+    attr = attractor(reference.system, reference.absorbing_ball, tol=1.0, resolution=64,
+                     verify_absorbing=False)
+    assert attr.absorbing is None
+    report = construction_report(reference, attr)
+    assert report["absorbing_verified"] is False
+    assert report["cover_verified"] is True
 
 
 # -- the restricted step: on a set holding its own image, gathers and scatters

@@ -80,6 +80,19 @@ def test_disk_validation():
             Disk(center, radius)
 
 
+@pytest.mark.filterwarnings("error")
+def test_disk_radius_squared_must_be_finite():
+    # disk_cells compares squared lengths against r**2, which overflows past ~1.34e154
+    for radius in (1e155, np.float64(1e200), 1.7e308):
+        with pytest.raises(ValidationError, match="squared"):
+            Disk((0.0, 0.0), radius)
+    # just below that bound a disk rasterizes as its unit-scale copy does
+    huge = Domain.planar((-1e154, 1e154, -1e154, 1e154), 16)
+    big = rasterize_disk(huge, Disk((0.0, 0.0), 1e154))
+    unit = rasterize_disk(Domain.planar((-1.0, 1.0, -1.0, 1.0), 16), Disk((0.0, 0.0), 1.0))
+    assert np.array_equal(big.bitmap, unit.bitmap)
+
+
 def test_volume_empty_and_full(square):
     assert float(empty_set(square).bitmap.mean()) == 0.0
     assert float(full_set(square).bitmap.mean()) == 1.0

@@ -189,6 +189,20 @@ def test_greedy_min_radius_precondition(dom, ambient):
         greedy_pack(empty_set(dom), ambient, 1 / RES, 10)
 
 
+@pytest.mark.parametrize("min_radius", [0.4 * (1 + 2**-40), 0.5, 1e300])
+def test_greedy_builds_no_density_field_when_no_cell_can_hold_a_disk(
+        dom, ambient, min_radius, monkeypatch):
+    # a min_radius above the ambient radius leaves no cell live; before, the
+    # kernel of a huge radius failed to allocate (or took many GB)
+    def refused(*args):
+        raise AssertionError("the density field was built")
+
+    monkeypatch.setattr(packing.geometry, "local_density", refused)
+    inst, rep = greedy_pack(empty_set(dom), ambient, min_radius, 10)
+    assert inst.family == ()
+    assert rep == verify_conditions(inst)
+
+
 def test_greedy_rejects_a_negative_disk_budget(dom, ambient):
     with pytest.raises(ValidationError):
         greedy_pack(empty_set(dom), ambient, 8 / RES, -1)
