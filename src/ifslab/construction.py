@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import (
-    ConstructionError,
-    ConvergenceError,
-    ValidationError,
-)
+from .errors import ConstructionError, ConvergenceError, EmptySetError, ValidationError
 from .geometry import Disk, Domain, GridSet
 from .maps import AffineSimilarity, SystemSpec
 
@@ -90,7 +86,8 @@ def _family(params: ConstructionParams, anchors) -> SystemSpec:
 def _cover_check(params: ConstructionParams, resolution: int):
     """The fraction of closure(V) cells missed by the union of member
     images, as a function of the anchors.  V's cells and T's image test do
-    not depend on the anchors, so they are taken once.
+    not depend on the anchors, so they are taken once, and a count starts
+    from the cells left by the largest set of its anchors already applied.
 
     Images of the ball V under similarities are again balls, so coverage is
     an exact distance test against each image ball at cell centers.
@@ -111,15 +108,15 @@ def _cover_check(params: ConstructionParams, resolution: int):
     r2 = image_r * image_r
     left = px**2 + py**2 >= r2  # T fixes the origin, the center of its image ball
     px, py = px[left], py[left]
+    applied = {frozenset(): np.arange(px.size)}
 
     def uncovered(anchors) -> float:
-        alive = np.arange(px.size)
-        for y in anchors:
-            if alive.size == 0:
-                break
+        alive = applied[done := max((s for s in applied if s <= set(anchors)), key=len)]
+        for y in set(anchors) - done:
             c = (eye - params.kappa * rot) @ np.array(y)  # S_y(0) = y - T(y)
             d2 = (px[alive] - float(c[0])) ** 2 + (py[alive] - float(c[1])) ** 2
             alive = alive[d2 >= r2]
+        applied[frozenset(anchors)] = alive
         return alive.size / total
 
     return uncovered
@@ -284,9 +281,8 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = Non
     member's int32 cell map (a closed-form member's inverse's) at the
     result's cells, which :func:`attractor`'s later steps run through; a cell
     outside a member's image box keeps -1 there, which reads as outside as
-    the cell it stands for does, since every later iterate lies in A.  It is
-    a keyword of the public step so that perfbench's span of this function
-    still covers the attractor's first step.
+    the cell it stands for does, since every later iterate lies in A.  A
+    keyword of the public step keeps the attractor's first step in its traces.
     """
     dom, maps = a.domain, sys.maps()
     for m in maps:  # before any image box is built
@@ -329,24 +325,26 @@ def hutchinson_step(sys: SystemSpec, a: GridSet, *, cell_maps: list | None = Non
     return stepped
 
 
-def _cached_step(sys: SystemSpec, a: GridSet, cells: list[np.ndarray], keep=None):
+def _cached_step(sys: SystemSpec, index, bits, cells: list[np.ndarray], keep=None):
     """:func:`hutchinson_step` of an A holding its own image, through the maps
-    ``cells`` that step keeps, and the mask of the result among A's cells: it
-    evaluates no map.  A mask ``keep`` of the step before first cuts ``cells``
-    to A's cells, one at a time, so no cut follows the attractor's last step."""
-    bits = np.append(a.bitmap.ravel(), False)  # the spare slot of hutchinson_step
-    out = np.zeros_like(bits)  # below the cut maps, so that freeing them can trim the heap
+    ``cells`` that step keeps: it evaluates no map.  A is its int32 flat
+    ``index`` and its bitmap ``bits`` (spare slot last), cleared here to the
+    result.  Returns the result's index, the removed cells and the result's
+    mask among A's cells, the next step's ``keep``: it cuts ``cells`` first."""
     for j, c in enumerate(cells if keep is not None else ()):
         cells[j] = c[keep]
-    hits = np.zeros(len(cells[0]), dtype=bool)
+    hits = np.zeros(len(index), dtype=bool)
     for m, c in zip(sys.maps(), cells):
         if m.closed_form_inverse:
             hits |= bits.take(c)
-        else:
-            out[c] = True
-    keep = out[:-1][bits[:-1]] | hits
-    out[:-1][bits[:-1]] = keep
-    return GridSet(a.domain, out[:-1].reshape(a.domain.shape)), keep
+    pushed = [c for m, c in zip(sys.maps(), cells) if not m.closed_form_inverse]
+    if pushed:  # marks, in A or the spare slot, go in once the pulls have read A
+        bits[index] = hits
+        for c in pushed:
+            bits[c] = True
+        bits[-1], hits = False, bits.take(index)
+    bits[removed := index[~hits]] = False
+    return index[hits], removed, hits
 
 
 @dataclass(frozen=True)
@@ -389,16 +387,24 @@ def attractor(
     # The operator is monotone: once an iterate lies inside the one before it,
     # so does every later iterate, each holding its own image, and the cell
     # maps kept by the step that first nests serve every later step.
-    cells, keep = [], None
+    cells, keep, index = [], None, None
     for it in range(1, max_iter + 1):
-        # an uncached step is the public one, whose calls perfbench traces
-        stepped, keep = (_cached_step(sys, current, cells, keep) if cells
-                         else (hutchinson_step(sys, current, cell_maps=cells), None))
-        # only the last step's distance is needed beyond tol, for the error
-        last = geometry.hausdorff_distance(stepped, current, tol if it < max_iter else np.inf)
+        limit = tol if it < max_iter else np.inf  # beyond tol only the last distance is needed
+        if index is None:  # an uncached step is the public one, whose calls perfbench traces
+            stepped = hutchinson_step(sys, current, cell_maps=cells)
+            last = geometry.hausdorff_distance(stepped, current, limit)
+            if cells:  # it nests: from here A is an index and a bitmap, which current views
+                index = np.flatnonzero(stepped.bitmap).astype(np.int32)
+                bits = np.append(stepped.bitmap.ravel(), False)
+                stepped = GridSet(dom, bits[:-1].reshape(dom.shape))
+            current = stepped
+        else:  # the distance between nested iterates is that of the removed cells
+            index, removed, keep = _cached_step(sys, index, bits, cells, keep)
+            if not index.size:
+                raise EmptySetError("hausdorff distance needs nonempty sets")
+            last = geometry.directed_distance(removed, current, limit)
         if last <= tol:
-            return AttractorResult(stepped, it, last, chk)
-        current = stepped
+            return AttractorResult(current, it, last, chk)
     raise ConvergenceError(
         f"attractor iteration did not stabilize in {max_iter} steps "
         f"(last distance {last:.4g})",

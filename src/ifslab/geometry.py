@@ -57,6 +57,9 @@ class Domain:
             xmin, xmax, ymin, ymax = self.bounds
             if not (xmax > xmin and ymax > ymin):
                 raise ValidationError("planar bounds must have positive extent")
+            if min(self.cell_sizes) * min(self.cell_sizes) < np.finfo(float).tiny:
+                raise ValidationError(f"planar chart {self.bounds} at resolution "
+                                      f"{self.resolution} has cells too small to square")
         elif self.bounds is not None:
             raise ValidationError("circle domain takes no bounds")
 
@@ -511,26 +514,31 @@ def hausdorff_distance(a: GridSet, b: GridSet, limit: float = math.inf) -> float
 
     Computed between cell centers, so it is a pseudo-metric: exact 0 iff
     the bitmaps are equal, and the triangle inequality holds up to one cell
-    diagonal.  It is the larger of two directed distances, each over the
-    cells of one set missing from the other.  A finite ``limit`` gives the
-    same float when it is at most ``limit`` and ``math.inf`` otherwise,
-    from :func:`_offset_search` on the plane where it can.
+    diagonal.  It is the larger of two :func:`directed_distance` values, each
+    over the cells of one set missing from the other, up to ``limit``.
     """
     a._check_same_domain(b)
     if a.is_empty() or b.is_empty():
         raise EmptySetError("hausdorff distance needs nonempty sets")
     if not limit >= 0:
         raise ValidationError(f"limit must be >= 0, got {limit}")
-    search, worst = limit < math.inf and a.domain.kind == PLANAR, 0.0
-    for s, t in ((a, b), (b, a)):
-        cells = s.minus(t)
-        if cells.is_empty():
-            continue
-        d = _offset_search(cells, t, limit) if search else None
-        worst = max(worst, float(grid_distances(t, cells).max()) if d is None else d)
-        if worst > limit:
-            return math.inf
-    return worst
+    return max(directed_distance(np.flatnonzero(s.minus(t).bitmap), t, limit)
+               for s, t in ((a, b), (b, a)))
+
+
+def directed_distance(index, target: GridSet, limit: float = math.inf) -> float:
+    """``grid_distances(target, cells).max()`` for the cells at a flat ``index``
+    (0 for none) and a nonempty ``target``, or ``math.inf`` past ``limit``,
+    from :func:`_offset_search` on the plane where it can."""
+    if not len(index):
+        return 0.0
+    dom = target.domain
+    d = _offset_search(index, target, limit) if limit < math.inf and dom.kind == PLANAR else None
+    if d is None:
+        cells = np.zeros(dom.shape, bool)
+        cells.flat[index] = True
+        d = float(grid_distances(target, GridSet(dom, cells)).max())
+    return d if d <= limit else math.inf
 
 
 # a gathered cell costs 2-10 ns and the transform about 130 ns a cell of the
@@ -539,18 +547,17 @@ def hausdorff_distance(a: GridSet, b: GridSet, limit: float = math.inf) -> float
 _SEARCH_BUDGET = 8
 
 
-def _offset_search(cells: GridSet, target: GridSet, limit: float) -> float | None:
-    """``grid_distances(target, cells).max()`` on the plane up to a finite
-    ``limit``, else ``math.inf``: each cell looks for the target at the cell
-    offsets within ``limit``, nearest first, each at the transform's own
-    float.  None leaves the answer to the transform: where the search would
-    cost more, and where equal distances round apart (the transform may take
-    either) within 1e-9 of the result."""
-    n, sampling = cells.domain.resolution, np.array(cells.domain.cell_sizes)
-    budget = _SEARCH_BUDGET * (cells.count() + target.count())
+def _offset_search(index, target: GridSet, limit: float) -> float | None:
+    """:func:`directed_distance` on the plane up to a finite ``limit``: each
+    cell looks for the target at the cell offsets within ``limit``, nearest
+    first, each at the transform's own float.  None leaves the answer to the
+    transform: where the search would cost more, and where equal distances
+    round apart (the transform may take either) within 1e-9 of the result."""
+    n, sampling = target.domain.resolution, np.array(target.domain.cell_sizes)
+    budget = _SEARCH_BUDGET * (len(index) + np.count_nonzero(target.bitmap))
     # offsets clipped to the chart, one cell beyond limit for the rounding test
     reach = (np.minimum(limit, n * sampling) // sampling + 1).clip(max=n - 1).astype(np.int64)
-    if np.prod(2 * reach + 1) > cells.bitmap.size:
+    if np.prod(2 * reach + 1) > target.bitmap.size:
         return None
     off = np.indices(2 * reach + 1).reshape(2, -1) - reach[:, None]
     dist = np.sqrt(np.add.reduce((off.astype(np.float64) * sampling[:, None]) ** 2))
@@ -560,8 +567,8 @@ def _offset_search(cells: GridSet, target: GridSet, limit: float) -> float | Non
     strides = np.array([n + 2 * reach[1], 1])
     shifts, worst = strides @ off[:, near], 0.0
     other = np.pad(target.bitmap, [(r, r) for r in reach])
-    for _, index in cells.domain.blocks(np.flatnonzero(cells.bitmap)):
-        at, k = strides @ (np.array(index) + reach[:, None]), 0
+    for _, block in target.domain.blocks(index):
+        at, k = strides @ (np.array(block) + reach[:, None]), 0
         while at.size:
             if k >= near.size:
                 return math.inf

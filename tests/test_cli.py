@@ -146,6 +146,32 @@ def test_construct_runs_one_absorbing_check_inside_attractor(
         assert json.loads((out / "report.json").read_text())["absorbing_verified"] is True
 
 
+def test_construct_at_small_delta_is_a_scaled_copy(tmp_path):
+    # every length scales by a power of two exactly while squared cell sizes
+    # stay normal floats, so the bitmap and the distance in cells are delta 1's
+    def construct(k):
+        out = tmp_path / f"d{k}"
+        assert run(["construct", "--kappa", "0.76", "--delta", repr(2.0**-k), "--resolution", "64",
+                    "--out", out]) == 0
+        return (out / "attractor.pgm").read_bytes(), json.loads((out / "report.json").read_text())
+
+    bitmap, report = construct(0)
+    for k in (10, 400, 500):
+        got_bitmap, got = construct(k)
+        assert got_bitmap == bitmap
+        assert got["final_hausdorff"] * 2**k == report["final_hausdorff"]
+        assert (got["k"], got["iterations"]) == (report["k"], report["iterations"])
+
+
+def test_construct_refuses_cells_too_small_to_square(tmp_path, capsys):
+    out = tmp_path / "tiny"
+    assert run(["construct", "--kappa", "0.76", "--delta", "1e-300", "--resolution", "64",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: planar chart (") and err.endswith("has cells too small to square\n")
+    assert not (out / "report.json").exists()
+
+
 def test_construct_artifacts_are_deterministic(tmp_path):
     args = ["construct", "--kappa", "0.8", "--resolution", "128", "--seed", "3"]
     assert run(args + ["--out", tmp_path / "r1"]) == 0
@@ -512,6 +538,7 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
          "affine kappa=0.5 theta=30\n"),
         (["construct", "--kappa", "0.76", "--delta", "1e308", "--resolution", "64"], None, None),
         (["construct", "--kappa", "0.76", "--delta", "1e153", "--resolution", "64"], None, None),
+        (["construct", "--kappa", "0.76", "--delta", "1e-300", "--resolution", "64"], None, None),
         (["construct", "--kappa", "0.76", "--u-factor", "1e300", "--resolution", "64"],
          None, None),
         (["distortion", "--system", "{file}", "--resolution", "64", "--shrink-radius", "1e200"],
@@ -537,7 +564,7 @@ _NOT_UTF8 = bytes(range(255, 55, -1))
          "seed-negative-minimality", "seed-negative-distortion", "seed-negative-ergodicity",
          "seed-negative-circle", "seed-negative-construct", "seed-negative-packing",
          "seed-negative-config", "planar-system-on-circle-region", "delta-squared-overflows",
-         "delta-ball-squared-overflows", "u-factor-squared-overflows",
+         "delta-ball-squared-overflows", "delta-cells-squared-underflow", "u-factor-squared-overflows",
          "shrink-radius-squared-overflows", "instance-radius-squared-overflows"],
 )
 def test_malformed_input_exits_one_with_one_line(tmp_path, args, pgm_bytes, text):

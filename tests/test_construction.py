@@ -15,13 +15,20 @@ from ifslab.construction import (
     construction_report,
     hutchinson_step,
 )
-from ifslab.errors import ConstructionError, ConvergenceError, DimensionError, ValidationError
+from ifslab.errors import (
+    ConstructionError,
+    ConvergenceError,
+    DimensionError,
+    EmptySetError,
+    ValidationError,
+)
 from ifslab.geometry import (
     Disk,
     Domain,
     GridSet,
     ball_domain,
     diameter,
+    directed_distance,
     full_set,
     hausdorff_distance,
     points_to_gridset,
@@ -598,6 +605,36 @@ def _cut(cells, keep):
     return cells if keep is None else [c[keep] for c in cells]
 
 
+def _held(a):
+    """A as attractor holds it once the iterates nest: its int32 flat index
+    and its chart bitmap with the spare slot last."""
+    return np.flatnonzero(a.bitmap).astype(np.int32), np.append(a.bitmap.ravel(), False)
+
+
+def _check_cached_result(a, index, bits, got):
+    """What a cached step of A (held as ``index``, the bitmap ``bits`` after
+    the step) returned: the result as a set and its mask among A's cells.
+    The step left its result in ``bits`` with the spare slot clear, returned
+    the result's index and the removed cells, which split A's index, and the
+    removed cells' distance to the result is the Hausdorff distance."""
+    new, removed, keep = got
+    assert not bits[-1]
+    stepped = GridSet(a.domain, bits[:-1].reshape(a.domain.shape).copy())
+    assert new.dtype == np.int32 and np.array_equal(new, np.flatnonzero(stepped.bitmap))
+    assert np.array_equal(removed, np.flatnonzero(a.minus(stepped).bitmap))
+    assert np.array_equal(keep, stepped.bitmap.ravel()[index])
+    if new.size:
+        assert directed_distance(removed, stepped) == hausdorff_distance(stepped, a)
+    return stepped, keep
+
+
+def _cached(sys, a, cells, keep=None):
+    """:func:`_cached_step` of A held as attractor holds it, checked by
+    :func:`_check_cached_result`: the result as a set and its mask."""
+    index, bits = _held(a)
+    return _check_cached_result(a, index, bits, _cached_step(sys, index, bits, cells, keep))
+
+
 @pytest.mark.baseline_dispatch
 def test_cached_steps_match_per_step_loop_on_circle_pair():
     # attractor takes a planar ball, so the circle pair's steps are chained
@@ -610,7 +647,7 @@ def test_cached_steps_match_per_step_loop_on_circle_pair():
         # both steps leave in cells the maps at their result's cells, if it
         # nests; a cached step leaves them to be cut by the mask it returns
         if cells:
-            stepped, keep = _cached_step(sys, a, cells, keep)
+            stepped, keep = _cached(sys, a, cells, keep)
         else:
             stepped = hutchinson_step(sys, a, cell_maps=cells)
         ref_stepped = reference_hutchinson_step(sys, ref, within)
@@ -641,15 +678,19 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
         steps.append(("uncached", a, stepped))
         return stepped
 
-    def checked_cached(sys, a, cells, keep):
+    def checked_cached(sys, index, bits, cells, keep):
+        # A is the index and the bitmap the attractor holds, which the step clears
+        a = GridSet(steps[-1][2].domain, bits[:-1].reshape(steps[-1][2].domain.shape).copy())
+        assert np.array_equal(index, np.flatnonzero(a.bitmap)) and index.dtype == np.int32
         want = [c.copy() for c in _cut(cells, keep)]
         _assert_maps_within(want, written_out_cell_maps(sys, a), a)
-        stepped, kept = cached(sys, a, cells, keep)
+        got = cached(sys, index, bits, cells, keep)
+        stepped, kept = _check_cached_result(a, index, bits, got)
         _assert_same_maps(cells, want)  # cut to A first
         _assert_maps_within(_cut(cells, kept), written_out_cell_maps(sys, stepped), stepped)
         steps.append(("cached", a, stepped))
         held[:] = [cells]
-        return stepped, kept
+        return got
 
     monkeypatch.setattr(construction, "hutchinson_step", checked_uncached)
     monkeypatch.setattr(construction, "_cached_step", checked_cached)
@@ -667,12 +708,65 @@ def test_attractor_steps_each_iterate_through_its_own_cell_maps(monkeypatch, fam
     kinds = [kind for kind, _, _ in steps]
     assert kinds == ["uncached"] + ["cached"] * (len(kinds) - 1)
     assert len(steps) == got.iterations > 2
-    assert got.attractor is steps[-1][2]
+    assert got.attractor.equals(steps[-1][2])
     for i, (_, a, stepped) in enumerate(steps):
-        assert i == 0 or a is steps[i - 1][2]
+        assert i == 0 or a.equals(steps[i - 1][2])
         assert stepped.equals(reference_hutchinson_step(sys, a))
     # no cut follows the last step: its maps are left at its own A's cells
     _assert_maps_within(held[0], written_out_cell_maps(sys, steps[-1][1]), steps[-1][1])
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("family", ["affine", "mixed", "perturbed"])
+def test_nested_steps_make_no_whole_chart_set_operation(monkeypatch, family):
+    # once the iterates nest, a step and its stop test work on A's cells and
+    # the cells the step removes: no set difference, count or two-way distance
+    import ifslab.construction as construction
+
+    calls, after, cached = Counter(), Counter(), construction._cached_step
+
+    def counted(name, fn):
+        def inner(*args, **kwargs):
+            (after if calls["cached"] else calls)[name] += 1
+            return fn(*args, **kwargs)
+        return inner
+
+    monkeypatch.setattr(construction, "_cached_step", counted("cached", cached))
+    monkeypatch.setattr(GridSet, "minus", counted("minus", GridSet.minus))
+    monkeypatch.setattr(GridSet, "count", counted("count", GridSet.count))
+    monkeypatch.setattr(geometry, "hausdorff_distance", counted("hausdorff", hausdorff_distance))
+    res = 128
+    built = build_construction(ConstructionParams(kappa=0.76, theta_deg=179.0), resolution=res)
+    gens, ball = built.system.generators, built.absorbing_ball
+    sys = {
+        "affine": built.system,
+        "mixed": SystemSpec(gens[:4] + _perturbed(gens[4:], 7)),
+        "perturbed": SystemSpec(_perturbed(gens, 8)),
+    }[family]
+    calls.clear()
+    got = attractor(sys, ball, tol=2 * ball_domain(ball, res).cell_sizes[0], resolution=res,
+                    verify_absorbing=False)
+    # the first step nests, and its distance is the one two-way distance
+    assert calls["cached"] == 1 and calls["hausdorff"] == 1
+    assert after == Counter(cached=got.iterations - 2) and got.iterations > 2
+
+
+def test_nested_step_that_empties_a_raises_the_distance_error(monkeypatch):
+    # one tiny contraction about a point off a cell center: its image of U
+    # holds the one cell whose center lies near that point, and the image of
+    # that cell holds no cell center
+    import ifslab.construction as construction
+
+    cached, calls = construction._cached_step, []
+    monkeypatch.setattr(construction, "_cached_step", lambda *args: calls.append(1) or cached(*args))
+    res, ball = 128, Disk((0.0, 0.0), 16.0)
+    dom = ball_domain(ball, res)
+    (xs, ys), h = dom.axis_centers(), dom.cell_sizes[0]
+    sys = SystemSpec((AffineSimilarity(0.00625, 0.0, (float(xs[70]) + 0.3 * h, float(ys[50]))),))
+    assert hutchinson_step(sys, rasterize_disk(dom, ball)).count() == 1
+    with pytest.raises(EmptySetError, match="^hausdorff distance needs nonempty sets$"):
+        attractor(sys, ball, tol=0.0, resolution=res, verify_absorbing=False)
+    assert calls == [1]
 
 
 def written_out_image_box(m, a):
@@ -773,15 +867,15 @@ def _check_restricted_step(sys, a):
     assert full.equals(reference_hutchinson_step(sys, a))
     assert reference_hutchinson_step(sys, a, a).equals(full)
     cells = written_out_cell_maps(sys, a)
-    stepped, keep = _cached_step(sys, a, cells)
+    stepped, keep = _cached(sys, a, cells)
     assert stepped.equals(full)
     _assert_same_maps(_cut(cells, keep), written_out_cell_maps(sys, full))
     kept = []
     assert hutchinson_step(sys, a, cell_maps=kept).equals(full)
     _assert_maps_within(kept, written_out_cell_maps(sys, full), a)
-    assert _cached_step(sys, full, kept)[0].equals(hutchinson_step(sys, full))
+    assert _cached(sys, full, kept)[0].equals(hutchinson_step(sys, full))
     # a mask of the step before cuts the maps first
-    assert _cached_step(sys, full, cells, keep)[0].equals(hutchinson_step(sys, full))
+    assert _cached(sys, full, cells, keep)[0].equals(hutchinson_step(sys, full))
     _assert_same_maps(cells, written_out_cell_maps(sys, full))
 
 
@@ -804,6 +898,10 @@ def test_restricted_step_mixed_affine_and_perturbed(reference):
     u = rasterize_disk(dom, reference.absorbing_ball)
     for a in (u, hutchinson_step(mixed, u), _closure(mixed, _blob(dom, rng, 0.02))):
         _check_restricted_step(mixed, a)
+    # the whole chart holds any image; a pushed member about a point off the
+    # chart maps part of it off, which marks the spare slot the step clears
+    off = Perturbed(AffineSimilarity(0.5, 0.0, (3 * dom.bounds[1], 0.0)), 0.01, 5)
+    _check_restricted_step(SystemSpec((gens[0], off)), full_set(dom))
 
 
 @pytest.mark.baseline_dispatch

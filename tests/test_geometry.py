@@ -68,6 +68,17 @@ def test_domain_validation():
         Domain("circle", 64, (0, 1, 0, 1))
 
 
+def test_domain_refuses_cells_too_small_to_square():
+    # a squared cell size below the smallest normal float underflows, so
+    # squared lengths on the chart lose their bits; one narrow axis suffices
+    tiny = np.finfo(float).tiny
+    for bounds in ((0.0, 1e-160, 0.0, 1e-160), (0.0, 1.0, 0.0, 64 * math.sqrt(tiny) / 2)):
+        with pytest.raises(ValidationError, match="cells too small to square"):
+            Domain.planar(bounds, 64)
+    ok = Domain.planar((0.0, 2.0**-500, 0.0, 2.0**-500), 64)
+    assert min(ok.cell_sizes) ** 2 >= tiny
+
+
 def test_disk_validation():
     with pytest.raises(ValidationError):
         Disk((0.0, 0.0), 0.0)
@@ -909,6 +920,43 @@ def test_bounded_hausdorff_gives_way_to_the_transform(monkeypatch):
         transforms.clear()
         bounded = hausdorff_distance(disk, core, limit)
         assert len(transforms) == 1 and bounded == hausdorff_distance(disk, core)
+
+
+def _nested_pair(dom, rng):
+    """A blob and the target left when random cells and disks are cut from
+    it: the cells removed, as a flat int32 index, and the target."""
+    a = _blob(dom, rng, 3)
+    target = a & ~_blob(dom, rng, 2) & (rng.random(dom.shape) > 0.2)
+    target.flat[np.flatnonzero(a)[0]] = True
+    return np.flatnonzero(a & ~target).astype(np.int32), GridSet(dom, target)
+
+
+@pytest.mark.baseline_dispatch
+@pytest.mark.parametrize("budget", ["default", "transform-only"])
+@pytest.mark.parametrize("res", [64, 101, 256])
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (-1.3, 1.9, -0.45, 0.35)],
+                         ids=["square", "wide"])
+def test_directed_distance_matches_transform(bounds, res, budget, monkeypatch):
+    # the removed cells' distance to a target nested in their set, the
+    # attractor's stop test, is the transform's largest distance over them,
+    # or inf past the limit; a spent budget runs the transform itself
+    import ifslab.geometry as geometry
+
+    if budget != "default":
+        monkeypatch.setattr(geometry, "_SEARCH_BUDGET", 0)
+    dom = Domain.planar(bounds, res)
+    rng = rng_from(res + len(budget))
+    for _ in range(4):
+        index, target = _nested_pair(dom, rng)
+        cells = np.zeros(dom.shape, bool)
+        cells.flat[index] = True
+        exact = float(grid_distances(target, GridSet(dom, cells)).max()) if index.size else 0.0
+        for limit in (0.0, min(dom.cell_sizes), 2 * min(dom.cell_sizes), math.inf):
+            want = exact if exact <= limit else math.inf
+            got = geometry.directed_distance(index, target, limit)
+            assert type(got) is float and repr(got) == repr(want), limit
+    # an empty index is at distance 0 from any target
+    assert geometry.directed_distance(np.array([], np.int32), target, 0.0) == 0.0
 
 
 def test_bounded_hausdorff_rejects_a_negative_or_nan_limit(square):
