@@ -111,7 +111,8 @@ def _cover_check(params: ConstructionParams, resolution: int):
     applied = {frozenset(): np.arange(px.size)}
 
     def uncovered(anchors) -> float:
-        alive = applied[done := max((s for s in applied if s <= set(anchors)), key=len)]
+        done = max((s for s in applied if s <= set(anchors)), key=len)
+        alive = applied[done]
         for y in set(anchors) - done:
             c = (eye - params.kappa * rot) @ np.array(y)  # S_y(0) = y - T(y)
             d2 = (px[alive] - float(c[0])) ** 2 + (py[alive] - float(c[1])) ** 2
@@ -343,7 +344,8 @@ def _cached_step(sys: SystemSpec, index, bits, cells: list[np.ndarray], keep=Non
         for c in pushed:
             bits[c] = True
         bits[-1], hits = False, bits.take(index)
-    bits[removed := index[~hits]] = False
+    removed = index[~hits]
+    bits[removed] = False
     return index[hits], removed, hits
 
 
